@@ -54,45 +54,20 @@ FIXTURES_DIR = Path(__file__).parent / "fixtures"
 HISTORY_FIXTURE = FIXTURES_DIR / "message_plane_pre_refactor.json"
 ROWS_FIXTURE = FIXTURES_DIR / "sweep_rows_pre_message_plane.jsonl"
 
-_spec = importlib.util.spec_from_file_location(
-    "make_message_plane_fixtures", FIXTURES_DIR / "make_message_plane_fixtures.py"
-)
-fixture_gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(fixture_gen)
-
-SCHEDULER_SETUPS = {
-    "synchronous": {},
-    "partial": {"delay": 2, "seed": 11},
-    "lossy": {"drop_rate": 0.2, "crash_schedule": ((1, 1, 3),), "seed": 11},
-    "asynchronous": {"wait_timeout": 2.0, "burstiness": 0.4, "seed": 11},
-}
+DELIVERY_FIXTURE = FIXTURES_DIR / "delivery_object_plane.json"
 
 
-def _run_raw_exchange(scheduler: str, plane: str, *, n: int = 7, rounds: int = 5):
-    """Drive ``rounds`` full-broadcast rounds; returns comparable state."""
-    kwargs = dict(SCHEDULER_SETUPS[scheduler])
-    engine = make_scheduler(
-        scheduler, n, (n - 1,), keep_history=False, message_plane=plane, **kwargs
-    )
-    if scheduler == "asynchronous":
-        engine.wait_for(count=n - 2)
-    rng = np.random.default_rng(3)
-    payloads = {node: rng.normal(size=(rounds, 4)) for node in range(n)}
-    state = []
-    for round_index in range(rounds):
-        plans = [
-            full_broadcast_plan(node, payloads[node][round_index])
-            for node in range(n)
-        ]
-        result = engine.submit(plans, round_index)
-        for node in range(n):
-            inbox = result.inboxes.get(node, [])
-            if len(inbox):
-                state.append((node, result.received_matrix(node).tobytes(),
-                              tuple(result.senders(node))))
-            else:
-                state.append((node, b"", ()))
-    return state, engine.stats_snapshot(), engine.trace_snapshot()
+def _load_generator(name: str):
+    spec = importlib.util.spec_from_file_location(name, FIXTURES_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fixture_gen = _load_generator("make_message_plane_fixtures")
+delivery_gen = _load_generator("make_delivery_fixtures")
+
+SCHEDULER_SETUPS = delivery_gen.SCHEDULER_SETUPS
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +96,13 @@ class TestPinnedFixtures:
 
 
 class TestCrossPlaneEquivalence:
-    """Object and batch planes agree bitwise, live, for every scheduler."""
+    """The batch plane reproduces the object plane's pinned raw exchanges."""
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_SETUPS))
     def test_raw_exchange_identical(self, scheduler):
-        object_out = _run_raw_exchange(scheduler, "object")
-        batch_out = _run_raw_exchange(scheduler, "batch")
-        assert object_out == batch_out
+        case = f"complete/{scheduler}"
+        pinned = json.loads(DELIVERY_FIXTURE.read_text())["exchanges"][case]
+        assert delivery_gen.case_exchange(case) == pinned
 
     def test_plane_registry(self):
         assert set(MESSAGE_PLANES) == {"batch", "object"}
