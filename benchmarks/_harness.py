@@ -75,17 +75,22 @@ def build_info() -> Dict[str, object]:
     }
 
 
+#: Row fields that, with the label, identify a ``cases``-style case.
+CASE_IDENTITY = ("topology", "wait", "n", "d")
+
+
 def artifact_headlines(payload: Dict[str, object]) -> Dict[str, float]:
     """Comparable headline metrics of a BENCH_* artifact, keyed stably.
 
     Two shapes exist in the suite and both are handled:
 
-    * ``cases``-style artifacts (message plane, rng modes): one metric
-      per case row — ``rounds_per_sec``, keyed by the row's identity
-      fields (label plus whichever of plane / rng_mode / n / d are
-      present).  ``rounds`` is deliberately *not* part of the key:
-      rounds/sec is already per-round, so a smoke run (few rounds) is
-      comparable against a full-run baseline (more rounds).
+    * ``cases``-style artifacts (delivery): one metric per case row —
+      ``rounds_per_sec``, keyed by the row's label plus whichever
+      :data:`CASE_IDENTITY` fields it carries.  ``rounds`` is
+      deliberately *not* part of the key: rounds/sec is already
+      per-round, so a smoke run (few rounds) is comparable against a
+      full-run baseline (more rounds).  Two rows with one key would
+      overwrite each other, so a duplicate raises.
     * headline-dict artifacts (subset kernels): every top-level section
       whose value is a mapping contributes its ``*_speedup`` entries,
       keyed ``section:name``.
@@ -98,10 +103,11 @@ def artifact_headlines(payload: Dict[str, object]) -> Dict[str, float]:
         if not isinstance(row, dict) or "rounds_per_sec" not in row:
             continue
         parts = [str(row.get("label", row.get("scheduler", "case")))]
-        for field in ("plane", "rng_mode", "n", "d"):
-            if field in row:
-                parts.append(f"{field}={row[field]}")
-        headlines["case:" + "|".join(parts)] = float(row["rounds_per_sec"])
+        parts += [f"{field}={row[field]}" for field in CASE_IDENTITY if field in row]
+        key = "case:" + "|".join(parts)
+        if key in headlines:
+            raise ValueError(f"two benchmark cases share the headline key {key!r}")
+        headlines[key] = float(row["rounds_per_sec"])
     for section, value in payload.items():
         if section in ("cases", "build") or not isinstance(value, dict):
             continue

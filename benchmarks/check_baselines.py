@@ -15,8 +15,8 @@ to gate on, but the drift is still printed for a human to read.
 Refresh a baseline by re-running the full benchmark on a quiet machine
 and committing the artifact:
 
-    PYTHONPATH=src python benchmarks/bench_rng_modes.py \
-        --output benchmarks/baselines/BENCH_rng_modes.json
+    PYTHONPATH=src python benchmarks/bench_delivery.py \
+        --output benchmarks/baselines/BENCH_delivery.json
 """
 
 from __future__ import annotations

@@ -221,7 +221,7 @@ def sweep_summary_table(
         list(axis_names) if axis_names is not None else _recover_axis_names(rows)
     )
     # Rows written before an axis existed render '-' (not an invisible
-    # blank) in that column — e.g. pre-``rng_mode`` archives.
+    # blank) in that column — e.g. pre-``exchange`` archives.
     widths = {
         name: max(len(name), *(len(str(row["axes"].get(name, "-"))) for row in rows))
         for name in axis_names

@@ -280,7 +280,7 @@ def _row_schema_current(row: Mapping[str, object]) -> bool:
 def _group_key(
     axes: Mapping[str, object], group_by: Sequence[str]
 ) -> GroupKey:
-    # A row written before an axis existed (e.g. pre-``rng_mode`` rows)
+    # A row written before an axis existed (e.g. pre-``exchange`` rows)
     # has no value for it; render '-' rather than an invisible blank so
     # the group label stays readable.
     return tuple(str(axes[name]) if name in axes else "-" for name in group_by)
@@ -365,7 +365,7 @@ def analyze_sweep_rows(
             analysis.group_by = list(resolved_group_by)
         # A group-by name absent from this row's axes is only an error
         # when it is not a config field at all — a row written before an
-        # axis existed (a sweep predating ``rng_mode``, say) groups
+        # axis existed (a sweep predating ``exchange``, say) groups
         # under the '-' placeholder instead of aborting the whole pass.
         unknown = [name for name in resolved_group_by if name not in axes]
         if unknown:

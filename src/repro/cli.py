@@ -60,7 +60,7 @@ from repro.analysis.reporting import (
     sweep_summary_table,
 )
 from repro.byzantine.registry import available_attacks
-from repro.engine import RNG_MODES, SCHEDULER_NAMES
+from repro.engine import SCHEDULER_NAMES
 from repro.io.results import metric_from_json, save_histories
 from repro.learning.experiment import ExperimentConfig, run_experiment
 from repro.learning.history import TrainingHistory
@@ -128,15 +128,9 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--burstiness", type=float, default=0.0,
                         help="probability of entering the bursty delay regime per "
                              "round (scheduler=asynchronous only)")
-    parser.add_argument("--rng-mode", choices=RNG_MODES, default="scalar",
-                        help="RNG draw strategy of the stochastic schedulers: "
-                             "'scalar' (bitwise-pinned reference) or "
-                             "'vectorized' (batched whole-round draws, "
-                             "statistically equivalent; scheduler=partial/"
-                             "asynchronous only — see docs/performance.md)")
     parser.add_argument("--node-trace", action="store_true",
-                        help="record per-node delivery counters (batch message "
-                             "plane; non-synchronous schedulers only)")
+                        help="record per-node delivery counters "
+                             "(non-synchronous schedulers only)")
     parser.add_argument("--save", type=str, default=None, help="write the histories to this JSON file")
 
 
@@ -164,7 +158,6 @@ def _build_config(args: argparse.Namespace, aggregation: str) -> ExperimentConfi
         wait_count=args.wait_count,
         wait_timeout=args.wait_timeout,
         burstiness=args.burstiness,
-        rng_mode=getattr(args, "rng_mode", "scalar"),
         node_trace=getattr(args, "node_trace", False),
         topology=getattr(args, "topology", "complete"),
         topology_kwargs=getattr(args, "topology_kwargs", None) or {},

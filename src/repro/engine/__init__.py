@@ -8,9 +8,7 @@ inboxes; the scheduler decides *when* (and whether) each link delivers:
 ========================================  =================================
 Scheduler                                  Timing model
 ========================================  =================================
-:class:`SynchronousScheduler`              lock-step (the paper; bitwise-
-                                           identical to the historical
-                                           ``SynchronousNetwork``)
+:class:`SynchronousScheduler`              lock-step (the paper)
 :class:`PartiallySynchronousScheduler`     per-link random delays bounded
                                            by a delivery horizon
 :class:`LossyScheduler`                    seeded per-link loss plus
@@ -26,7 +24,7 @@ engine (see :func:`repro.engine.rounds.run_exchange`); experiment
 configurations select a scheduler by name through
 :func:`make_scheduler`, which is what the ``scheduler`` / ``delay`` /
 ``drop_rate`` / ``crash_schedule`` / ``wait_count`` / ``wait_timeout`` /
-``burstiness`` / ``rng_mode`` sweep axes feed.
+``burstiness`` sweep axes feed.
 """
 
 from __future__ import annotations
@@ -34,12 +32,11 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.engine.asynchronous import AsynchronousScheduler
-from repro.engine.base import RNG_MODES, RoundEngine, WaitCondition, resolve_rng_mode
+from repro.engine.base import RoundEngine, WaitCondition
 from repro.engine.lossy import LossyScheduler, normalise_crash_schedule
 from repro.engine.partial import PartiallySynchronousScheduler
 from repro.engine.rounds import attack_adversary_plan, run_exchange
 from repro.engine.synchronous import SynchronousScheduler
-from repro.network.batch import MESSAGE_PLANES, resolve_message_plane
 from repro.network.topology import Topology
 from repro.utils.rng import SeedLike
 
@@ -64,10 +61,8 @@ def make_scheduler(
     keep_history: bool = True,
     max_history: Optional[int] = None,
     require_full_broadcast: bool = True,
-    message_plane: Optional[str] = None,
     node_trace: bool = False,
     topology: Optional[Topology] = None,
-    rng_mode: Optional[str] = None,
 ) -> RoundEngine:
     """Instantiate a scheduler by name.
 
@@ -81,24 +76,16 @@ def make_scheduler(
     an error — a sweep axis that silently did nothing would corrupt
     conclusions.  ``require_full_broadcast=False`` builds the engine in
     star mode (honest senders may address a single receiver — the
-    centralized trainer's client -> server exchange).  ``message_plane``
-    / ``node_trace`` select the delivery representation and per-node
-    trace recording (see :class:`RoundEngine`); ``topology`` installs a
-    sparse communication graph every scheduler intersects with its own
-    delivery decisions (``None`` = all-to-all).  ``rng_mode`` selects
-    the draw strategy of the stochastic schedulers (``"scalar"`` =
-    bitwise reference, ``"vectorized"`` = batched whole-round draws with
-    a statistical contract; ``None`` reads ``REPRO_RNG_MODE``) — the
-    deterministic synchronous scheduler and the lossy scheduler have no
-    vectorizable delay stream, so ``"vectorized"`` is an error there.
+    centralized trainer's client -> server exchange).  ``node_trace``
+    turns on per-node trace recording (see :class:`RoundEngine`);
+    ``topology`` installs a sparse communication graph every scheduler
+    intersects with its own delivery decisions (``None`` = all-to-all).
     """
     key = str(name).strip().lower()
-    mode = resolve_rng_mode(rng_mode)
     common = dict(
         keep_history=keep_history,
         max_history=max_history,
         require_full_broadcast=require_full_broadcast,
-        message_plane=message_plane,
         node_trace=node_trace,
         topology=topology,
     )
@@ -106,11 +93,6 @@ def make_scheduler(
         raise ValueError(
             "wait_count/wait_timeout/burstiness are only meaningful for "
             "scheduler='asynchronous'"
-        )
-    if key not in ("partial", "asynchronous") and rng_mode is not None and mode != "scalar":
-        raise ValueError(
-            "rng_mode='vectorized' is only meaningful for the stochastic-delay "
-            "schedulers ('partial', 'asynchronous')"
         )
     if key == "synchronous":
         if delay or drop_rate or tuple(crash_schedule):
@@ -128,7 +110,7 @@ def make_scheduler(
             raise ValueError("scheduler='partial' needs a delivery horizon delay >= 1")
         return PartiallySynchronousScheduler(
             n, byzantine, max_delay=delay, delay_prob=delay_prob, seed=seed,
-            rng_mode=mode, **common,
+            **common,
         )
     if key == "lossy":
         if delay:
@@ -152,7 +134,7 @@ def make_scheduler(
             )
         return AsynchronousScheduler(
             n, byzantine, wait_count=wait_count, timeout_rounds=wait_timeout,
-            burstiness=burstiness, seed=seed, rng_mode=mode, **common,
+            burstiness=burstiness, seed=seed, **common,
         )
     raise ValueError(f"unknown scheduler {name!r}; available: {SCHEDULER_NAMES}")
 
@@ -160,9 +142,7 @@ def make_scheduler(
 __all__ = [
     "AsynchronousScheduler",
     "LossyScheduler",
-    "MESSAGE_PLANES",
     "PartiallySynchronousScheduler",
-    "RNG_MODES",
     "RoundEngine",
     "SCHEDULER_NAMES",
     "SynchronousScheduler",
@@ -170,7 +150,5 @@ __all__ = [
     "attack_adversary_plan",
     "make_scheduler",
     "normalise_crash_schedule",
-    "resolve_message_plane",
-    "resolve_rng_mode",
     "run_exchange",
 ]

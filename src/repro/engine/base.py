@@ -11,7 +11,7 @@ reimplement delivery.
 Concrete schedulers:
 
 - :class:`~repro.engine.synchronous.SynchronousScheduler` — lock-step
-  delivery, bitwise-identical to the original ``SynchronousNetwork``;
+  delivery, the paper's model;
 - :class:`~repro.engine.partial.PartiallySynchronousScheduler` —
   per-link random delays bounded by a delivery horizon;
 - :class:`~repro.engine.lossy.LossyScheduler` — seeded per-link message
@@ -24,19 +24,13 @@ Concrete schedulers:
 from __future__ import annotations
 
 import abc
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.batch import (
-    BatchInbox,
-    RoundBatch,
-    build_round_batch,
-    resolve_message_plane,
-)
+from repro.network.batch import BatchInbox, RoundBatch, build_round_batch
 from repro.network.delivery import (
     AdversaryPlanFn,
     HonestPlanFn,
@@ -44,34 +38,8 @@ from repro.network.delivery import (
     collect_plans,
     enforce_quorum,
 )
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan, ReliableBroadcast
 from repro.network.topology import Topology
-
-#: RNG draw strategies of the stochastic schedulers.  ``"scalar"`` is
-#: the pinned reference: per-link draws in the exact order the bitwise
-#: equivalence fixtures were generated with.  ``"vectorized"`` draws
-#: whole-round vectors instead — a different (but identically
-#: distributed) stream, validated statistically in
-#: ``tests/test_rng_modes.py`` rather than bitwise.
-RNG_MODES = ("scalar", "vectorized")
-
-
-def resolve_rng_mode(mode: Optional[str]) -> str:
-    """Normalise an ``rng_mode`` selector to a canonical mode name.
-
-    ``None`` reads the ``REPRO_RNG_MODE`` environment variable and
-    falls back to ``"scalar"`` — the bitwise-pinned default, mirroring
-    how ``message_plane=None`` resolves through ``REPRO_MESSAGE_PLANE``.
-    """
-    if mode is None:
-        mode = os.environ.get("REPRO_RNG_MODE") or None
-    if mode is None:
-        return "scalar"
-    key = str(mode).strip().lower()
-    if key not in RNG_MODES:
-        raise ValueError(f"unknown rng_mode {mode!r}; available: {RNG_MODES}")
-    return key
 
 
 @dataclass(frozen=True)
@@ -136,17 +104,10 @@ class RoundEngine(abc.ABC):
         enforces the agreement protocols' full-broadcast contract on
         honest senders; ``False`` admits star-shaped exchanges where an
         honest plan addresses a single receiver.
-    message_plane:
-        ``"batch"`` (default) routes delivery through the array-backed
-        batch plane (:mod:`repro.network.batch`); ``"object"`` keeps the
-        per-message reference plane the pinned fixtures were generated
-        on.  Both planes are bitwise-equivalent; ``None`` reads the
-        ``REPRO_MESSAGE_PLANE`` environment variable.
     node_trace:
         When true, the engine additionally records one *per-node* delta
         row per round (see :meth:`node_trace_snapshot`) on top of the
-        cumulative per-node counters it always maintains on the batch
-        plane.  Requires the batch plane.
+        cumulative per-node counters it always maintains.
     topology:
         Optional :class:`~repro.network.topology.Topology` restricting
         which (sender, receiver) links exist at all.  ``None`` (and the
@@ -162,10 +123,6 @@ class RoundEngine(abc.ABC):
     horizon: int = 0
     #: Whether this scheduler produces delivery statistics worth reporting.
     records_stats: bool = False
-    #: RNG draw strategy (see :data:`RNG_MODES`).  Deterministic
-    #: schedulers are trivially ``"scalar"``; the stochastic ones accept
-    #: an ``rng_mode`` parameter and override this per instance.
-    rng_mode: str = "scalar"
 
     def __init__(
         self,
@@ -175,22 +132,13 @@ class RoundEngine(abc.ABC):
         keep_history: bool = True,
         max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
-        message_plane: Optional[str] = None,
         node_trace: bool = False,
         topology: Optional[Topology] = None,
     ) -> None:
         self.broadcast = ReliableBroadcast(
             n, byzantine, require_full_broadcast=require_full_broadcast
         )
-        if message_plane is None:
-            message_plane = os.environ.get("REPRO_MESSAGE_PLANE") or None
-        self.message_plane = resolve_message_plane(message_plane)
         self.node_trace = bool(node_trace)
-        if self.node_trace and self.message_plane != "batch":
-            raise ValueError(
-                "per-node delivery traces require the batch message plane "
-                "(the object plane only maintains aggregate counters)"
-            )
         self.n = self.broadcast.n
         self.byzantine = self.broadcast.byzantine
         self.honest = tuple(sorted(set(range(self.n)) - set(self.byzantine)))
@@ -211,9 +159,8 @@ class RoundEngine(abc.ABC):
         self.traces: List[Dict[str, int]] = []
         #: Cumulative per-node counters, receiver-attributed: for every
         #: counter key, an ``(n,)`` int64 array whose entry ``r`` counts
-        #: the links *addressed to* node ``r`` with that outcome.  Only
-        #: the batch plane maintains these (columns sum to the matching
-        #: :attr:`stats` entry there); empty on the object plane.
+        #: the links *addressed to* node ``r`` with that outcome (columns
+        #: sum to the matching :attr:`stats` entry).
         self.node_stats: Dict[str, np.ndarray] = {}
         #: Per-round per-node delta rows (populated when ``node_trace``).
         self.node_traces: List[Dict[str, object]] = []
@@ -251,17 +198,6 @@ class RoundEngine(abc.ABC):
         self._topology_mask = (
             None if topology is None or topology.is_complete else topology.mask
         )
-
-    def _delivers_to(self, plan: BroadcastPlan, receiver: int) -> bool:
-        """Whether ``plan`` addresses ``receiver`` over an existing link.
-
-        The object-plane counterpart of the batch plane's mask
-        intersection: the plan's recipient set, gated by the topology.
-        """
-        if not plan.delivers_to(receiver):
-            return False
-        mask = self._topology_mask
-        return mask is None or bool(mask[plan.sender, receiver])
 
     def require_quorum(self, quorum: int, *, policy: str = "raise") -> None:
         """Require every honest node to deliver at least ``quorum`` messages.
@@ -332,7 +268,7 @@ class RoundEngine(abc.ABC):
             if self.node_trace
             else None
         )
-        inboxes = self._deliver(plans, round_index)
+        inboxes = self._deliver_batch(plans, round_index)
         if before is not None:
             # One sparse delta row per executed round, stamped with the
             # engine's monotone clock: sent/delivered/delayed/dropped for
@@ -363,24 +299,11 @@ class RoundEngine(abc.ABC):
             self.history.append(result)
         return result
 
-    def _deliver(self, plans: Sequence[BroadcastPlan], round_index: int):
-        """Materialise this round's inboxes on the active message plane."""
-        if self.message_plane == "batch":
-            return self._deliver_batch(plans, round_index)
-        return self._deliver_object(plans, round_index)
-
-    @abc.abstractmethod
-    def _deliver_object(
-        self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> Dict[int, List[Message]]:
-        """Per-message reference delivery (the pre-batch-plane code path)."""
-        raise NotImplementedError
-
     @abc.abstractmethod
     def _deliver_batch(
         self, plans: Sequence[BroadcastPlan], round_index: int
     ) -> Dict[int, BatchInbox]:
-        """Vectorized delivery — bitwise-equivalent to the object plane."""
+        """Deliver one round's plans: one inbox per node, in delivery order."""
         raise NotImplementedError
 
     def _validated_batch(
@@ -388,20 +311,11 @@ class RoundEngine(abc.ABC):
     ) -> Optional[RoundBatch]:
         """Validate plans and build this round's batch (``None`` if silent).
 
-        The validation mirrors :meth:`_validated_messages` exactly
-        (range checks, honest full-broadcast, one plan per sender); only
-        the materialisation differs — one ``(S, d)`` matrix instead of
-        ``S`` message objects.
+        Validation is :meth:`ReliableBroadcast.plans_by_sender`, the same
+        check the lock-step reference applies; a sparse topology cuts
+        its links here, before any scheduler decision.
         """
-        by_sender: Dict[int, BroadcastPlan] = {}
-        for plan in plans:
-            self.broadcast.validate_plan(plan)
-            if plan.sender in by_sender:
-                raise ValueError(
-                    f"sender {plan.sender} submitted two broadcast plans in round {round_index}; "
-                    "reliable broadcast admits at most one message per sender per round"
-                )
-            by_sender[plan.sender] = plan
+        by_sender = self.broadcast.plans_by_sender(plans, round_index)
         batch = build_round_batch(by_sender, round_index, self.n)
         if batch is not None and self._topology_mask is not None:
             batch.restrict(self._topology_mask)
@@ -418,44 +332,6 @@ class RoundEngine(abc.ABC):
             counter = np.zeros(self.n, dtype=np.int64)
             self.node_stats[key] = counter
         return counter
-
-    def _validated_messages(
-        self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> List[Tuple[BroadcastPlan, Message]]:
-        """Validate plans and materialise one message per speaking sender.
-
-        Mirrors the validation of
-        :meth:`~repro.network.reliable_broadcast.ReliableBroadcast.deliver`
-        (range checks, honest senders broadcast to all, one plan per
-        sender) and returns ``(plan, message)`` pairs in sender order —
-        the per-link schedulers decide when each link delivers.
-        """
-        by_sender: Dict[int, BroadcastPlan] = {}
-        for plan in plans:
-            self.broadcast.validate_plan(plan)
-            if plan.sender in by_sender:
-                raise ValueError(
-                    f"sender {plan.sender} submitted two broadcast plans in round {round_index}; "
-                    "reliable broadcast admits at most one message per sender per round"
-                )
-            by_sender[plan.sender] = plan
-        pairs: List[Tuple[BroadcastPlan, Message]] = []
-        for sender in sorted(by_sender):
-            plan = by_sender[sender]
-            if plan.payload is None:
-                continue
-            pairs.append(
-                (
-                    plan,
-                    Message(
-                        sender=sender,
-                        round_index=round_index,
-                        payload=plan.payload,
-                        metadata=dict(plan.metadata),
-                    ),
-                )
-            )
-        return pairs
 
     # -- lifecycle ------------------------------------------------------------
     def reset_history(self) -> None:
@@ -476,15 +352,14 @@ class RoundEngine(abc.ABC):
         return dict(self.stats)
 
     def node_stats_snapshot(self) -> Dict[str, List[int]]:
-        """Cumulative per-node counters as plain lists (batch plane only).
+        """Cumulative per-node counters as plain lists.
 
         Receiver-attributed: entry ``r`` of ``"sent"`` counts the
         messages addressed to (and actually sent towards) node ``r``, so
         the per-node conservation identity mirrors the aggregate one —
         e.g. ``sent == delivered + dropped + crash_omitted`` per node
         under the lossy scheduler, ``sent == delivered +
-        expired_at_reset + pending`` under partial/asynchronous.  Empty
-        on the object plane.
+        expired_at_reset + pending`` under partial/asynchronous.
         """
         return {key: arr.tolist() for key, arr in self.node_stats.items()}
 
@@ -494,8 +369,8 @@ class RoundEngine(abc.ABC):
         One row per executed round: ``{"round": <monotone clock>,
         <counter>: [n per-node deltas], ...}`` with all-zero counters
         omitted.  Each counter list sums to the matching entry of the
-        per-round aggregate trace row (:meth:`trace_snapshot`) — the
-        aggregation identity ``tests/test_message_plane.py`` pins.
+        per-round aggregate trace row (:meth:`trace_snapshot`) — an exact
+        aggregation identity.
         """
         return [
             {

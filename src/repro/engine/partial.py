@@ -21,15 +21,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.base import RoundEngine, resolve_rng_mode
+from repro.engine.base import RoundEngine
 from repro.network.batch import BatchInbox, RoundBatch
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
 from repro.utils.rng import SeedLike, as_generator
 
-#: One delayed link group on the batch plane: (send_round, batch,
-#: row indices, receiver indices) with the two index arrays parallel
-#: and stored in (row-ascending, receiver-ascending) order.
+#: One delayed link group: (send_round, batch, row indices, receiver
+#: indices) with the two index arrays parallel and stored in
+#: (row-ascending, receiver-ascending) order.
 _PendingGroup = Tuple[int, RoundBatch, np.ndarray, np.ndarray]
 
 
@@ -47,14 +46,6 @@ class PartiallySynchronousScheduler(RoundEngine):
     seed:
         Seed of the scheduler's own generator — independent from the
         experiment's honest and adversarial streams.
-    rng_mode:
-        ``"scalar"`` (default) walks the drawing links one at a time in
-        the pinned fixture order — bitwise-identical to the historical
-        stream.  ``"vectorized"`` replaces that loop with one Bernoulli
-        vector plus one lag vector per round: identically distributed
-        but a *different* stream, so it is validated statistically (see
-        ``tests/test_rng_modes.py``) and requires the batch message
-        plane.  ``None`` reads ``REPRO_RNG_MODE``.
     """
 
     records_stats = True
@@ -70,23 +61,14 @@ class PartiallySynchronousScheduler(RoundEngine):
         keep_history: bool = True,
         max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
-        message_plane: Optional[str] = None,
         node_trace: bool = False,
         topology=None,
-        rng_mode: Optional[str] = None,
     ) -> None:
         super().__init__(
             n, byzantine, keep_history=keep_history, max_history=max_history,
             require_full_broadcast=require_full_broadcast,
-            message_plane=message_plane, node_trace=node_trace,
-            topology=topology,
+            node_trace=node_trace, topology=topology,
         )
-        self.rng_mode = resolve_rng_mode(rng_mode)
-        if self.rng_mode == "vectorized" and self.message_plane != "batch":
-            raise ValueError(
-                "rng_mode='vectorized' requires the batch message plane "
-                "(the object plane is the per-message bitwise reference)"
-            )
         if max_delay < 0:
             raise ValueError(f"max_delay must be non-negative, got {max_delay}")
         if not 0.0 <= delay_prob <= 1.0:
@@ -99,48 +81,8 @@ class PartiallySynchronousScheduler(RoundEngine):
         #: from ``dropped`` (this model never loses a message in transit)
         #: so ``sent == delivered + expired_at_reset + pending`` holds.
         self.stats["expired_at_reset"] = 0
-        # arrival round -> [(send_round, sender, receiver, message)]
-        self._pending: Dict[int, List[Tuple[int, int, int, Message]]] = {}
-        # Batch-plane analogue: arrival round -> delayed link groups.
+        # Arrival round -> delayed link groups.
         self._pending_batches: Dict[int, List[_PendingGroup]] = {}
-
-    def _link_lag(self, plan: BroadcastPlan, receiver: int) -> int:
-        if receiver == plan.sender:
-            return 0
-        if plan.delays is not None and receiver in plan.delays:
-            return min(plan.delay_to(receiver), self.max_delay)
-        if self.max_delay == 0 or self.delay_prob == 0.0:
-            return 0
-        if self._rng.random() >= self.delay_prob:
-            return 0
-        return int(self._rng.integers(1, self.max_delay + 1))
-
-    def _deliver_object(
-        self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> Dict[int, List[Message]]:
-        inboxes: Dict[int, List[Message]] = {node: [] for node in range(self.n)}
-        # Older, delayed messages arrive first in this round's inbox.
-        for send_round, _sender, receiver, message in sorted(
-            self._pending.pop(round_index, []), key=lambda item: (item[0], item[1])
-        ):
-            inboxes[receiver].append(message)
-            self.stats["delivered"] += 1
-
-        for plan, message in self._validated_messages(plans, round_index):
-            for receiver in range(self.n):
-                if not self._delivers_to(plan, receiver):
-                    continue
-                self.stats["sent"] += 1
-                lag = self._link_lag(plan, receiver)
-                if lag == 0:
-                    inboxes[receiver].append(message)
-                    self.stats["delivered"] += 1
-                else:
-                    self.stats["delayed"] += 1
-                    self._pending.setdefault(round_index + lag, []).append(
-                        (round_index, plan.sender, receiver, message)
-                    )
-        return inboxes
 
     def _deliver_batch(
         self, plans: Sequence[BroadcastPlan], round_index: int
@@ -151,8 +93,8 @@ class PartiallySynchronousScheduler(RoundEngine):
         if groups:
             # Older messages first; one group per send round, each group
             # already (row asc, receiver asc), so sorting groups by send
-            # round reproduces the object plane's (send_round, sender)
-            # pending order inside every receiver's inbox.
+            # round yields the (send_round, sender) pending order inside
+            # every receiver's inbox.
             groups.sort(key=lambda group: group[0])
             delivered_pending = sum(group[2].shape[0] for group in groups)
             self.stats["delivered"] += delivered_pending
@@ -172,7 +114,7 @@ class PartiallySynchronousScheduler(RoundEngine):
             lag = np.zeros((num_senders, n), dtype=np.int64)
             # Links whose lag is decided without touching the RNG:
             # self-delivery (always immediate, wins over a pinned delay)
-            # and adversary-pinned delays, mirroring ``_link_lag``.
+            # and adversary-pinned delays (capped at the horizon).
             nodraw = batch.senders[:, None] == receivers[None, :]
             for i, delay_map in enumerate(batch.delays):
                 if delay_map:
@@ -187,27 +129,13 @@ class PartiallySynchronousScheduler(RoundEngine):
                 high = self.max_delay + 1
                 flat_lag = lag.reshape(-1)
                 positions = np.flatnonzero(draw_mask.reshape(-1))
-                if self.rng_mode == "vectorized":
-                    # One Bernoulli vector over the k drawing links plus
-                    # one lag vector over the m slow ones.  Same
-                    # marginal distribution as the scalar walk, but the
-                    # integers() draws no longer interleave with the
-                    # uniforms — a different stream by construction.
-                    slow = rng.random(positions.size) < prob
-                    num_slow = int(np.count_nonzero(slow))
-                    if num_slow:
-                        flat_lag[positions[slow]] = rng.integers(
-                            1, high, size=num_slow
-                        )
-                else:
-                    # The pinned stream interleaves a per-link uniform
-                    # with a *conditional* integers() draw, so this
-                    # stays a scalar loop — but only over the drawing
-                    # links, walked in the object plane's C-order
-                    # (sender asc, receiver asc).
-                    for pos in positions.tolist():
-                        if rng.random() < prob:
-                            flat_lag[pos] = int(rng.integers(1, high))
+                # The pinned stream interleaves a per-link uniform with a
+                # *conditional* integers() draw, so this stays a scalar
+                # loop — but only over the drawing links, walked in
+                # C-order (sender asc, receiver asc).
+                for pos in positions.tolist():
+                    if rng.random() < prob:
+                        flat_lag[pos] = int(rng.integers(1, high))
             lag_zero = lag == 0
             if active is None:
                 now_mask = lag_zero
@@ -294,7 +222,7 @@ class PartiallySynchronousScheduler(RoundEngine):
 
     def pending_count(self) -> int:
         """Messages currently in flight (sent but not yet delivered)."""
-        return sum(len(batch) for batch in self._pending.values()) + sum(
+        return sum(
             group[2].shape[0]
             for groups in self._pending_batches.values()
             for group in groups
@@ -302,9 +230,6 @@ class PartiallySynchronousScheduler(RoundEngine):
 
     def pending_count_per_node(self) -> np.ndarray:
         counts = np.zeros(self.n, dtype=np.int64)
-        for entries in self._pending.values():
-            for _send_round, _sender, receiver, _message in entries:
-                counts[receiver] += 1
         for groups in self._pending_batches.values():
             for _send_round, _batch, _rows, recvs in groups:
                 counts += np.bincount(recvs, minlength=self.n)
@@ -322,8 +247,7 @@ class PartiallySynchronousScheduler(RoundEngine):
         """
         expired = self.pending_count()
         self.stats["expired_at_reset"] += expired
-        if expired and self.message_plane == "batch":
+        if expired:
             self._node_counter("expired_at_reset")[:] += self.pending_count_per_node()
-        self._pending.clear()
         self._pending_batches.clear()
         super().reset()

@@ -1,11 +1,10 @@
 """Lock-step scheduler: every message arrives in its own round.
 
 This is the paper's timing model (Section 2.3) and the reference
-behaviour of the engine: delivery is exactly
-:meth:`repro.network.reliable_broadcast.ReliableBroadcast.deliver`, so
-the scheduler is bitwise-identical to the pre-engine
-``SynchronousNetwork`` — the pinned-fixture suite in
-``tests/test_engine_equivalence.py`` enforces that.
+behaviour of the engine: every node delivers exactly what
+:meth:`repro.network.reliable_broadcast.ReliableBroadcast.deliver`
+would hand it, in the same order — the pinned-fixture suite in
+``tests/test_engine_equivalence.py`` enforces that bitwise.
 
 Adversary-requested delays are ignored here: under synchrony a delayed
 message would simply arrive at the round boundary anyway.
@@ -13,13 +12,12 @@ message would simply arrive at the round boundary anyway.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.engine.base import RoundEngine
 from repro.network.batch import BatchInbox
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
 
 
@@ -28,23 +26,6 @@ class SynchronousScheduler(RoundEngine):
 
     horizon = 0
     records_stats = False
-
-    def _deliver_object(
-        self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> Dict[int, List[Message]]:
-        inboxes = self.broadcast.deliver(plans, round_index)
-        mask = self._topology_mask
-        if mask is not None:
-            inboxes = {
-                node: [m for m in messages if mask[m.sender, node]]
-                for node, messages in inboxes.items()
-            }
-        # Under synchrony every sent message is delivered, so one count
-        # covers both (records_stats stays False: nothing to report).
-        delivered = sum(len(messages) for messages in inboxes.values())
-        self.stats["sent"] += delivered
-        self.stats["delivered"] += delivered
-        return inboxes
 
     def _deliver_batch(
         self, plans: Sequence[BroadcastPlan], round_index: int
@@ -65,6 +46,8 @@ class SynchronousScheduler(RoundEngine):
                 rows = np.flatnonzero(batch.delivers[:, node])
                 inboxes[node] = BatchInbox.single(batch, rows)
             per_node = batch.delivers.sum(axis=0, dtype=np.int64)
+        # Under synchrony every sent message is delivered, so one count
+        # covers both (records_stats stays False: nothing to report).
         total = int(per_node.sum())
         self.stats["sent"] += total
         self.stats["delivered"] += total

@@ -163,8 +163,6 @@ class DecentralizedTrainer:
         # then processes whatever arrived.  A count pinned on the engine
         # by the experiment config wins over the quorum reading.
         self.engine.wait_for(quorum=True)
-        #: Backwards-compatible alias (this used to be a SynchronousNetwork).
-        self.network = self.engine
 
     # -- internals -----------------------------------------------------------
     def _test_inputs(self) -> np.ndarray:

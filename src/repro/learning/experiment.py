@@ -85,22 +85,15 @@ class ExperimentConfig:
     wait_count: int = 0
     wait_timeout: float = 0.0
     burstiness: float = 0.0
-    # RNG draw strategy of the stochastic schedulers (see
-    # repro.engine.base.RNG_MODES): "scalar" reproduces the pinned
-    # bitwise reference stream; "vectorized" draws whole-round vectors —
-    # identically distributed but a different stream, validated
-    # statistically.  Only meaningful for scheduler in
-    # ("partial", "asynchronous").
-    rng_mode: str = "scalar"
     # Precision tier of the aggregation kernels (see
     # repro.linalg.precision): "float64" reproduces the historical
     # results bit for bit, "float32" halves kernel bandwidth and is
     # accurate to the documented tolerance tier.
     dtype: str = "float64"
-    # Record per-node delivery traces on the engine (batch message plane
-    # only; see RoundEngine.node_trace_snapshot).  Off by default — the
-    # per-round aggregate trace is usually enough and per-node rows cost
-    # O(n) memory per round.
+    # Record per-node delivery traces on the engine (see
+    # RoundEngine.node_trace_snapshot).  Off by default — the per-round
+    # aggregate trace is usually enough and per-node rows cost O(n)
+    # memory per round.
     node_trace: bool = False
     # Communication topology of the decentralized exchange (see
     # repro.network.topology): "complete" (the paper's all-to-all,
@@ -157,14 +150,6 @@ class ExperimentConfig:
                     and self.burstiness == 0.0,
                     "wait_count/wait_timeout/burstiness are only meaningful for "
                     "scheduler='asynchronous'")
-        from repro.engine import RNG_MODES
-
-        require(self.rng_mode in RNG_MODES,
-                f"unknown rng_mode {self.rng_mode!r}; available: {RNG_MODES}")
-        if self.rng_mode != "scalar":
-            require(self.scheduler in ("partial", "asynchronous"),
-                    "rng_mode='vectorized' is only meaningful for the stochastic-"
-                    "delay schedulers ('partial', 'asynchronous')")
         if self.node_trace:
             require(self.scheduler != "synchronous",
                     "node_trace records per-node delivery rows; the synchronous "
@@ -388,7 +373,6 @@ def _make_engine(
         require_full_broadcast=not star,
         node_trace=config.node_trace,
         topology=topology,
-        rng_mode=config.rng_mode,
     )
 
 

@@ -1,10 +1,10 @@
 """Array-backed batch message plane.
 
-The object plane materialises one :class:`~repro.network.message.Message`
-per delivered (sender, receiver) link — per-message validation, payload
-copies and list churn dominate simulation cost long before the linear
-algebra does, capping the practical node axis in the low hundreds.  The
-batch plane replaces that with one dense representation per round:
+Every scheduler delivers through this plane.  Materialising one
+:class:`~repro.network.message.Message` per delivered (sender, receiver)
+link would let per-message validation, payload copies and list churn
+dominate simulation cost long before the linear algebra does; instead a
+round has one dense representation:
 
 - :class:`RoundBatch` — the round's ``(S, d)`` payload matrix (one row
   per speaking sender, sender-ascending), the ``(S,)`` sender ids, the
@@ -36,23 +36,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.message import Message
-
-#: Message-plane names accepted by the engines: "batch" (default, the
-#: vectorized plane) and "object" (the per-message reference plane the
-#: pinned fixtures were generated on).
-MESSAGE_PLANES = ("batch", "object")
-
-
-def resolve_message_plane(plane: "str | None") -> str:
-    """Validate a message-plane name (``None`` means ``"batch"``)."""
-    if plane is None:
-        return "batch"
-    key = str(plane).strip().lower()
-    if key not in MESSAGE_PLANES:
-        raise ValueError(
-            f"unknown message plane {plane!r}; supported: {MESSAGE_PLANES}"
-        )
-    return key
 
 
 class TransportMatrix(np.ndarray):
@@ -194,9 +177,8 @@ def build_round_batch(
     ``by_sender`` maps sender id to its (already validated)
     :class:`~repro.network.reliable_broadcast.BroadcastPlan`; silent
     plans (``payload is None``) contribute no row.  Returns ``None``
-    when no sender speaks.  Unlike the object plane — where a dimension
-    mismatch only surfaced when a receiver stacked its inbox — the batch
-    build checks all payloads share one dimension up front.
+    when no sender speaks.  All payloads must share one dimension; a
+    mismatch is rejected here, before any receiver stacks its inbox.
     """
     speaking = [s for s in sorted(by_sender) if by_sender[s].payload is not None]
     if not speaking:
@@ -241,12 +223,11 @@ def build_round_batch(
 class BatchInbox(Sequence):
     """One receiver's delivered messages, stored as batch references.
 
-    Sequence-compatible with the object plane's ``List[Message]``:
-    ``len`` / indexing / iteration materialise frozen ``Message``
-    objects lazily through the trusted zero-copy payload path (each
-    payload is a read-only row view into its batch matrix).  Consumers
-    on the hot path call :meth:`matrix` instead, which never builds a
-    message at all.
+    A ``Sequence`` of messages: ``len`` / indexing / iteration
+    materialise frozen ``Message`` objects lazily through the trusted
+    zero-copy payload path (each payload is a read-only row view into
+    its batch matrix).  Consumers on the hot path call :meth:`matrix`
+    instead, which never builds a message at all.
     """
 
     __slots__ = ("_batches", "_bids", "_rows", "_cache")

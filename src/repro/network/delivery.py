@@ -1,11 +1,10 @@
 """Shared delivery core of the round schedulers.
 
 Every scheduler in :mod:`repro.engine` executes the same three steps per
-round — collect one :class:`BroadcastPlan` per node, let reliable
-broadcast materialise messages, enforce the quorum policy — and only
-differs in *when* each (sender, receiver) link delivers.  This module
-holds the scheduler-independent pieces, refactored out of the original
-``SynchronousNetwork.run_round``:
+round — collect one :class:`BroadcastPlan` per node, validate the plans
+under reliable broadcast, enforce the quorum policy — and only differs
+in *when* each (sender, receiver) link delivers.  This module holds the
+scheduler-independent pieces:
 
 - :class:`RoundResult` — the per-round delivery outcome handed to the
   consumers (agreement algorithms, trainers),
@@ -27,7 +26,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.network.batch import BatchInbox
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
 
 HonestPlanFn = Callable[[int, int], BroadcastPlan]
@@ -62,32 +60,28 @@ class RoundResult:
     """
 
     round_index: int
-    inboxes: Dict[int, List[Message]] = field(default_factory=dict)
+    inboxes: Dict[int, BatchInbox] = field(default_factory=dict)
     starved: Tuple[int, ...] = ()
 
     def received_matrix(self, node: int) -> np.ndarray:
         """Stack of payloads node ``node`` delivered this round, ``(m, d)``.
 
-        On the batch message plane this is a single vectorized gather
-        (zero-copy when the node delivered a whole batch in order) that
-        also carries the batch's transported sparsity profile; values are
-        bitwise-identical to stacking the materialised messages.
+        A single vectorized gather (zero-copy when the node delivered a
+        whole batch in order) that also carries the batch's transported
+        sparsity profile; values are bitwise-identical to stacking the
+        materialised messages.
         """
-        messages = self.inboxes.get(node, [])
-        if not len(messages):
+        inbox = self.inboxes.get(node)
+        if inbox is None or not len(inbox):
             raise EmptyInboxError(
                 f"node {node} received no messages in round {self.round_index}"
             )
-        if isinstance(messages, BatchInbox):
-            return messages.matrix()
-        return np.stack([msg.payload for msg in messages], axis=0)
+        return inbox.matrix()
 
     def senders(self, node: int) -> List[int]:
         """Sender ids of the messages node ``node`` delivered this round."""
-        messages = self.inboxes.get(node, [])
-        if isinstance(messages, BatchInbox):
-            return messages.senders()
-        return [msg.sender for msg in messages]
+        inbox = self.inboxes.get(node)
+        return [] if inbox is None else inbox.senders()
 
 
 def full_broadcast_plan(
@@ -141,7 +135,7 @@ def collect_plans(
 
 
 def enforce_quorum(
-    inboxes: Dict[int, List[Message]],
+    inboxes: Dict[int, BatchInbox],
     honest: Iterable[int],
     quorum: int,
     round_index: int,

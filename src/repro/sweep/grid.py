@@ -55,10 +55,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         data.pop("topology_kwargs", None)
     if data.get("exchange") == "agreement":
         data.pop("exchange", None)
-    # And for the rng_mode axis: scalar is the bitwise default, so
-    # scalar-mode configs serialise exactly as pre-axis ones.
-    if data.get("rng_mode") == "scalar":
-        data.pop("rng_mode", None)
     return data
 
 

@@ -2,11 +2,12 @@
 
 Every scheduler used to carry two delivery paths — the per-``Message``
 object plane and the array-backed batch plane — kept bitwise-equivalent
-by live cross-plane tests.  This script was executed with
-``message_plane="object"`` at the commit recorded in the fixture (the
-last one on which the object plane existed), so that reference survives
-as data: ``tests/test_message_plane.py`` and ``tests/test_topology.py``
-compare the batch plane against ``delivery_object_plane.json``.
+by live cross-plane tests.  This script was executed with the engines
+built on ``message_plane="object"`` at the commit recorded in the
+fixture (the last one on which the object plane existed), so that
+reference survives as data: ``tests/test_message_plane.py`` and
+``tests/test_topology.py`` compare the batch plane against
+``delivery_object_plane.json``.
 
 Two families of raw full-broadcast exchanges are recorded, one case per
 scheduler each (:data:`CASES`): ``complete/<scheduler>`` (n=7, no
@@ -65,11 +66,10 @@ def raw_exchange(
     topology: Optional[str] = None,
     wait_count: int,
     rounds: int = 5,
-    plane: str = "batch",
 ) -> dict:
     """Drive ``rounds`` full-broadcast rounds; a JSON-safe delivery record."""
     engine = make_scheduler(
-        scheduler, n, (n - 1,), keep_history=False, message_plane=plane,
+        scheduler, n, (n - 1,), keep_history=False,
         topology=None if topology is None else make_topology(topology, n),
         **SCHEDULER_SETUPS[scheduler],
     )
@@ -100,10 +100,10 @@ def raw_exchange(
     }
 
 
-def case_exchange(case: str, **kwargs) -> dict:
+def case_exchange(case: str) -> dict:
     """The raw exchange of one ``<family>/<scheduler>`` case."""
     family, scheduler = case.split("/")
-    return raw_exchange(scheduler, **FAMILIES[family], **kwargs)
+    return raw_exchange(scheduler, **FAMILIES[family])
 
 
 def main() -> None:
@@ -112,7 +112,7 @@ def main() -> None:
             ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
             cwd=Path(__file__).resolve().parents[2],
         ).stdout.strip(),
-        "exchanges": {case: case_exchange(case, plane="object") for case in CASES},
+        "exchanges": {case: case_exchange(case) for case in CASES},
     }
     FIXTURE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE_PATH}")

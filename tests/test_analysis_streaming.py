@@ -194,32 +194,31 @@ class TestAnalyzeSweepRows:
     def test_rows_predating_an_axis_group_under_placeholder(self):
         """Stale-schema tolerance: grouping by an axis older rows lack.
 
-        A config field that became a sweep axis later (``rng_mode``) is
+        A config field that became a sweep axis later (``exchange``) is
         absent from archived rows; those rows group under '-' instead of
         aborting the pass or rendering an invisible blank.
         """
         rows = [
-            make_row(0, {"scheduler": "partial"}, final=0.4),
-            make_row(1, {"scheduler": "partial", "rng_mode": "vectorized"},
-                     final=0.6),
+            make_row(0, {"topology": "ring"}, final=0.4),
+            make_row(1, {"topology": "ring", "exchange": "gossip"}, final=0.6),
         ]
-        analysis = analyze_sweep_rows(rows, group_by=["rng_mode"])
-        assert set(analysis.groups) == {("-",), ("vectorized",)}
-        assert analysis.group_label(("-",)) == "rng_mode=-"
+        analysis = analyze_sweep_rows(rows, group_by=["exchange"])
+        assert set(analysis.groups) == {("-",), ("gossip",)}
+        assert analysis.group_label(("-",)) == "exchange=-"
         table = analysis_table(analysis)
-        assert "rng_mode=-" in table and "rng_mode=vectorized" in table
+        assert "exchange=-" in table and "exchange=gossip" in table
 
     def test_summary_table_renders_dash_for_missing_axis(self):
         from repro.analysis.reporting import sweep_summary_table
 
         rows = [
-            make_row(0, {"scheduler": "partial"}),
-            make_row(1, {"scheduler": "partial", "rng_mode": "vectorized"}),
+            make_row(0, {"topology": "ring"}),
+            make_row(1, {"topology": "ring", "exchange": "gossip"}),
         ]
-        table = sweep_summary_table(rows, axis_names=["scheduler", "rng_mode"])
+        table = sweep_summary_table(rows, axis_names=["topology", "exchange"])
         lines = table.splitlines()
-        assert any("partial" in line and " - " in f" {line} " for line in lines), table
-        assert any("vectorized" in line for line in lines)
+        assert any("ring" in line and " - " in f" {line} " for line in lines), table
+        assert any("gossip" in line for line in lines)
 
     def test_error_rows_tallied_never_trusted(self):
         rows = [

@@ -26,36 +26,54 @@ BUILD_B = {"numpy_version": "2.1.0", "cpu_count": 4}
 
 
 def cases_payload(rps, *, build=BUILD_A, rounds=3):
-    """A minimal cases-style artifact (message plane / rng modes shape)."""
+    """A minimal cases-style artifact (``bench_delivery`` shape).
+
+    ``rps`` maps a topology name to the lossy n=1024 case's rounds/sec.
+    """
     return {
-        "benchmark": "rng_modes",
+        "benchmark": "delivery",
         "build": dict(build),
         "smoke": False,
         "cases": [
             {
-                "label": "partial(delay=2)",
-                "rng_mode": mode,
+                "label": "lossy(drop_rate=0.1)",
+                "scheduler": "lossy",
+                "topology": topology,
+                "wait": None,
                 "n": 1024,
                 "d": 256,
                 "rounds": rounds,
                 "rounds_per_sec": value,
             }
-            for mode, value in rps.items()
+            for topology, value in rps.items()
         ],
     }
 
 
 class TestHeadlineExtraction:
     def test_cases_shape_keys_exclude_rounds(self):
-        fast = cases_payload({"scalar": 0.5, "vectorized": 2.0}, rounds=3)
-        slow = cases_payload({"scalar": 0.5, "vectorized": 2.0}, rounds=30)
+        fast = cases_payload({"complete": 0.5, "ring": 2.0}, rounds=3)
+        slow = cases_payload({"complete": 0.5, "ring": 2.0}, rounds=30)
         # rounds/sec is per-round already: a smoke run and a full run of
         # the same case must land on the same headline key.
         assert artifact_headlines(fast) == artifact_headlines(slow)
         assert set(artifact_headlines(fast)) == {
-            "case:partial(delay=2)|rng_mode=scalar|n=1024|d=256",
-            "case:partial(delay=2)|rng_mode=vectorized|n=1024|d=256",
+            "case:lossy(drop_rate=0.1)|topology=complete|wait=None|n=1024|d=256",
+            "case:lossy(drop_rate=0.1)|topology=ring|wait=None|n=1024|d=256",
         }
+
+    def test_cases_differing_in_topology_or_wait_stay_distinct(self):
+        payload = cases_payload({"complete": 1.0, "ring": 2.0, "random-regular": 3.0})
+        assert sorted(artifact_headlines(payload).values()) == [1.0, 2.0, 3.0]
+        waited = dict(payload["cases"][0], wait="quorum", rounds_per_sec=4.0)
+        payload["cases"].append(waited)
+        assert len(artifact_headlines(payload)) == 4
+
+    def test_duplicate_case_identity_raises(self):
+        payload = cases_payload({"ring": 2.0})
+        payload["cases"].append(dict(payload["cases"][0], rounds=30))
+        with pytest.raises(ValueError, match="share the headline key"):
+            artifact_headlines(payload)
 
     def test_headline_dict_shape(self):
         payload = {
@@ -81,22 +99,22 @@ class TestHeadlineExtraction:
 
 class TestComparison:
     def test_within_budget_passes(self):
-        base = cases_payload({"scalar": 1.0, "vectorized": 4.0})
-        fresh = cases_payload({"scalar": 0.8, "vectorized": 3.2})  # -20%
+        base = cases_payload({"complete": 1.0, "ring": 4.0})
+        fresh = cases_payload({"complete": 0.8, "ring": 3.2})  # -20%
         report = compare_to_baseline(fresh, base)
         assert not report["failures"]
         assert not report["warnings"]
 
     def test_regression_fails_on_same_build(self):
-        base = cases_payload({"scalar": 1.0, "vectorized": 4.0})
-        fresh = cases_payload({"scalar": 1.0, "vectorized": 2.0})  # -50%
+        base = cases_payload({"complete": 1.0, "ring": 4.0})
+        fresh = cases_payload({"complete": 1.0, "ring": 2.0})  # -50%
         report = compare_to_baseline(fresh, base)
         assert len(report["failures"]) == 1
-        assert "vectorized" in report["failures"][0]
+        assert "ring" in report["failures"][0]
 
     def test_regression_warns_on_different_build(self):
-        base = cases_payload({"vectorized": 4.0}, build=BUILD_A)
-        fresh = cases_payload({"vectorized": 2.0}, build=BUILD_B)
+        base = cases_payload({"ring": 4.0}, build=BUILD_A)
+        fresh = cases_payload({"ring": 2.0}, build=BUILD_B)
         report = compare_to_baseline(fresh, base)
         assert not report["failures"]
         # Two warnings: the fingerprint note and the demoted regression.
@@ -104,15 +122,15 @@ class TestComparison:
         assert any("regression budget" in w for w in report["warnings"])
 
     def test_one_sided_headlines_are_informational(self):
-        base = cases_payload({"scalar": 1.0, "vectorized": 4.0})
-        fresh = cases_payload({"vectorized": 4.0})  # smoke subset
+        base = cases_payload({"complete": 1.0, "ring": 4.0})
+        fresh = cases_payload({"ring": 4.0})  # smoke subset
         report = compare_to_baseline(fresh, base)
         assert not report["failures"]
         assert any("one side only" in line for line in report["info"])
 
     def test_custom_budget(self):
-        base = cases_payload({"vectorized": 4.0})
-        fresh = cases_payload({"vectorized": 3.5})  # -12.5%
+        base = cases_payload({"ring": 4.0})
+        fresh = cases_payload({"ring": 3.5})  # -12.5%
         assert not compare_to_baseline(fresh, base)["failures"]
         tight = compare_to_baseline(fresh, base, max_regression=0.10)
         assert tight["failures"]
@@ -127,12 +145,12 @@ class TestCli:
         baselines = tmp_path / "baselines"
         baselines.mkdir()
         self._write(baselines / "BENCH_x.json",
-                    cases_payload({"vectorized": 4.0}))
+                    cases_payload({"ring": 4.0}))
         fresh_ok = self._write(tmp_path / "BENCH_x.json",
-                               cases_payload({"vectorized": 3.9}))
+                               cases_payload({"ring": 3.9}))
         args = ["--baseline-dir", str(baselines)]
         assert check_baselines.main([str(fresh_ok)] + args) == 0
-        self._write(fresh_ok, cases_payload({"vectorized": 1.0}))
+        self._write(fresh_ok, cases_payload({"ring": 1.0}))
         assert check_baselines.main([str(fresh_ok)] + args) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "drift check FAILED" in out
@@ -142,7 +160,7 @@ class TestCli:
         baselines.mkdir()
         # No baseline counterpart: skipped, not failed.
         fresh = self._write(tmp_path / "BENCH_new.json",
-                            cases_payload({"vectorized": 1.0}))
+                            cases_payload({"ring": 1.0}))
         args = ["--baseline-dir", str(baselines)]
         assert check_baselines.main([str(fresh)] + args) == 0
         # Fresh artifact missing entirely (bench crashed): skipped too —

@@ -111,6 +111,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_removed_rng_mode_fails_loudly(self):
+        from repro.sweep.grid import config_from_dict
+
+        with pytest.raises(ValueError, match="unknown ExperimentConfig fields"):
+            config_from_dict({"scheduler": "partial", "delay": 2, "rng_mode": "scalar"})
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--rng-mode", "scalar"])
+        assert exited.value.code != 0
+
 
 class TestCliSweep:
     SPEC = {

@@ -2,17 +2,16 @@
 
 Four contracts of the array-backed delivery refactor:
 
-1. **Bitwise equivalence** — the batch plane (the new default) must
-   reproduce the object plane's pre-refactor outputs exactly for every
-   scheduler.  The reference numbers live in
+1. **Bitwise equivalence** — the batch plane must reproduce the
+   per-message object plane's outputs exactly for every scheduler.  The
+   reference numbers live in
    ``tests/fixtures/message_plane_pre_refactor.json`` /
-   ``sweep_rows_pre_message_plane.jsonl``, generated at the last
-   pre-refactor commit by the sibling generator script (floats survive
-   the JSON round trip losslessly, so ``==`` is bitwise, and sweep rows
-   compare as serialised byte strings).  Cross-plane equivalence is also
-   checked live: the object plane stays available as
-   ``message_plane="object"`` and must agree with the batch plane
-   bitwise on matrices, senders, counters and traces.
+   ``sweep_rows_pre_message_plane.jsonl`` (experiments, agreement,
+   sweep rows) and ``delivery_object_plane.json`` (raw exchanges:
+   senders and matrix digests per node and round, counters, traces),
+   all generated on the object plane by the sibling generator scripts
+   (floats survive the JSON round trip losslessly, so ``==`` is bitwise,
+   and sweep rows compare as serialised byte strings).
 2. **Per-node delivery resolution** — with ``node_trace`` the engines
    resolve every counter per receiver; the per-node arrays must sum
    exactly to the aggregate counters and the per-round trace, and obey
@@ -40,12 +39,7 @@ from repro.engine import make_scheduler
 from repro.io.results import history_to_dict
 from repro.learning.experiment import ExperimentConfig, run_experiment
 from repro.linalg.sparsity import detect_structure, project_profile
-from repro.network.batch import (
-    BatchInbox,
-    MESSAGE_PLANES,
-    build_round_batch,
-    resolve_message_plane,
-)
+from repro.network.batch import BatchInbox, build_round_batch
 from repro.network.delivery import full_broadcast_plan
 from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
@@ -103,20 +97,6 @@ class TestCrossPlaneEquivalence:
         case = f"complete/{scheduler}"
         pinned = json.loads(DELIVERY_FIXTURE.read_text())["exchanges"][case]
         assert delivery_gen.case_exchange(case) == pinned
-
-    def test_plane_registry(self):
-        assert set(MESSAGE_PLANES) == {"batch", "object"}
-        assert resolve_message_plane(None) == "batch"
-        assert resolve_message_plane("OBJECT") == "object"
-        with pytest.raises(ValueError, match="unknown message plane"):
-            resolve_message_plane("vector")
-
-    def test_env_fallback_selects_plane(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MESSAGE_PLANE", "object")
-        engine = make_scheduler("synchronous", 3)
-        assert engine.message_plane == "object"
-        monkeypatch.delenv("REPRO_MESSAGE_PLANE")
-        assert make_scheduler("synchronous", 3).message_plane == "batch"
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +171,6 @@ def test_in_flight_per_node_conservation(scheduler):
     assert np.array_equal(np.asarray(node["sent"]),
                           np.asarray(node["delivered"]) + expired)
     assert engine.pending_count() == 0
-
-
-def test_node_trace_requires_batch_plane():
-    with pytest.raises(ValueError, match="batch"):
-        make_scheduler("lossy", 4, drop_rate=0.1,
-                       message_plane="object", node_trace=True)
 
 
 def test_experiment_config_node_trace_validation():

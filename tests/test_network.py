@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.engine import SynchronousScheduler
+from repro.network.delivery import RoundResult, full_broadcast_plan
 from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan, ReliableBroadcast
-from repro.network.synchronous import RoundResult, SynchronousNetwork, full_broadcast_plan
 from repro.network.topology import complete_topology, neighbours, validate_topology
 
 
@@ -123,8 +124,10 @@ class TestReliableBroadcast:
 
 
 class TestSynchronousNetwork:
+    """Lock-step rounds through :class:`SynchronousScheduler`."""
+
     def test_round_delivers_to_honest_nodes(self):
-        net = SynchronousNetwork(4, byzantine=[3])
+        net = SynchronousScheduler(4, byzantine=[3])
         values = {i: np.full(3, float(i)) for i in range(3)}
         result = net.run_round(
             0,
@@ -138,7 +141,7 @@ class TestSynchronousNetwork:
             assert result.senders(node) == [0, 1, 2, 3]
 
     def test_silent_adversary(self):
-        net = SynchronousNetwork(4, byzantine=[3])
+        net = SynchronousScheduler(4, byzantine=[3])
         values = {i: np.zeros(2) for i in range(3)}
         result = net.run_round(
             0, honest_plan=lambda node, r: full_broadcast_plan(node, values[node])
@@ -147,7 +150,7 @@ class TestSynchronousNetwork:
             assert result.received_matrix(node).shape == (3, 2)
 
     def test_quorum_violation_detected(self):
-        net = SynchronousNetwork(4, byzantine=[2, 3])
+        net = SynchronousScheduler(4, byzantine=[2, 3])
         net.require_quorum(3)
         values = {i: np.zeros(2) for i in (0, 1)}
         with pytest.raises(RuntimeError):
@@ -156,19 +159,19 @@ class TestSynchronousNetwork:
             )
 
     def test_honest_plan_must_have_payload(self):
-        net = SynchronousNetwork(2)
+        net = SynchronousScheduler(2)
         with pytest.raises(ValueError):
             net.run_round(0, honest_plan=lambda node, r: BroadcastPlan(sender=node, payload=None))
 
     def test_honest_plan_sender_mismatch(self):
-        net = SynchronousNetwork(2)
+        net = SynchronousScheduler(2)
         with pytest.raises(ValueError):
             net.run_round(
                 0, honest_plan=lambda node, r: full_broadcast_plan((node + 1) % 2, np.zeros(1))
             )
 
     def test_history_recorded_and_reset(self):
-        net = SynchronousNetwork(3)
+        net = SynchronousScheduler(3)
         values = {i: np.zeros(1) for i in range(3)}
         net.run_round(0, honest_plan=lambda node, r: full_broadcast_plan(node, values[node]))
         assert len(net.history) == 1

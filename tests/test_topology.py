@@ -10,10 +10,10 @@ Five contracts of the sparse-topology refactor:
 3. **Validation** — disconnected graphs and quorum-infeasible degrees
    fail fast with diagnostics that name the fix.
 4. **Delivery** — the engines intersect the topology mask with their
-   own drop/crash/delay masks: both message planes agree bitwise under
-   a sparse topology, and an explicit complete topology is
-   bitwise-identical to no topology at all (the ``None`` default the
-   pinned pre-refactor fixtures exercise).
+   own drop/crash/delay masks: delivery under a ring reproduces the
+   object plane's pinned outputs bitwise, and an explicit complete
+   topology is bitwise-identical to no topology at all (the ``None``
+   default the pinned pre-refactor fixtures exercise).
 5. **Learning / sweep integration** — gossip exchange runs on sparse
    graphs, full agreement refuses infeasible ones, partitions
    apply/heal, and the ``topology`` axis round-trips through configs,
@@ -33,7 +33,6 @@ import pytest
 from repro.byzantine import TopologyPartition, partition_cut
 from repro.engine import make_scheduler
 from repro.learning.experiment import ExperimentConfig, run_experiment
-from repro.network.delivery import full_broadcast_plan
 from repro.network.topology import (
     TOPOLOGY_NAMES,
     Topology,
@@ -194,40 +193,12 @@ class TestValidation:
 # 4. delivery: engines under sparse topologies
 # ---------------------------------------------------------------------------
 
-SCHEDULER_SETUPS = {
-    "synchronous": {},
-    "partial": {"delay": 2, "seed": 11},
-    "lossy": {"drop_rate": 0.2, "crash_schedule": ((1, 1, 3),), "seed": 11},
-    "asynchronous": {"wait_timeout": 2.0, "burstiness": 0.4, "seed": 11},
-}
+SCHEDULER_SETUPS = delivery_gen.SCHEDULER_SETUPS
 
 
-def _run_exchange(scheduler, plane, topology, *, n=8, rounds=5):
-    """Drive full-broadcast rounds under ``topology``; comparable state."""
-    kwargs = dict(SCHEDULER_SETUPS[scheduler])
-    engine = make_scheduler(
-        scheduler, n, (n - 1,), keep_history=False,
-        message_plane=plane, topology=topology, **kwargs
-    )
-    if scheduler == "asynchronous":
-        engine.wait_for(count=2)
-    rng = np.random.default_rng(3)
-    payloads = {node: rng.normal(size=(rounds, 4)) for node in range(n)}
-    state = []
-    for round_index in range(rounds):
-        plans = [
-            full_broadcast_plan(node, payloads[node][round_index])
-            for node in range(n)
-        ]
-        result = engine.submit(plans, round_index)
-        for node in range(n):
-            inbox = result.inboxes.get(node, [])
-            if len(inbox):
-                state.append((node, result.received_matrix(node).tobytes(),
-                              tuple(result.senders(node))))
-            else:
-                state.append((node, b"", ()))
-    return state, engine.stats_snapshot(), engine.trace_snapshot()
+def _run_exchange(scheduler, topology):
+    """Full-broadcast rounds at n=8 under the named topology (or None)."""
+    return delivery_gen.raw_exchange(scheduler, n=8, topology=topology, wait_count=2)
 
 
 class TestEngineTopology:
@@ -240,17 +211,16 @@ class TestEngineTopology:
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_SETUPS))
     def test_complete_topology_bitwise_matches_none(self, scheduler):
-        complete = make_topology("complete", 8)
-        assert _run_exchange(scheduler, "batch", complete) == \
-            _run_exchange(scheduler, "batch", None)
+        assert _run_exchange(scheduler, "complete") == _run_exchange(scheduler, None)
 
     def test_sparse_topology_restricts_receivers(self):
         ring = make_topology("ring", 8)
-        state, stats, _ = _run_exchange("synchronous", "batch", ring)
-        for node, _, senders in state:
-            assert set(senders) <= set(ring.neighbours(node).tolist())
+        record = _run_exchange("synchronous", "ring")
+        for row in record["inboxes"]:
+            for node, inbox in enumerate(row):
+                assert set(inbox["senders"]) <= set(ring.neighbours(node).tolist())
         # 8 senders x 3 closed-neighbourhood receivers x 5 rounds.
-        assert stats["delivered"] == 8 * 3 * 5
+        assert record["stats"]["delivered"] == 8 * 3 * 5
 
     def test_set_topology_rejects_mismatched_n(self):
         engine = make_scheduler("synchronous", 6)
