@@ -64,7 +64,6 @@ from repro.engine import SCHEDULER_NAMES
 from repro.io.results import metric_from_json, save_histories
 from repro.learning.experiment import ExperimentConfig, run_experiment
 from repro.learning.history import TrainingHistory
-from repro.linalg.precision import SUPPORTED_DTYPES
 from repro.network.topology import TOPOLOGY_NAMES
 from repro.sweep.executors import BACKEND_NAMES
 
@@ -95,10 +94,6 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, default=16)
     parser.add_argument("--learning-rate", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dtype", choices=SUPPORTED_DTYPES, default="float64",
-                        help="precision tier of the aggregation kernels "
-                             "(float64 = bitwise reference, float32 = fast tier; "
-                             "see docs/performance.md)")
     parser.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="synchronous",
                         help="timing model of the communication rounds (see docs/architecture.md)")
     parser.add_argument("--topology", default="complete",
@@ -151,7 +146,6 @@ def _build_config(args: argparse.Namespace, aggregation: str) -> ExperimentConfi
         learning_rate=args.learning_rate,
         mlp_hidden=(32, 16),
         seed=args.seed,
-        dtype=args.dtype,
         scheduler=args.scheduler,
         delay=args.delay,
         drop_rate=args.drop_rate,

@@ -85,11 +85,6 @@ class ExperimentConfig:
     wait_count: int = 0
     wait_timeout: float = 0.0
     burstiness: float = 0.0
-    # Precision tier of the aggregation kernels (see
-    # repro.linalg.precision): "float64" reproduces the historical
-    # results bit for bit, "float32" halves kernel bandwidth and is
-    # accurate to the documented tolerance tier.
-    dtype: str = "float64"
     # Record per-node delivery traces on the engine (see
     # RoundEngine.node_trace_snapshot).  Off by default — the per-round
     # aggregate trace is usually enough and per-node rows cost O(n)
@@ -111,10 +106,6 @@ class ExperimentConfig:
     exchange: str = "agreement"
 
     def __post_init__(self) -> None:
-        from repro.linalg.precision import SUPPORTED_DTYPES
-
-        require(self.dtype in SUPPORTED_DTYPES,
-                f"unknown dtype {self.dtype!r}; supported: {SUPPORTED_DTYPES}")
         require(self.setting in ("centralized", "decentralized"),
                 f"unknown setting {self.setting!r}")
         require(self.dataset in ("mnist", "cifar10"), f"unknown dataset {self.dataset!r}")
@@ -395,7 +386,6 @@ def run_centralized_experiment(config: ExperimentConfig) -> TrainingHistory:
         optimizer=SGD(config.learning_rate, total_rounds=config.rounds),
         flatten_inputs=built.flatten_inputs,
         seed=stable_component_seed(config.seed, "trainer"),
-        dtype=config.dtype,
         # One extra node: the server, consuming the star exchange.
         engine=_make_engine(config, config.num_clients + 1, byzantine, star=True),
     )
@@ -412,7 +402,6 @@ def run_decentralized_experiment(config: ExperimentConfig) -> TrainingHistory:
         config.aggregation,
         config.num_clients,
         config.tolerance,
-        dtype=config.dtype,
         **config.aggregation_kwargs,
     )
     byzantine = tuple(c.client_id for c in built.clients if c.is_byzantine)

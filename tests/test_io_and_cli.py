@@ -120,6 +120,18 @@ class TestCli:
             main(["run", "--rng-mode", "scalar"])
         assert exited.value.code != 0
 
+    def test_removed_dtype_fails_loudly(self):
+        from repro.sweep.grid import ScenarioGrid, config_from_dict
+
+        with pytest.raises(ValueError, match="unknown ExperimentConfig fields"):
+            config_from_dict({"dtype": "float64"})
+        with pytest.raises(ValueError, match="unknown ExperimentConfig fields"):
+            ScenarioGrid.from_spec({"base": {"dtype": "float32"},
+                                    "axes": {"aggregation": ["mean"]}})
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--dtype", "float32"])
+        assert exited.value.code != 0
+
 
 class TestCliSweep:
     SPEC = {
@@ -175,44 +187,3 @@ class TestCliSweep:
         assert main(["sweep", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "invalid sweep spec" in err and "bogus_axis" in err
-
-
-class TestCliDtypeAxis:
-    """The precision tier is a first-class experiment and sweep axis."""
-
-    SPEC = {
-        "base": {
-            "num_clients": 4, "num_byzantine": 1, "rounds": 1, "num_samples": 40,
-            "batch_size": 8, "mlp_hidden": [8, 4], "seed": 5,
-            "aggregation": "box-geom",
-        },
-        "axes": {"dtype": ["float64", "float32"]},
-    }
-
-    def test_run_accepts_dtype_flag(self, capsys):
-        code = main([
-            "run", "--aggregation", "mean", "--dtype", "float32",
-            "--clients", "4", "--byzantine", "1", "--rounds", "1",
-            "--samples", "40", "--batch-size", "8",
-        ])
-        assert code == 0
-        assert "final accuracy" in capsys.readouterr().out
-
-    def test_sweep_and_analyze_group_by_dtype(self, capsys, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(self.SPEC))
-        out_path = tmp_path / "rows.jsonl"
-        code = main(["sweep", str(spec_path), "--output", str(out_path)])
-        assert code == 0
-        capsys.readouterr()
-        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
-        assert [row["cell_id"] for row in rows] == [
-            "dtype=float64", "dtype=float32",
-        ]
-        assert [row["axes"]["dtype"] for row in rows] == ["float64", "float32"]
-
-        code = main(["analyze", str(out_path), "--group-by", "dtype",
-                     "--format", "table"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "float64" in out and "float32" in out

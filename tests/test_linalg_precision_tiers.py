@@ -281,28 +281,6 @@ class TestDtypePlumbing:
         ctx = AggregationContext(structured_stack(0), sparsity="off")
         assert ctx.profile is None
 
-    def test_experiment_config_dtype_validated(self):
-        from repro.learning.experiment import ExperimentConfig
-
-        config = ExperimentConfig(dtype="float32")
-        assert config.dtype == "float32"
-        with pytest.raises(ValueError, match="unknown dtype"):
-            ExperimentConfig(dtype="bfloat16")
-
-    def test_dtype_is_a_sweep_axis(self):
-        from repro.learning.experiment import ExperimentConfig
-        from repro.sweep.grid import ScenarioGrid
-
-        grid = ScenarioGrid(
-            base=ExperimentConfig(num_clients=4, num_byzantine=1,
-                                  aggregation="mean", num_samples=120,
-                                  rounds=2, batch_size=8),
-            axes={"dtype": ["float64", "float32"]},
-        )
-        cells = list(grid.cells())
-        assert [c.config.dtype for c in cells] == ["float64", "float32"]
-        assert {c.cell_id for c in cells} == {"dtype=float64", "dtype=float32"}
-
     @pytest.mark.parametrize("algo_name", ("box-geom", "md-mean", "mean",
                                            "safe-area"))
     def test_make_algorithm_accepts_dtype(self, algo_name):

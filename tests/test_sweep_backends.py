@@ -142,10 +142,11 @@ class TestBackendConstruction:
 
 class TestByteIdentityAgainstPinnedFixture:
     """Every backend must reproduce the pinned serial JSONL stream
-    exactly.  The fixture was generated at the pre-backend code revision
-    and regenerated once when ``ExperimentConfig`` grew the ``dtype``
-    field (the only delta: ``"dtype": "float64"`` in each row's config;
-    all results byte-identical)."""
+    exactly.  The fixture was generated at the pre-backend code revision.
+    Its rows were rewritten twice, each time only in the ``config``
+    block: once to add ``"dtype": "float64"`` when ``ExperimentConfig``
+    grew a ``dtype`` field, and once to drop that key again when the
+    field was removed.  Every result stayed byte-identical."""
 
     @pytest.mark.slow
     def test_serial_backend_matches_fixture(self, tmp_path):
