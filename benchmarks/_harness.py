@@ -71,7 +71,6 @@ def build_info() -> Dict[str, object]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "thread_env": thread_env,
-        "kernel_backend": os.environ.get("REPRO_KERNEL_BACKEND", "numpy"),
     }
 
 

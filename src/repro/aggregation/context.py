@@ -25,6 +25,11 @@ aggregates.  Only deterministic, exhaustive families are cached —
 sampled families depend on the caller's random generator and bypass the
 cache so results stay identical to the uncached path.  Subset-cache
 traffic is counted separately (``subset_hits`` / ``subset_misses``).
+
+The subset kernels run through exact row dedup: the context profiles
+its matrix once (:attr:`AggregationContext.profile`) and subsets that
+gather byte-identical rows are computed once
+(:mod:`repro.linalg.sparsity`).
 """
 
 from __future__ import annotations
@@ -78,19 +83,6 @@ class AggregationContext:
         The ``(m, d)`` stack of received vectors the round operates on.
         Validated once here, so rules consuming the context can skip
         their own :func:`~repro.utils.validation.ensure_matrix` pass.
-    dtype:
-        Precision tier of the kernel layer — ``"float64"`` (default,
-        bitwise-identical to the historical path) or ``"float32"``
-        (float32 storage, float64 accumulation; see
-        :mod:`repro.linalg.precision`).  The wrapped matrix is stored in
-        this dtype; every cached artifact (distances, subset
-        aggregates) is still float64.
-    sparsity:
-        ``"auto"`` (default) detects bit-level structure — duplicated
-        rows, exact-zero columns — once per round and routes the subset
-        kernels through the reduced computation where that is exact for
-        the active tier; ``"off"`` forces the dense paths (see
-        :mod:`repro.linalg.sparsity`).
 
     Notes
     -----
@@ -105,17 +97,11 @@ class AggregationContext:
     :meth:`subset_geometric_medians`) cache only exhaustive families —
     they are deterministic functions of the wrapped matrix, so reuse is
     result-identical.  ``chunk_size`` arguments affect peak memory only,
-    never values, and are therefore not part of any cache key; the
-    precision tier *does* change values, so every subset cache key is
-    prefixed with the dtype name (a context holds one matrix in one
-    dtype, but the explicit key keeps tiers un-mixable even if cached
-    tables are ever shared or serialised).
+    never values, and are therefore not part of any cache key.
     """
 
     __slots__ = (
         "matrix",
-        "dtype_name",
-        "sparsity",
         "_profile",
         "_profile_provider",
         "_sq_distances",
@@ -126,36 +112,20 @@ class AggregationContext:
         "_subset_medians",
     )
 
-    def __init__(
-        self,
-        vectors: np.ndarray,
-        *,
-        dtype: "str | None" = None,
-        sparsity: str = "auto",
-    ) -> None:
-        from repro.linalg.precision import resolve_dtype
-        from repro.linalg.sparsity import resolve_sparsity
-
-        resolved = resolve_dtype(dtype)
+    def __init__(self, vectors: np.ndarray) -> None:
         # A matrix gathered by the batch message plane arrives as a
         # TransportMatrix carrying a profile provider; capture it before
         # ensure_matrix validation strips the ndarray subclass.
         provider = getattr(vectors, "_profile_provider", None)
-        self.matrix = ensure_matrix(
-            vectors, name="vectors", min_rows=1, dtype=resolved
-        )
-        self.dtype_name: str = resolved.name
-        self.sparsity: str = resolve_sparsity(sparsity)
+        self.matrix = ensure_matrix(vectors, name="vectors", min_rows=1)
         self._profile = None
         self._profile_provider = provider
         self._sq_distances: Optional[np.ndarray] = None
         self._distances: Optional[np.ndarray] = None
         self._subset_indices: Dict[int, np.ndarray] = {}
-        self._subset_diameters: Dict[Tuple[str, int], np.ndarray] = {}
-        self._subset_means: Dict[Tuple[str, int], np.ndarray] = {}
-        self._subset_medians: Dict[
-            Tuple[str, int, float, int, float], np.ndarray
-        ] = {}
+        self._subset_diameters: Dict[int, np.ndarray] = {}
+        self._subset_means: Dict[int, np.ndarray] = {}
+        self._subset_medians: Dict[Tuple[int, float, int, float], np.ndarray] = {}
 
     @property
     def num_vectors(self) -> int:
@@ -169,18 +139,14 @@ class AggregationContext:
 
     @property
     def profile(self):
-        """Bit-level structure of the wrapped matrix (memoised).
+        """Duplicate-row structure of the wrapped matrix (memoised).
 
-        ``None`` when ``sparsity="off"`` — the kernels then never see a
-        profile and always run dense.  When the wrapped matrix was
-        gathered by the batch message plane, the transported batch-level
-        profile is *projected* through the provider it carried instead of
-        re-detected from scratch — a bitwise-equivalent claim in every
-        precision tier (see
-        :func:`repro.linalg.sparsity.project_profile`).
+        Built on first use by a subset kernel.  When the wrapped matrix
+        was gathered by the batch message plane, the transported
+        batch-level profile is *projected* through the provider it
+        carried instead of re-detected from scratch; both give the same
+        row groups (see :func:`repro.linalg.sparsity.project_profile`).
         """
-        if self.sparsity == "off":
-            return None
         if self._profile is None:
             if self._profile_provider is not None:
                 self._profile = self._profile_provider(self.matrix)
@@ -197,9 +163,7 @@ class AggregationContext:
             from repro.linalg.distances import pairwise_sq_distances
 
             _CACHE_STATS["misses"] += 1
-            self._sq_distances = pairwise_sq_distances(
-                self.matrix, profile=self.profile, sparsity=self.sparsity
-            )
+            self._sq_distances = pairwise_sq_distances(self.matrix)
         else:
             _CACHE_STATS["hits"] += 1
         return self._sq_distances
@@ -247,8 +211,7 @@ class AggregationContext:
     ) -> np.ndarray:
         """Diameters of every exhaustive ``subset_size``-subset (memoised)."""
         size = self._check_subset_size(subset_size)
-        key = (self.dtype_name, size)
-        cached = self._subset_diameters.get(key)
+        cached = self._subset_diameters.get(size)
         if cached is None:
             from repro.linalg.subset_kernels import subset_diameters
 
@@ -257,10 +220,9 @@ class AggregationContext:
                 self.distances,
                 self.subset_indices(size),
                 chunk_size=chunk_size,
-                sparsity=self.sparsity,
                 profile=self.profile,
             )
-            self._subset_diameters[key] = cached
+            self._subset_diameters[size] = cached
         else:
             _CACHE_STATS["subset_hits"] += 1
         return cached
@@ -270,8 +232,7 @@ class AggregationContext:
     ) -> np.ndarray:
         """Means of every exhaustive ``subset_size``-subset (memoised)."""
         size = self._check_subset_size(subset_size)
-        key = (self.dtype_name, size)
-        cached = self._subset_means.get(key)
+        cached = self._subset_means.get(size)
         if cached is None:
             from repro.linalg.subset_kernels import subset_means
 
@@ -280,10 +241,9 @@ class AggregationContext:
                 self.matrix,
                 self.subset_indices(size),
                 chunk_size=chunk_size,
-                sparsity=self.sparsity,
                 profile=self.profile,
             )
-            self._subset_means[key] = cached
+            self._subset_means[size] = cached
         else:
             _CACHE_STATS["subset_hits"] += 1
         return cached
@@ -299,11 +259,11 @@ class AggregationContext:
     ) -> np.ndarray:
         """Geometric medians of every exhaustive subset (memoised).
 
-        Cached per ``(dtype, subset_size, tol, max_iter, eps)`` so rules
-        with different solver settings never share results.
+        Cached per ``(subset_size, tol, max_iter, eps)`` so rules with
+        different solver settings never share results.
         """
         size = self._check_subset_size(subset_size)
-        key = (self.dtype_name, size, float(tol), int(max_iter), float(eps))
+        key = (size, float(tol), int(max_iter), float(eps))
         cached = self._subset_medians.get(key)
         if cached is None:
             from repro.linalg.subset_kernels import subset_geometric_medians
@@ -317,7 +277,6 @@ class AggregationContext:
                 eps=eps,
                 chunk_size=chunk_size,
                 dist=self.distances,
-                sparsity=self.sparsity,
                 profile=self.profile,
             )
             self._subset_medians[key] = cached
@@ -346,5 +305,5 @@ class AggregationContext:
         ]
         return (
             f"AggregationContext(m={self.num_vectors}, d={self.dimension}, "
-            f"dtype={self.dtype_name}, cached={cached})"
+            f"cached={cached})"
         )

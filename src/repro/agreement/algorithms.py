@@ -60,7 +60,6 @@ class HyperboxGeometricMedianAgreement(AggregationAgreement):
         weiszfeld_tol: float = 1e-8,
         weiszfeld_max_iter: int = 100,
         chunk_size: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> None:
         rule = HyperboxGeometricMedian(
             n=n,
@@ -71,7 +70,7 @@ class HyperboxGeometricMedianAgreement(AggregationAgreement):
             max_iter=weiszfeld_max_iter,
             chunk_size=chunk_size,
         )
-        super().__init__(n, t, rule, dtype=dtype)
+        super().__init__(n, t, rule)
         self.name = "box-geom"
 
 
@@ -88,12 +87,11 @@ class HyperboxMeanAgreement(AggregationAgreement):
         max_subsets: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         chunk_size: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> None:
         rule = HyperboxMean(
             n=n, t=t, max_subsets=max_subsets, rng=rng, chunk_size=chunk_size
         )
-        super().__init__(n, t, rule, dtype=dtype)
+        super().__init__(n, t, rule)
         self.name = "box-mean"
 
 
@@ -119,7 +117,6 @@ class MinimumDiameterGeometricMedianAgreement(AggregationAgreement):
         weiszfeld_tol: float = 1e-8,
         weiszfeld_max_iter: int = 200,
         chunk_size: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> None:
         rule = MinimumDiameterGeometricMedian(
             n=n,
@@ -131,7 +128,7 @@ class MinimumDiameterGeometricMedianAgreement(AggregationAgreement):
             max_iter=weiszfeld_max_iter,
             chunk_size=chunk_size,
         )
-        super().__init__(n, t, rule, dtype=dtype)
+        super().__init__(n, t, rule)
         self.name = "md-geom"
 
 
@@ -149,7 +146,6 @@ class MinimumDiameterMeanAgreement(AggregationAgreement):
         rng: Optional[np.random.Generator] = None,
         tie_break: str = "first",
         chunk_size: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> None:
         rule = MinimumDiameterMean(
             n=n,
@@ -159,7 +155,7 @@ class MinimumDiameterMeanAgreement(AggregationAgreement):
             tie_break=tie_break,
             chunk_size=chunk_size,
         )
-        super().__init__(n, t, rule, dtype=dtype)
+        super().__init__(n, t, rule)
         self.name = "md-mean"
 
 
@@ -172,9 +168,9 @@ class TrimmedMeanAgreement(AggregationAgreement):
 
     name = "trimmed-mean"
 
-    def __init__(self, n: int, t: int, *, dtype: Optional[str] = None) -> None:
+    def __init__(self, n: int, t: int) -> None:
         rule = TrimmedMean(n=n, t=t)
-        super().__init__(n, t, rule, dtype=dtype)
+        super().__init__(n, t, rule)
         self.name = "trimmed-mean"
 
 
@@ -187,8 +183,8 @@ class SimpleMeanAgreement(AggregationAgreement):
 
     name = "mean"
 
-    def __init__(self, n: int, t: int, *, dtype: Optional[str] = None) -> None:
-        super().__init__(n, t, Mean(n=n, t=t), dtype=dtype)
+    def __init__(self, n: int, t: int) -> None:
+        super().__init__(n, t, Mean(n=n, t=t))
         self.name = "mean"
 
 
@@ -209,9 +205,6 @@ class SimpleGeometricMedianAgreement(AggregationAgreement):
         *,
         tol: float = 1e-8,
         max_iter: int = 200,
-        dtype: Optional[str] = None,
     ) -> None:
-        super().__init__(
-            n, t, GeometricMedian(n=n, t=t, tol=tol, max_iter=max_iter), dtype=dtype
-        )
+        super().__init__(n, t, GeometricMedian(n=n, t=t, tol=tol, max_iter=max_iter))
         self.name = "geomedian"

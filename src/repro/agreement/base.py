@@ -55,24 +55,11 @@ class AggregationAgreement(AgreementAlgorithm):
 
     Every algorithm in the paper has this shape: the sub-round update is
     an application of a robust aggregation rule to the received vectors.
-    ``dtype`` selects the kernel precision tier of the per-sub-round
-    context (see :mod:`repro.linalg.precision`); the float64 default is
-    bitwise-identical to the historical behaviour.
     """
 
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        rule: AggregationRule,
-        *,
-        dtype: "str | None" = None,
-    ) -> None:
-        from repro.linalg.precision import dtype_name
-
+    def __init__(self, n: int, t: int, rule: AggregationRule) -> None:
         super().__init__(n, t)
         self.rule = rule
-        self.dtype_name = dtype_name(dtype)
         if rule.n is None:
             rule.n = n
         if rule.t != t:
@@ -82,7 +69,7 @@ class AggregationAgreement(AgreementAlgorithm):
     def update(self, received: np.ndarray) -> np.ndarray:
         # The context validates the stack; it also shares the pairwise-
         # distance matrix between every distance-based step of the rule.
-        context = AggregationContext(received, dtype=self.dtype_name)
+        context = AggregationContext(received)
         if context.num_vectors < self.minimum_messages():
             raise ValueError(
                 f"received only {context.num_vectors} messages, "

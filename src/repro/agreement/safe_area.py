@@ -33,32 +33,16 @@ class SafeAreaAgreement(AgreementAlgorithm):
         at update time, so the check happens per call.
     grid_resolution:
         Optional grid refinement for the candidate search in d <= 3.
-    dtype:
-        Accepted for constructor uniformity with the aggregation-backed
-        algorithms (so ``make_algorithm(..., dtype=...)`` works for every
-        registry entry); validated, but the safe-area search itself is a
-        low-dimensional convex-hull computation and always runs in
-        float64.
     """
 
     name = "safe-area"
     resilience_divisor = 3  # refined per-call with the actual dimension
 
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        *,
-        grid_resolution: int = 0,
-        dtype: "str | None" = None,
-    ) -> None:
-        from repro.linalg.precision import dtype_name
-
+    def __init__(self, n: int, t: int, *, grid_resolution: int = 0) -> None:
         super().__init__(n, t)
         if grid_resolution < 0:
             raise ValueError("grid_resolution must be non-negative")
         self.grid_resolution = int(grid_resolution)
-        self.dtype_name = dtype_name(dtype)
 
     def update(self, received: np.ndarray) -> np.ndarray:
         mat = ensure_matrix(received, name="received")

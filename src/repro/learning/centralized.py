@@ -73,13 +73,9 @@ class CentralizedTrainer:
         flatten_inputs: bool = True,
         seed=0,
         engine: Optional[RoundEngine] = None,
-        dtype: Optional[str] = None,
     ) -> None:
-        from repro.linalg.precision import dtype_name
-
         if not clients:
             raise ValueError("at least one client is required")
-        self.dtype_name = dtype_name(dtype)
         self.global_model = global_model
         self.clients = list(clients)
         self.aggregation = aggregation
@@ -265,7 +261,7 @@ class CentralizedTrainer:
                 # One context per round: every distance-based step of the
                 # rule (and any diagnostics sharing it) reuses the same
                 # pairwise-distance matrix.
-                round_context = AggregationContext(received, dtype=self.dtype_name)
+                round_context = AggregationContext(received)
                 aggregate = self.aggregation.aggregate(context=round_context)
                 parameters = self.optimizer.step(parameters, aggregate, round_index)
                 self.global_model.set_flat_parameters(parameters)

@@ -17,28 +17,15 @@ aggregation layers build on:
 - :mod:`repro.linalg.subset_kernels` — batched (chunked) kernels over
   ``(S, s)`` subset index matrices: diameters in one gather, means in
   one reduction, geometric medians via the batched Weiszfeld solver.
-- :mod:`repro.linalg.precision` — precision tiers of the kernel layer
-  (float64 bitwise reference, float32 fast tier) and their tolerance
-  contracts.
-- :mod:`repro.linalg.sparsity` — bit-level structure detection
-  (duplicated rows, exact-zero columns) driving the sparsity-aware
-  kernel fast paths.
-- :mod:`repro.linalg.backends` — pluggable kernel execution backends
-  (pure-numpy reference, optional numba-compiled), selected via the
-  ``REPRO_KERNEL_BACKEND`` environment variable.
+- :mod:`repro.linalg.sparsity` — byte-level duplicate-row detection
+  and the exact subset dedup it drives in the subset kernels.
+- :mod:`repro.linalg.backends` — :class:`KernelBackend`, the float64
+  Weiszfeld loop behind the batched geometric median.
+
+Every kernel computes in float64.
 """
 
-from repro.linalg.backends import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    KernelBackend,
-    available_kernel_backends,
-    get_kernel_backend,
-    make_kernel_backend,
-    numba_available,
-    set_kernel_backend,
-    use_kernel_backend,
-)
+from repro.linalg.backends import KernelBackend
 from repro.linalg.distances import (
     diameter,
     max_coordinate_spread,
@@ -56,21 +43,7 @@ from repro.linalg.geometric_median import (
     medoid_index,
 )
 from repro.linalg.hyperbox import Hyperbox, bounding_hyperbox, trimmed_hyperbox
-from repro.linalg.precision import (
-    DEFAULT_DTYPE,
-    SUPPORTED_DTYPES,
-    TOLERANCE_TIERS,
-    ToleranceTier,
-    resolve_dtype,
-    tolerance_tier,
-)
-from repro.linalg.sparsity import (
-    SPARSITY_MODES,
-    SparsityProfile,
-    dedup_subsets,
-    detect_structure,
-    resolve_sparsity,
-)
+from repro.linalg.sparsity import SparsityProfile, dedup_subsets, detect_structure
 from repro.linalg.covering_ball import Ball, minimum_covering_ball, ritter_ball
 from repro.linalg.convex import in_convex_hull, safe_area_vertices, tverberg_point
 from repro.linalg.subset_kernels import (
@@ -90,20 +63,12 @@ from repro.linalg.subsets import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKEND_NAMES",
     "Ball",
     "BatchedWeiszfeldResult",
-    "DEFAULT_DTYPE",
     "Hyperbox",
     "KernelBackend",
-    "SPARSITY_MODES",
-    "SUPPORTED_DTYPES",
     "SparsityProfile",
-    "TOLERANCE_TIERS",
-    "ToleranceTier",
     "WeiszfeldResult",
-    "available_kernel_backends",
     "batched_geometric_median",
     "bounding_hyperbox",
     "dedup_subsets",
@@ -111,9 +76,6 @@ __all__ = [
     "diameter",
     "enumerate_subsets",
     "geometric_median",
-    "get_kernel_backend",
-    "make_kernel_backend",
-    "numba_available",
     "geometric_median_cost",
     "in_convex_hull",
     "max_coordinate_spread",
@@ -123,13 +85,10 @@ __all__ = [
     "minimum_diameter_subset",
     "pairwise_distances",
     "pairwise_sq_distances",
-    "resolve_dtype",
     "resolve_pairwise_matrix",
-    "resolve_sparsity",
     "ritter_ball",
     "safe_area_vertices",
     "sample_subsets",
-    "set_kernel_backend",
     "subset_aggregates",
     "subset_count",
     "subset_diameters",
@@ -138,8 +97,6 @@ __all__ = [
     "subset_index_matrix",
     "subset_means",
     "subsets_as_matrix",
-    "tolerance_tier",
     "trimmed_hyperbox",
     "tverberg_point",
-    "use_kernel_backend",
 ]

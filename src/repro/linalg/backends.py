@@ -1,75 +1,28 @@
-"""Pluggable kernel backends for the hot subset-aggregation loops.
+"""The Weiszfeld loop behind the batched geometric-median kernels.
 
-The two innermost loops of the subset layer — the chunked diameter
-gather and the per-subset Weiszfeld convergence loop — are isolated
-behind a tiny strategy interface, registry-style like
-:mod:`repro.sweep.executors`:
-
-- ``numpy`` — :class:`NumpyKernelBackend`, the pure-numpy reference.
-  This is the **ground truth**: the float64 path through it is
-  bitwise-identical to the historical kernels and every equivalence
-  fixture pins it.
-- ``numba`` — :class:`NumbaKernelBackend`, an optional JIT-compiled
-  variant.  Only registered as *available* when :mod:`numba` is
-  importable; the container image is not required to ship it.  Its
-  per-set scalar loops accumulate in float64 but in a different order
-  than the batched reductions, so it promises the float32-style
-  tolerance tier (diameter gathers are exact — ``max`` commutes).
-
-Selection: :func:`get_kernel_backend` reads the ``REPRO_KERNEL_BACKEND``
-environment variable once (``numpy`` when unset) and memoises the
-instance; :func:`set_kernel_backend` / :func:`use_kernel_backend`
-override it programmatically (the latter as a context manager, for
-tests).  Asking for ``numba`` when it cannot be imported falls back to
-the numpy reference with a logged warning instead of failing the run —
-an accelerator is an optimisation, never a dependency.
+:meth:`KernelBackend.weiszfeld_loop` is the one float64 implementation
+of the smoothed Weiszfeld fixed point over ``S`` point sets; every
+pinned fixture holds its results bit for bit.
+:func:`repro.linalg.geometric_median.batched_geometric_median` prepares
+its inputs and applies the vertex-snap repair around it.
 """
 
 from __future__ import annotations
 
-import abc
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.utils.logging import get_logger
 
-_logger = get_logger("linalg.backends")
+class KernelBackend:
+    """The float64 Weiszfeld convergence loop.
 
-#: Environment variable naming the default backend.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Registered backend names (availability of ``numba`` is probed lazily).
-BACKEND_NAMES = ("numpy", "numba")
-
-
-class KernelBackend(abc.ABC):
-    """Strategy interface for the innermost subset-kernel loops.
-
-    Implementations must be *drop-in* value-compatible with the numpy
-    reference within the tier documented on :attr:`exact`: the rest of
-    the kernel layer (chunking, sparsity routing, caching) is backend
-    agnostic and never changes results.
+    It is a class, not a function, so that a profiler can wrap
+    :meth:`weiszfeld_loop` on the class and see every call: callers
+    build an instance and look the method up when they call it, and
+    never keep a bound method from import time.
     """
 
-    #: Registry name.
-    name: str = "abstract"
-    #: True when the backend runs compiled (non-numpy) code.
-    compiled: bool = False
-    #: True when results are bitwise-identical to the numpy reference.
-    exact: bool = True
-
-    @abc.abstractmethod
-    def diameter_gather(self, dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Per-subset max of ``dist`` over one ``(chunk, s)`` index block.
-
-        ``dist`` is the ``(m, m)`` pairwise distance matrix; the result
-        is the ``(chunk,)`` float64 vector of subset diameters.
-        """
-
-    @abc.abstractmethod
     def weiszfeld_loop(
         self,
         pts: np.ndarray,
@@ -82,47 +35,12 @@ class KernelBackend(abc.ABC):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run the smoothed Weiszfeld fixed point over ``S`` point sets.
 
-        Parameters are the pre-validated ``(S, s, d)`` tensor (float64
-        or float32 storage), ``(S, s)`` float64 weights and ``(S, d)``
-        float64 warm starts.  Returns ``(points, iterations, converged)``
-        with float64 points; ``current`` may be consumed destructively.
+        Parameters are the pre-validated ``(S, s, d)`` float64 tensor,
+        ``(S, s)`` float64 weights and ``(S, d)`` float64 warm starts.
+        Returns ``(points, iterations, converged)``; ``current`` may be
+        consumed destructively.
         """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class NumpyKernelBackend(KernelBackend):
-    """Pure-numpy reference backend (always available, ground truth).
-
-    The float64 path is bitwise-identical to the pre-backend kernels:
-    the loop below is the historical ``batched_geometric_median`` body
-    moved verbatim.  float32 inputs keep the ``(A, s, d)`` iteration
-    tensors in float32 (half the memory traffic) while the squared-norm
-    reductions and denominators accumulate in float64 — the
-    "accumulate where it matters" half of the precision policy
-    (:mod:`repro.linalg.precision`).
-    """
-
-    name = "numpy"
-    compiled = False
-    exact = True
-
-    def diameter_gather(self, dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return dist[rows[:, :, None], rows[:, None, :]].max(axis=(1, 2))
-
-    def weiszfeld_loop(
-        self,
-        pts: np.ndarray,
-        w: np.ndarray,
-        current: np.ndarray,
-        *,
-        tol: float,
-        max_iter: int,
-        eps: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         num_sets = pts.shape[0]
-        low_precision = pts.dtype != np.float64
         converged = np.zeros(num_sets, dtype=bool)
         iterations = np.zeros(num_sets, dtype=np.int64)
         # The working arrays shrink as sets converge; `active` maps
@@ -134,23 +52,10 @@ class NumpyKernelBackend(KernelBackend):
         w_act = w
         cur = current
         for _ in range(max_iter):
-            if low_precision:
-                # Quantise the iterate to the storage dtype so `diffs`
-                # stays float32; the reductions accumulate in float64.
-                diffs = sub - cur.astype(pts.dtype)[:, None, :]
-                dists = np.sqrt(
-                    np.einsum("asd,asd->as", diffs, diffs, dtype=np.float64)
-                )
-                inv = w_act / np.maximum(dists, eps)
-                new_points = (
-                    np.einsum("as,asd->ad", inv, sub, dtype=np.float64)
-                    / inv.sum(axis=1)[:, None]
-                )
-            else:
-                diffs = sub - cur[:, None, :]
-                dists = np.sqrt(np.einsum("asd,asd->as", diffs, diffs))
-                inv = w_act / np.maximum(dists, eps)
-                new_points = np.einsum("as,asd->ad", inv, sub) / inv.sum(axis=1)[:, None]
+            diffs = sub - cur[:, None, :]
+            dists = np.sqrt(np.einsum("asd,asd->as", diffs, diffs))
+            inv = w_act / np.maximum(dists, eps)
+            new_points = np.einsum("as,asd->ad", inv, sub) / inv.sum(axis=1)[:, None]
             move = np.linalg.norm(new_points - cur, axis=1)
             cur = new_points
             iterations[active] += 1
@@ -169,208 +74,3 @@ class NumpyKernelBackend(KernelBackend):
         if active.size:
             current[active] = cur
         return current, iterations, converged
-
-
-class NumbaKernelBackend(KernelBackend):
-    """JIT-compiled backend (``numba``), optional.
-
-    Scalar per-set loops with float64 accumulators, compiled lazily on
-    first use so merely constructing the backend never pays the JIT
-    cost.  Diameter gathers are bitwise-identical to the reference
-    (``max`` over the same values); Weiszfeld iterates accumulate sums
-    sequentially instead of numpy's pairwise order, so medians match
-    the reference within the float32 tolerance tier even on float64
-    inputs — the same contract the batched-vs-scalar solvers already
-    live with.
-    """
-
-    name = "numba"
-    compiled = True
-    exact = False
-
-    def __init__(self) -> None:
-        import numba  # noqa: F401 — availability probe; ImportError propagates
-
-        self._numba = numba
-        self._diameter_jit = None
-        self._weiszfeld_jit = None
-
-    # -- lazy compilation ----------------------------------------------------
-    def _compile_diameter(self):
-        if self._diameter_jit is None:
-            njit = self._numba.njit
-
-            @njit(cache=False)
-            def _gather(dist, rows):  # pragma: no cover - compiled
-                chunk, s = rows.shape
-                out = np.zeros(chunk, dtype=np.float64)
-                for a in range(chunk):
-                    best = 0.0
-                    for i in range(s):
-                        ri = rows[a, i]
-                        for j in range(s):
-                            v = dist[ri, rows[a, j]]
-                            if v > best:
-                                best = v
-                    out[a] = best
-                return out
-
-            self._diameter_jit = _gather
-        return self._diameter_jit
-
-    def _compile_weiszfeld(self):
-        if self._weiszfeld_jit is None:
-            njit = self._numba.njit
-
-            @njit(cache=False)
-            def _loop(pts, w, current, tol, max_iter, eps):  # pragma: no cover
-                num_sets, s, d = pts.shape
-                iterations = np.zeros(num_sets, dtype=np.int64)
-                converged = np.zeros(num_sets, dtype=np.bool_)
-                new_point = np.empty(d, dtype=np.float64)
-                for a in range(num_sets):
-                    for it in range(max_iter):
-                        total = 0.0
-                        for k in range(d):
-                            new_point[k] = 0.0
-                        for i in range(s):
-                            sq = 0.0
-                            for k in range(d):
-                                diff = float(pts[a, i, k]) - current[a, k]
-                                sq += diff * diff
-                            dist = np.sqrt(sq)
-                            if dist < eps:
-                                dist = eps
-                            inv = w[a, i] / dist
-                            total += inv
-                            for k in range(d):
-                                new_point[k] += inv * float(pts[a, i, k])
-                        move_sq = 0.0
-                        for k in range(d):
-                            new_point[k] /= total
-                            delta = new_point[k] - current[a, k]
-                            move_sq += delta * delta
-                            current[a, k] = new_point[k]
-                        iterations[a] = it + 1
-                        if np.sqrt(move_sq) <= tol:
-                            converged[a] = True
-                            break
-                return current, iterations, converged
-
-            self._weiszfeld_jit = _loop
-        return self._weiszfeld_jit
-
-    # -- interface -----------------------------------------------------------
-    def diameter_gather(self, dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        gather = self._compile_diameter()
-        return gather(
-            np.ascontiguousarray(dist), np.ascontiguousarray(rows)
-        )
-
-    def weiszfeld_loop(
-        self,
-        pts: np.ndarray,
-        w: np.ndarray,
-        current: np.ndarray,
-        *,
-        tol: float,
-        max_iter: int,
-        eps: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        loop = self._compile_weiszfeld()
-        return loop(
-            np.ascontiguousarray(pts),
-            np.ascontiguousarray(w),
-            np.ascontiguousarray(current),
-            float(tol),
-            int(max_iter),
-            float(eps),
-        )
-
-
-def numba_available() -> bool:
-    """Whether the compiled backend's dependency can be imported."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def available_kernel_backends() -> list[str]:
-    """Backend names usable in this environment (``numpy`` always)."""
-    names = ["numpy"]
-    if numba_available():
-        names.append("numba")
-    return names
-
-
-def make_kernel_backend(name: str) -> KernelBackend:
-    """Instantiate the backend registered under ``name``.
-
-    ``numba`` falls back to the numpy reference (with a logged warning)
-    when the JIT dependency is missing, so an exported
-    ``REPRO_KERNEL_BACKEND=numba`` never breaks an environment that
-    lacks the accelerator.
-    """
-    key = name.strip().lower()
-    if key not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; registered: {list(BACKEND_NAMES)}"
-        )
-    if key == "numba":
-        try:
-            return NumbaKernelBackend()
-        except ImportError:
-            _logger.warning(
-                "kernel backend 'numba' requested but numba is not importable; "
-                "falling back to the numpy reference backend"
-            )
-            return NumpyKernelBackend()
-    return NumpyKernelBackend()
-
-
-_active_backend: Optional[KernelBackend] = None
-
-
-def get_kernel_backend() -> KernelBackend:
-    """The process-wide active backend (memoised).
-
-    Resolved on first use from :data:`BACKEND_ENV_VAR` (``numpy`` when
-    unset or empty); later calls return the same instance so compiled
-    kernels are cached for the life of the process.
-    """
-    global _active_backend
-    if _active_backend is None:
-        requested = os.environ.get(BACKEND_ENV_VAR, "").strip() or "numpy"
-        _active_backend = make_kernel_backend(requested)
-    return _active_backend
-
-
-def set_kernel_backend(backend: "str | KernelBackend | None") -> KernelBackend:
-    """Override the active backend (a name, an instance, or ``None``).
-
-    ``None`` clears the override so the next :func:`get_kernel_backend`
-    re-reads the environment — the reset hook tests rely on.
-    """
-    global _active_backend
-    if backend is None:
-        _active_backend = None
-        return get_kernel_backend()
-    if isinstance(backend, str):
-        backend = make_kernel_backend(backend)
-    if not isinstance(backend, KernelBackend):
-        raise TypeError(f"expected a KernelBackend or name, got {type(backend)!r}")
-    _active_backend = backend
-    return backend
-
-
-@contextmanager
-def use_kernel_backend(backend: "str | KernelBackend") -> Iterator[KernelBackend]:
-    """Context manager: temporarily switch the active backend."""
-    global _active_backend
-    previous = _active_backend
-    try:
-        yield set_kernel_backend(backend)
-    finally:
-        _active_backend = previous

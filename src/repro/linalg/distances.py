@@ -22,79 +22,25 @@ from repro.utils.validation import ensure_matrix
 PAIRWISE_DEBUG_ENV = "REPRO_DEBUG_PAIRWISE"
 
 
-def pairwise_sq_distances(
-    vectors: np.ndarray,
-    *,
-    profile: "object | None" = None,
-    sparsity: str = "off",
-) -> np.ndarray:
+def pairwise_sq_distances(vectors: np.ndarray) -> np.ndarray:
     """Return the ``(m, m)`` matrix of squared Euclidean distances.
 
     Uses the expanded form ``|x|^2 + |y|^2 - 2 x.y`` which is O(m^2 d)
     with a single GEMM, instead of the naive O(m^2 d) loop.
     Negative values caused by floating point cancellation are clamped to
     zero so callers can safely take square roots.
-
-    Precision policy: float64 input takes the bitwise-pinned reference
-    path and returns float64.  float32 input runs the GEMM in float32
-    (half the bandwidth) with the squared-norm reduction accumulated in
-    float64, and still returns float64 so downstream consumers never
-    branch on dtype.  With ``sparsity="auto"`` the float32 tier also
-    collapses byte-identical rows to one representative and elides
-    exact-zero columns (see :mod:`repro.linalg.sparsity`); the float64
-    path never does — reduced-shape GEMMs are not guaranteed to
-    reproduce the dense result bit for bit.  ``profile`` optionally
-    supplies a precomputed :class:`~repro.linalg.sparsity.SparsityProfile`
-    of the same matrix.
     """
-    arr = np.asarray(vectors)
-    if arr.dtype == np.float32:
-        mat = ensure_matrix(arr, name="vectors", dtype=np.float32)
-    else:
-        mat = ensure_matrix(arr, name="vectors")
-    if mat.dtype == np.float64:
-        sq_norms = np.einsum("ij,ij->i", mat, mat)
-        sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (mat @ mat.T)
-        np.maximum(sq, 0.0, out=sq)
-        np.fill_diagonal(sq, 0.0)
-        return sq
-
-    from repro.linalg.sparsity import detect_structure, resolve_sparsity
-
-    mode = resolve_sparsity(sparsity)
-    prof = profile
-    if mode == "auto" and prof is None:
-        prof = detect_structure(mat)
-    work = mat
-    group_map = None
-    if mode == "auto" and prof is not None:
-        if prof.elidable():
-            work = work[:, prof.nonzero_columns]
-        if prof.has_duplicate_rows:
-            reps = np.unique(prof.row_group_ids)
-            group_map = np.searchsorted(reps, prof.row_group_ids)
-            work = work[reps]
-    sq_norms = np.einsum("ij,ij->i", work, work, dtype=np.float64)
-    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (work @ work.T).astype(
-        np.float64
-    )
+    mat = ensure_matrix(np.asarray(vectors), name="vectors")
+    sq_norms = np.einsum("ij,ij->i", mat, mat)
+    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (mat @ mat.T)
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
-    if group_map is not None:
-        # Scatter the unique-row matrix back out; duplicate pairs land
-        # on a diagonal entry of the reduced matrix, i.e. exactly 0.0.
-        sq = sq[group_map[:, None], group_map[None, :]]
     return sq
 
 
-def pairwise_distances(
-    vectors: np.ndarray,
-    *,
-    profile: "object | None" = None,
-    sparsity: str = "off",
-) -> np.ndarray:
+def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     """Return the ``(m, m)`` matrix of Euclidean distances."""
-    return np.sqrt(pairwise_sq_distances(vectors, profile=profile, sparsity=sparsity))
+    return np.sqrt(pairwise_sq_distances(vectors))
 
 
 def resolve_pairwise_matrix(

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.linalg.backends import KernelBackend
 from repro.utils.validation import ensure_matrix
 
 
@@ -233,29 +234,6 @@ class BatchedWeiszfeldResult:
     costs: np.ndarray
 
 
-def _batched_pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """``(S, s, s)`` pairwise distances per set, via one batched GEMM.
-
-    float32 point sets run the batched GEMM in float32 and accumulate
-    the squared norms in float64 (the precision policy of
-    :mod:`repro.linalg.precision`); the result is float64 either way.
-    """
-    if points.dtype == np.float64:
-        sq_norms = np.einsum("asd,asd->as", points, points)
-        sq = sq_norms[:, :, None] + sq_norms[:, None, :] - 2.0 * (
-            points @ points.transpose(0, 2, 1)
-        )
-    else:
-        sq_norms = np.einsum("asd,asd->as", points, points, dtype=np.float64)
-        sq = sq_norms[:, :, None] + sq_norms[:, None, :] - 2.0 * (
-            points @ points.transpose(0, 2, 1)
-        ).astype(np.float64)
-    np.maximum(sq, 0.0, out=sq)
-    diag = np.arange(points.shape[1])
-    sq[:, diag, diag] = 0.0
-    return np.sqrt(sq)
-
-
 def batched_geometric_median(
     points: np.ndarray,
     *,
@@ -276,21 +254,12 @@ def batched_geometric_median(
     array operations instead of S separate Python-level solves.
     Converged sets are frozen (masked out of subsequent updates) and the
     loop exits as soon as every set has converged.  The iteration body
-    itself is supplied by the active kernel backend
-    (:func:`repro.linalg.backends.get_kernel_backend`): the numpy
-    reference is the pinned ground truth, a compiled backend may trade
-    bitwise identity for speed within its documented tier.
+    is :meth:`repro.linalg.backends.KernelBackend.weiszfeld_loop`.
 
     Parameters
     ----------
     points:
         ``(S, s, d)`` tensor — S sets of s points in dimension d.
-        float64 and float32 storage are both accepted (anything else is
-        promoted to float64): float32 keeps the iteration tensors in
-        float32 while accumulating the distance reductions and
-        denominators in float64, and the returned medians are float64
-        within the float32 tolerance tier
-        (:data:`repro.linalg.precision.TOLERANCE_TIERS`).
     weights:
         Optional non-negative weights, shape ``(s,)`` (shared) or
         ``(S, s)`` (per set); defaults to uniform.
@@ -316,11 +285,7 @@ def batched_geometric_median(
     but batched reductions accumulate sums in a different order, so
     bitwise equality is not guaranteed.
     """
-    from repro.linalg.backends import get_kernel_backend
-
-    pts = np.asarray(points)
-    if pts.dtype != np.float32:
-        pts = np.asarray(pts, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 3:
         raise ValueError(f"points must be an (S, s, d) tensor, got shape {pts.shape}")
     num_sets, s, d = pts.shape
@@ -345,9 +310,7 @@ def batched_geometric_median(
         w = np.ascontiguousarray(w)
 
     if num_sets == 0 or s == 1:
-        current = (
-            pts[:, 0, :].astype(np.float64) if s == 1 else np.empty((0, d))
-        )
+        current = pts[:, 0, :].copy() if s == 1 else np.empty((0, d))
         info = BatchedWeiszfeldResult(
             points=current,
             iterations=np.zeros(num_sets, dtype=np.int64),
@@ -356,13 +319,9 @@ def batched_geometric_median(
         )
         return info if return_info else current
 
-    low_precision = pts.dtype != np.float64
     if initial is None:
         totals = w.sum(axis=1)
-        if low_precision:
-            current = np.einsum("as,asd->ad", w, pts, dtype=np.float64)
-        else:
-            current = np.einsum("as,asd->ad", w, pts)
+        current = np.einsum("as,asd->ad", w, pts)
         current /= totals[:, None]
     else:
         current = np.asarray(initial, dtype=np.float64).copy()
@@ -371,21 +330,25 @@ def batched_geometric_median(
                 f"initial must have shape {(num_sets, d)}, got {current.shape}"
             )
 
-    current, iterations, converged = get_kernel_backend().weiszfeld_loop(
+    current, iterations, converged = KernelBackend().weiszfeld_loop(
         pts, w, current, tol=tol, max_iter=max_iter, eps=eps
     )
 
     # Final objective values, then the same snap-to-best-vertex repair as
     # the scalar solver (clear improvements only, 1e-9 relative margin).
-    if low_precision:
-        diffs = pts - current.astype(pts.dtype)[:, None, :]
-        dists = np.sqrt(np.einsum("asd,asd->as", diffs, diffs, dtype=np.float64))
-    else:
-        diffs = pts - current[:, None, :]
-        dists = np.sqrt(np.einsum("asd,asd->as", diffs, diffs))
+    diffs = pts - current[:, None, :]
+    dists = np.sqrt(np.einsum("asd,asd->as", diffs, diffs))
     costs = np.einsum("as,as->a", w, dists)
     if pairwise is None:
-        pairwise = _batched_pairwise_distances(pts)
+        # Per-set pairwise distances via one batched GEMM.
+        sq_norms = np.einsum("asd,asd->as", pts, pts)
+        sq = sq_norms[:, :, None] + sq_norms[:, None, :] - 2.0 * (
+            pts @ pts.transpose(0, 2, 1)
+        )
+        np.maximum(sq, 0.0, out=sq)
+        diag = np.arange(s)
+        sq[:, diag, diag] = 0.0
+        pairwise = np.sqrt(sq)
     elif validate_pairwise:
         pairwise = np.asarray(pairwise, dtype=np.float64)
         if pairwise.shape != (num_sets, s, s):

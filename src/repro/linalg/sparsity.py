@@ -1,35 +1,20 @@
-"""Structure detection for received update stacks.
+"""Exact row dedup for received update stacks.
 
 Adversarial rounds are rarely "generic" dense data: the sign-flip and
 omniscient attacks send the *same* corrupted vector from every Byzantine
-node (duplicated rows), label-flip poisoning and sparse models zero out
-entire coordinates (exact-zero columns), and partition attacks echo
-honest vectors verbatim.  The subset kernels pay O(C(m, n-t) · s · d)
-for that redundancy when run dense.
+node, and partition attacks echo honest vectors verbatim.  A received
+stack then holds byte-identical rows, and the subset kernels pay
+O(C(m, n-t) · s · d) for work they have already done.
 
-This module detects the two structures the fast paths exploit, at the
-**bit level** so the float64 default can stay exactly equivalent:
+Rows are grouped by byte-equality (:attr:`SparsityProfile.row_group_ids`).
+Two subsets whose index tuples map to the same group-id pattern gather
+bit-identical ``(s, d)`` point sets, so any per-subset kernel value can
+be computed once per *pattern* and scattered back
+(:func:`dedup_subsets`).  This is exact: the representative subset runs
+through the very same kernel, it is merely not run twice.
 
-- **Duplicated rows** — rows are grouped by byte-equality
-  (:attr:`SparsityProfile.row_group_ids`).  Two subsets whose index
-  tuples map to the same group-id pattern gather bit-identical
-  ``(s, d)`` point sets, so any per-subset kernel value can be computed
-  once per *pattern* and scattered back (:func:`dedup_subsets`).  This
-  is exact for every dtype: the representative subset runs through the
-  very same kernel, it is merely not run twice.
-- **Exact-zero columns** — columns whose entries are all ``+0.0``
-  *by bit pattern* (``-0.0`` is excluded: it survives means but flips
-  signs under subtraction).  Elision is a **float32-tier-only** fast
-  path for every kernel.  It obviously reorders the reductions inside
-  distance/Weiszfeld kernels, but it is not even safe for per-column
-  means: dropping columns changes the stride of the reduction axis,
-  and numpy picks its summation order (sequential vs. unrolled
-  pairwise) by that stride, so the mean of an *untouched* column can
-  move by an ulp.  Only the float32 tolerance contract
-  (:mod:`repro.linalg.precision`) absorbs the reordering.
-
-Profiles are cheap — O(m·d) with small constants — and cached per round
-on the :class:`~repro.aggregation.context.AggregationContext`.
+Profiles cost one pass over the rows and are cached per round on the
+:class:`~repro.aggregation.context.AggregationContext`.
 """
 
 from __future__ import annotations
@@ -39,28 +24,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-#: Sparsity knob values accepted by the kernels and the context.
-SPARSITY_MODES = ("auto", "off")
-
-#: Minimum fraction of exact-zero columns before elision pays for the
-#: column gather it introduces.
-MIN_ZERO_COLUMN_FRACTION = 0.125
-
-
-def resolve_sparsity(mode: "str | None") -> str:
-    """Validate a sparsity knob value (``None`` means ``"auto"``)."""
-    if mode is None:
-        return "auto"
-    if mode not in SPARSITY_MODES:
-        raise ValueError(
-            f"unknown sparsity mode {mode!r}; supported: {SPARSITY_MODES}"
-        )
-    return mode
-
 
 @dataclass(frozen=True)
 class SparsityProfile:
-    """Bit-level structure of one ``(m, d)`` received stack.
+    """Duplicate-row structure of one ``(m, d)`` received stack.
 
     Attributes
     ----------
@@ -70,62 +37,32 @@ class SparsityProfile:
         itself).
     num_unique_rows:
         Number of distinct row groups.
-    nonzero_columns:
-        ``(d,)`` bool mask — true where the column holds anything other
-        than all-``+0.0`` bit patterns.
-    num_zero_columns:
-        Count of elidable (all-``+0.0``) columns.
     """
 
     row_group_ids: np.ndarray
     num_unique_rows: int
-    nonzero_columns: np.ndarray
-    num_zero_columns: int
 
     @property
     def num_rows(self) -> int:
         return int(self.row_group_ids.shape[0])
 
     @property
-    def num_columns(self) -> int:
-        return int(self.nonzero_columns.shape[0])
-
-    @property
     def has_duplicate_rows(self) -> bool:
         return self.num_unique_rows < self.num_rows
-
-    @property
-    def has_zero_columns(self) -> bool:
-        return self.num_zero_columns > 0
-
-    @property
-    def zero_column_fraction(self) -> float:
-        return self.num_zero_columns / self.num_columns if self.num_columns else 0.0
-
-    def elidable(self) -> bool:
-        """Whether zero-column elision clears the benefit threshold."""
-        # Eliding *every* column would leave nothing to compute on; the
-        # degenerate all-zero stack stays on the dense path.
-        return (
-            self.zero_column_fraction >= MIN_ZERO_COLUMN_FRACTION
-            and self.num_zero_columns < self.num_columns
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SparsityProfile(rows={self.num_rows}, "
-            f"unique_rows={self.num_unique_rows}, "
-            f"zero_columns={self.num_zero_columns}/{self.num_columns})"
+            f"unique_rows={self.num_unique_rows})"
         )
 
 
 def detect_structure(matrix: np.ndarray) -> SparsityProfile:
-    """Profile duplicated rows and exact-zero columns of a stack.
+    """Group the rows of a stack by byte-equality.
 
-    Both detections are bit-exact: rows compare by raw bytes and a
-    column is "zero" only when every entry is the ``+0.0`` bit pattern,
-    so a profile never claims structure that the dense kernels would
-    distinguish.
+    Rows compare by raw bytes, so two rows share a group only when they
+    hold the same bits (``-0.0`` and ``+0.0`` stay apart) and a profile
+    never claims structure that the dense kernels would distinguish.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
@@ -138,52 +75,26 @@ def detect_structure(matrix: np.ndarray) -> SparsityProfile:
         key = mat[i].tobytes()
         group_ids[i] = first_seen.setdefault(key, i)
 
-    plus_zero = (mat == 0.0) & ~np.signbit(mat)
-    nonzero_columns = ~plus_zero.all(axis=0)
-
-    return SparsityProfile(
-        row_group_ids=group_ids,
-        num_unique_rows=len(first_seen),
-        nonzero_columns=nonzero_columns,
-        num_zero_columns=int(nonzero_columns.size - np.count_nonzero(nonzero_columns)),
-    )
+    return SparsityProfile(row_group_ids=group_ids, num_unique_rows=len(first_seen))
 
 
-def project_profile(
-    profile: SparsityProfile, rows: np.ndarray, matrix: np.ndarray
-) -> SparsityProfile:
+def project_profile(profile: SparsityProfile, rows: np.ndarray) -> SparsityProfile:
     """Project a batch-level profile through a row selection.
 
     The batch message plane computes one profile per ``(S, d)`` payload
-    matrix and every receiver sees a gather ``matrix = payloads[rows]``
-    of it; this derives the receiver's profile without re-running the
-    per-row byte hashing of :func:`detect_structure`:
-
-    - **Row groups** project exactly: two gathered rows are byte-equal
-      iff their source rows are (gathering copies bytes verbatim), so
-      the subset's group ids are the batch's group ids remapped to
-      first-occurrence positions *within the selection*.
-    - **Zero columns** are recomputed directly on ``matrix`` — one
-      vectorized ``O(m·d)`` pass, the cheap half of detection — because
-      a column can be all-``+0.0`` in the subset without being so in the
-      full batch (and float32-tier consumers hand in a converted matrix
-      whose zero set must be measured on *its* bytes).
-
-    The result is exactly what ``detect_structure(matrix)`` would claim
-    when ``matrix`` holds the same bytes as ``payloads[rows]``; on a
-    dtype-converted matrix the row grouping is a (still exact) refinement
-    — byte-equal float64 rows convert to byte-equal rows — so kernels
-    never see a claim the dense paths would distinguish.
+    matrix and every receiver sees a gather ``payloads[rows]`` of it;
+    this derives the receiver's profile without re-running the per-row
+    byte hashing of :func:`detect_structure`.  Two gathered rows are
+    byte-equal iff their source rows are (gathering copies bytes
+    verbatim), so the result is exactly what ``detect_structure`` would
+    claim on the gather: the batch's group ids remapped to
+    first-occurrence positions *within the selection*.
     """
     group_ids = profile.row_group_ids[np.asarray(rows, dtype=np.int64)]
     _, first, inverse = np.unique(group_ids, return_index=True, return_inverse=True)
-    plus_zero = (matrix == 0.0) & ~np.signbit(matrix)
-    nonzero_columns = ~plus_zero.all(axis=0)
     return SparsityProfile(
         row_group_ids=first[inverse.reshape(-1)].astype(np.int64, copy=False),
         num_unique_rows=int(first.shape[0]),
-        nonzero_columns=nonzero_columns,
-        num_zero_columns=int(nonzero_columns.size - np.count_nonzero(nonzero_columns)),
     )
 
 

@@ -23,43 +23,25 @@ Every kernel takes a ``chunk_size`` knob (number of subsets per chunk)
 so peak memory stays bounded at large ``C(m, n - t)``; ``None`` picks a
 chunk from the :data:`DEFAULT_CHUNK_ELEMENTS` element budget.
 
-On top of chunking, every kernel accepts the precision/sparsity policy
-of the kernel layer:
+Every kernel also takes an optional
+:class:`~repro.linalg.sparsity.SparsityProfile` of the row stack.  Given
+one, subsets whose index patterns gather byte-identical point sets are
+computed once and scattered back, which is exact (see
+:mod:`repro.linalg.sparsity`); without one the kernel runs dense.
 
-- float32 input matrices keep the gathered tensors in float32 with
-  float64 accumulation (see :mod:`repro.linalg.precision`); results are
-  always returned as float64.
-- ``sparsity="auto"`` routes structured stacks through reduced
-  computation (:mod:`repro.linalg.sparsity`): subsets whose index
-  patterns gather byte-identical point sets are computed once and
-  scattered back (exact for every dtype), and on the float32 tier
-  exact-zero columns are elided from the gathered tensors.  Column
-  elision is tolerance-safe only — dropping columns changes the
-  stride (and hence the summation order) of the reduction axis, so
-  even a mean over untouched columns can move by an ulp — which is
-  why the bitwise float64 contract keeps every column.
-- the innermost loops are supplied by the active kernel backend
-  (:mod:`repro.linalg.backends`).
-
-See ``docs/performance.md`` for the memory/speed trade-off, the
-tolerance tiers and benchmark numbers
-(``benchmarks/bench_subset_kernels.py``).
+See ``docs/performance.md`` for the memory/speed trade-off and benchmark
+numbers (``benchmarks/bench_subset_kernels.py``).
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
 from math import comb
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.linalg.sparsity import (
-    SparsityProfile,
-    dedup_subsets,
-    detect_structure,
-    resolve_sparsity,
-)
+from repro.linalg.sparsity import SparsityProfile, dedup_subsets
 
 #: Element budget (float64 entries per intermediate tensor) used to pick
 #: an automatic chunk size.  4M elements = ~32 MiB per temporary.
@@ -92,9 +74,15 @@ def subsets_as_matrix(subsets, k: Optional[int] = None) -> np.ndarray:
         if k is None:
             raise ValueError("cannot infer subset size from an empty family")
         return np.empty((0, int(k)), dtype=np.int64)
+    if any(np.ndim(row) != 1 for row in rows):
+        raise ValueError(
+            "subsets must be a sequence of index tuples of shape (S, k); "
+            "wrap a single subset as [(i, j, ...)]"
+        )
+    sizes = sorted({len(row) for row in rows})
+    if len(sizes) > 1:
+        raise ValueError(f"subsets must all have the same size, got sizes {sizes}")
     mat = np.asarray(rows, dtype=np.int64)
-    if mat.ndim != 2:
-        raise ValueError(f"subsets must all have the same size, got ragged input")
     if k is not None and mat.shape[1] != int(k):
         raise ValueError(
             f"subsets have size {mat.shape[1]}, expected {int(k)}"
@@ -128,36 +116,11 @@ def resolve_chunk_size(
 
 
 def _as_float_matrix(matrix: np.ndarray, name: str) -> np.ndarray:
-    """2-D float view of ``matrix`` — no copy when already float32/64.
-
-    float32 and float64 storage pass through untouched (the precision
-    tiers); any other dtype is promoted to float64, matching the
-    historical behaviour for integer/list inputs.
-    """
-    mat = np.asarray(matrix)
+    """2-D float64 view of ``matrix`` — no copy when already float64."""
+    mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {mat.shape}")
-    if mat.dtype not in (np.float32, np.float64):
-        mat = mat.astype(np.float64)
     return mat
-
-
-def _resolve_profile(
-    mode: str, profile: Optional[SparsityProfile], matrix: Optional[np.ndarray]
-) -> Optional[SparsityProfile]:
-    """The structure profile to route with, detecting it when needed.
-
-    ``matrix`` is ``None`` for kernels that never see the row stack
-    (the diameter gather); those only exploit structure when the caller
-    supplies a profile of the stack behind the distance matrix.
-    """
-    if mode != "auto":
-        return None
-    if profile is not None:
-        return profile
-    if matrix is None:
-        return None
-    return detect_structure(matrix)
 
 
 def subset_diameters(
@@ -165,7 +128,6 @@ def subset_diameters(
     indices: np.ndarray,
     *,
     chunk_size: Optional[int] = None,
-    sparsity: str = "off",
     profile: Optional[SparsityProfile] = None,
 ) -> np.ndarray:
     """Diameter of every subset, gathered from a pairwise distance matrix.
@@ -179,14 +141,12 @@ def subset_diameters(
         ``(S, s)`` subset index matrix.
     chunk_size:
         Subsets per chunk; bounds the ``chunk * s * s`` gather temporary.
-    sparsity, profile:
-        With ``sparsity="auto"`` and a caller-supplied
-        :class:`~repro.linalg.sparsity.SparsityProfile` of the row stack
-        behind ``dist``, subsets gathering byte-identical point sets are
-        computed once per pattern and scattered back — values stay
-        bitwise-identical (the representative runs through the same
-        gather).  Without a profile the gather has no row stack to
-        inspect and runs dense.
+    profile:
+        Optional :class:`~repro.linalg.sparsity.SparsityProfile` of the
+        row stack behind ``dist``.  Subsets gathering byte-identical
+        point sets are then computed once per pattern and scattered
+        back; values stay bitwise-identical (the representative runs
+        through the same gather).
 
     Returns
     -------
@@ -203,22 +163,18 @@ def subset_diameters(
     if total == 0 or s <= 1:
         return np.zeros(total, dtype=np.float64)
 
-    plan = None
-    prof = _resolve_profile(resolve_sparsity(sparsity), profile, None)
-    if prof is not None:
-        plan = dedup_subsets(idx, prof)
-        if plan is not None:
-            idx = plan[0]
+    plan = None if profile is None else dedup_subsets(idx, profile)
+    if plan is not None:
+        idx = plan[0]
 
-    from repro.linalg.backends import get_kernel_backend
-
-    backend = get_kernel_backend()
     reduced_total = idx.shape[0]
     out = np.zeros(reduced_total, dtype=np.float64)
     chunk = resolve_chunk_size(chunk_size, s * s, reduced_total)
     for start in range(0, reduced_total, chunk):
         rows = idx[start : start + chunk]
-        out[start : start + chunk] = backend.diameter_gather(dist, rows)
+        out[start : start + chunk] = dist[rows[:, :, None], rows[:, None, :]].max(
+            axis=(1, 2)
+        )
     if plan is not None:
         out = out[plan[1]]
     return out
@@ -229,23 +185,16 @@ def subset_means(
     indices: np.ndarray,
     *,
     chunk_size: Optional[int] = None,
-    sparsity: str = "off",
     profile: Optional[SparsityProfile] = None,
 ) -> np.ndarray:
     """Mean vector of every subset, as one chunked gather + reduction.
 
     Bitwise-identical to ``matrix[list(idx)].mean(axis=0)`` per subset:
     the reduction over the subset axis accumulates rows in the same
-    order in both layouts.  Under ``sparsity="auto"``,
-    pattern-duplicate subsets are computed once on byte-identical
-    gathers and scattered back — still bitwise-exact, because the
-    representative runs through the identical reduction.  Exact-zero
-    columns are elided only on the float32 tier: although an elided
-    column contributes exactly ``+0.0``, dropping columns changes the
-    stride of the reduction axis and numpy's summation order with it,
-    moving the mean of the *surviving* columns by an ulp.  float32
-    matrices accumulate the mean in float64; the result is float64
-    either way.
+    order in both layouts.  Given a ``profile``, pattern-duplicate
+    subsets are computed once on byte-identical gathers and scattered
+    back — still bitwise-exact, because the representative runs through
+    the identical reduction.
     """
     mat = _as_float_matrix(matrix, "matrix")
     idx = validate_subset_indices(indices, mat.shape[0])
@@ -256,29 +205,16 @@ def subset_means(
     if s == 0:
         raise ValueError("subset size must be at least 1 for means")
 
-    prof = _resolve_profile(resolve_sparsity(sparsity), profile, mat)
-    plan = None
-    columns = None
-    if prof is not None:
-        plan = dedup_subsets(idx, prof)
-        if plan is not None:
-            idx = plan[0]
-        if mat.dtype == np.float32 and prof.elidable():
-            columns = prof.nonzero_columns
-            mat = mat[:, columns]
+    plan = None if profile is None else dedup_subsets(idx, profile)
+    if plan is not None:
+        idx = plan[0]
 
     reduced_total = idx.shape[0]
-    reduced = np.empty((reduced_total, mat.shape[1]), dtype=np.float64)
+    out = np.empty((reduced_total, d), dtype=np.float64)
     chunk = resolve_chunk_size(chunk_size, s * d, reduced_total)
     for start in range(0, reduced_total, chunk):
         gathered = mat[idx[start : start + chunk]]
-        reduced[start : start + chunk] = gathered.mean(axis=1, dtype=np.float64)
-
-    if columns is not None:
-        out = np.zeros((reduced_total, d), dtype=np.float64)
-        out[:, columns] = reduced
-    else:
-        out = reduced
+        out[start : start + chunk] = gathered.mean(axis=1, dtype=np.float64)
     if plan is not None:
         out = out[plan[1]]
     return out
@@ -293,7 +229,6 @@ def subset_geometric_medians(
     eps: float = 1e-12,
     chunk_size: Optional[int] = None,
     dist: Optional[np.ndarray] = None,
-    sparsity: str = "off",
     profile: Optional[SparsityProfile] = None,
 ) -> np.ndarray:
     """Geometric median of every subset via one batched Weiszfeld solve.
@@ -301,9 +236,7 @@ def subset_geometric_medians(
     Parameters
     ----------
     matrix:
-        ``(m, d)`` stack of received vectors (float64 or float32; the
-        float32 tier iterates in float32 storage with float64
-        accumulation, see :mod:`repro.linalg.precision`).
+        ``(m, d)`` stack of received vectors.
     indices:
         ``(S, s)`` subset index matrix.
     tol, max_iter, eps:
@@ -318,13 +251,11 @@ def subset_geometric_medians(
         given, the per-subset pairwise distances needed by the
         vertex-snap step are a free gather instead of a batched GEMM.
         Validated once here — the per-chunk gathers skip re-validation.
-    sparsity, profile:
-        With ``sparsity="auto"``, pattern-duplicate subsets run one
-        Weiszfeld solve per pattern (exact for every dtype — the
-        representative solves on byte-identical points), and on the
-        float32 tier exact-zero columns are elided from the iteration
-        tensor (tolerance-safe only: eliding reorders the float64
-        reductions, so the bitwise float64 contract forbids it there).
+    profile:
+        Optional :class:`~repro.linalg.sparsity.SparsityProfile` of
+        ``matrix``.  Pattern-duplicate subsets then run one Weiszfeld
+        solve per pattern; this is exact, because the representative
+        solves on byte-identical points.
 
     Returns
     -------
@@ -343,7 +274,7 @@ def subset_geometric_medians(
     if s == 0:
         raise ValueError("subset size must be at least 1 for geometric medians")
     if s == 1:
-        return mat[idx[:, 0]].astype(np.float64)
+        return mat[idx[:, 0]]
     if dist is not None:
         dist = np.asarray(dist)
         if not np.issubdtype(dist.dtype, np.floating):
@@ -354,19 +285,12 @@ def subset_geometric_medians(
                 f"got {dist.shape}"
             )
 
-    prof = _resolve_profile(resolve_sparsity(sparsity), profile, mat)
-    plan = None
-    columns = None
-    if prof is not None:
-        plan = dedup_subsets(idx, prof)
-        if plan is not None:
-            idx = plan[0]
-        if mat.dtype == np.float32 and prof.elidable():
-            columns = prof.nonzero_columns
-            mat = mat[:, columns]
+    plan = None if profile is None else dedup_subsets(idx, profile)
+    if plan is not None:
+        idx = plan[0]
 
     reduced_total = idx.shape[0]
-    reduced = np.empty((reduced_total, mat.shape[1]), dtype=np.float64)
+    out = np.empty((reduced_total, d), dtype=np.float64)
     chunk = resolve_chunk_size(chunk_size, s * max(s, d), reduced_total)
     for start in range(0, reduced_total, chunk):
         rows = idx[start : start + chunk]
@@ -374,7 +298,7 @@ def subset_geometric_medians(
         pairwise = None
         if dist is not None:
             pairwise = dist[rows[:, :, None], rows[:, None, :]]
-        reduced[start : start + chunk] = batched_geometric_median(
+        out[start : start + chunk] = batched_geometric_median(
             points,
             tol=tol,
             max_iter=max_iter,
@@ -382,25 +306,14 @@ def subset_geometric_medians(
             pairwise=pairwise,
             validate_pairwise=False,
         )
-
-    if columns is not None:
-        out = np.zeros((reduced_total, d), dtype=np.float64)
-        out[:, columns] = reduced
-    else:
-        out = reduced
     if plan is not None:
         out = out[plan[1]]
     return out
 
 
-# Re-exported for callers that want to pre-compute or inspect structure.
 __all__ = [
     "DEFAULT_CHUNK_ELEMENTS",
-    "SparsityProfile",
-    "dedup_subsets",
-    "detect_structure",
     "resolve_chunk_size",
-    "resolve_sparsity",
     "subset_diameters",
     "subset_geometric_medians",
     "subset_index_matrix",

@@ -23,10 +23,8 @@ Sparse-structure transport rides along: a batch computes its
 single-batch inboxes hand consumers a *projection* of it instead of
 letting every receiver re-run ``detect_structure`` on its own gather —
 see :func:`repro.linalg.sparsity.project_profile`.  The projected
-profile is exactly what self-detection would claim for duplicate rows
-(byte-equality is preserved by row gathering) and the zero-column mask
-is recomputed exactly on the consumer's matrix, so kernel results are
-bitwise-unchanged in every precision tier.
+profile is exactly what self-detection would claim (byte-equality is
+preserved by row gathering), so kernel results are bitwise-unchanged.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ class RoundBatch:
 
     @property
     def profile(self):
-        """Bit-level structure of the payload matrix (computed once).
+        """Duplicate-row structure of the payload matrix (computed once).
 
         Receivers project this through their row selection instead of
         re-detecting structure per inbox — the transported analogue of
@@ -324,10 +322,7 @@ def _profile_projector(batch: RoundBatch, rows: Optional[np.ndarray]):
         expected = batch.num_senders if rows is None else int(rows.shape[0])
         if matrix.shape != (expected, batch.dimension):
             return None  # not the matrix this profile describes
-        return project_profile(
-            batch.profile,
-            batch.full_rows() if rows is None else rows,
-            matrix,
-        )
+        selection = batch.full_rows() if rows is None else rows
+        return project_profile(batch.profile, selection)
 
     return provider

@@ -38,19 +38,17 @@ def ensure_matrix(
     name: str = "vectors",
     min_rows: int = 1,
     allow_non_finite: bool = False,
-    dtype: "np.dtype | type" = np.float64,
 ) -> np.ndarray:
-    """Convert a sequence of vectors to an ``(m, d)`` floating matrix.
+    """Convert a sequence of vectors to an ``(m, d)`` float64 matrix.
 
     Accepts a 2-D array, a list of 1-D arrays, or a single vector (which
-    becomes a one-row matrix).  ``dtype`` selects the storage precision
-    (float64 by default); the conversion is a no-copy view whenever the
-    input already matches.
+    becomes a one-row matrix).  The conversion is a no-copy view when
+    the input is already a float64 array.
     """
     if isinstance(value, np.ndarray):
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(value, dtype=np.float64)
     else:
-        rows = [np.asarray(v, dtype=dtype) for v in value]
+        rows = [np.asarray(v, dtype=np.float64) for v in value]
         if not rows:
             raise ValueError(f"{name} must contain at least {min_rows} vector(s)")
         arr = np.stack([r.reshape(-1) for r in rows], axis=0)

@@ -80,11 +80,11 @@ class TestHeadlineExtraction:
             "benchmark": "subset_kernels",
             "build": dict(BUILD_A),
             "headline": {"geomedian_speedup": 5.9, "d": 64},
-            "fastpath": {"fastpath_speedup": 16.7, "n": 16},
+            "dedup": {"dedup_speedup": 2.0, "n": 16},
         }
         assert artifact_headlines(payload) == {
             "headline:geomedian_speedup": 5.9,
-            "fastpath:fastpath_speedup": 16.7,
+            "dedup:dedup_speedup": 2.0,
         }
 
     def test_committed_baselines_yield_headlines(self):

@@ -23,6 +23,7 @@ from repro.aggregation.context import (
     reset_cache_stats,
     subset_cache_hit_rate,
 )
+from repro.linalg.backends import KernelBackend
 from repro.linalg.distances import pairwise_distances
 from repro.linalg.geometric_median import (
     batched_geometric_median,
@@ -108,6 +109,14 @@ class TestSubsetIndexMatrix:
         with pytest.raises(ValueError):
             subsets_as_matrix([(0, 1)], 3)
 
+    def test_subsets_as_matrix_names_ragged_sizes(self):
+        with pytest.raises(ValueError, match=r"same size, got sizes \[1, 2\]"):
+            subsets_as_matrix([(0, 1), (2,)])
+
+    def test_subsets_as_matrix_names_expected_shape_for_flat_input(self):
+        with pytest.raises(ValueError, match=r"shape \(S, k\)"):
+            subsets_as_matrix([0, 1, 2])
+
     def test_validate_subset_indices_bounds(self):
         with pytest.raises(ValueError):
             validate_subset_indices(np.array([[0, 5]]), 5)
@@ -182,6 +191,15 @@ class TestBatchedDiameters:
     def test_rejects_non_square_dist(self, gaussian_cloud):
         with pytest.raises(ValueError):
             subset_diameters(gaussian_cloud, subset_index_matrix(10, 3))
+
+    def test_diameter_gather_matches_naive(self):
+        rng = np.random.default_rng(0)
+        mat = rng.normal(size=(9, 6))
+        dist = pairwise_distances(mat)
+        indices = subset_index_matrix(9, 4)
+        got = subset_diameters(dist, indices)
+        naive = np.array([dist[np.ix_(rows, rows)].max() for rows in indices])
+        assert np.array_equal(got, naive)
 
 
 class TestBatchedGeometricMedians:
@@ -295,6 +313,22 @@ class TestBatchedWeiszfeldSolver:
         assert np.array_equal(info.points, pts[:, 0, :])
         assert info.converged.all()
         assert np.array_equal(info.iterations, np.zeros(5, dtype=np.int64))
+
+    def test_weiszfeld_loop_matches_scalar_solver(self):
+        # The raw loop has no vertex-snap, so a set whose median sits
+        # near a vertex may oscillate below tol without "converging";
+        # batched_geometric_median snaps it afterwards.  The loop must
+        # agree with the scalar solver run under the same settings.
+        pts = np.random.default_rng(3).normal(size=(12, 5, 7))
+        w = np.ones((12, 5), dtype=np.float64)
+        points, iterations, converged = KernelBackend().weiszfeld_loop(
+            pts, w, pts.mean(axis=1), tol=1e-8, max_iter=500, eps=1e-12
+        )
+        assert converged.sum() >= pts.shape[0] - 1
+        assert (iterations >= 1).all()
+        for a in range(pts.shape[0]):
+            scalar = geometric_median(pts[a], tol=1e-8, max_iter=500)
+            assert np.allclose(points[a], scalar, atol=1e-6)
 
 
 class TestContextSubsetCaches:

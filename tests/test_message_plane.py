@@ -345,7 +345,7 @@ class TestBatchInbox:
 class TestProfileTransport:
     @pytest.fixture
     def structured_batch(self):
-        # Duplicate rows (0 == 2) and an all-zero column.
+        # Duplicate rows (0 == 2).
         rows = np.asarray([
             [1.0, 0.0, 3.0, 0.0],
             [2.0, 0.0, 4.0, 5.0],
@@ -357,20 +357,13 @@ class TestProfileTransport:
 
     @staticmethod
     def _claims(profile):
-        return (
-            profile.row_group_ids.tolist(),
-            profile.num_unique_rows,
-            profile.nonzero_columns.tolist(),
-            profile.num_zero_columns,
-        )
+        return profile.row_group_ids.tolist(), profile.num_unique_rows
 
     def test_projected_profile_matches_detection(self, structured_batch):
         for rows in ([0, 1, 2, 3], [0, 2, 3], [1, 3], [2]):
             selection = np.asarray(rows, dtype=np.int64)
             matrix = np.asarray(structured_batch.payloads)[selection]
-            projected = project_profile(
-                structured_batch.profile, selection, matrix
-            )
+            projected = project_profile(structured_batch.profile, selection)
             assert self._claims(projected) == self._claims(detect_structure(matrix))
 
     def test_inbox_matrix_carries_provider(self, structured_batch):
