@@ -48,7 +48,7 @@ def test_ablation_subround_schedule(benchmark):
         for subrounds in (1, 2, 4):
             config = decentralized_config(rounds=scaled(3, 20))
             from repro.learning.experiment import build_experiment
-            from repro.agreement.registry import make_algorithm
+            from repro.agreement import make_algorithm
             from repro.learning.decentralized import DecentralizedTrainer
             from repro.nn.optimizers import SGD
 

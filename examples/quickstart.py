@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation import make_rule
-from repro.agreement import AgreementProtocol, HyperboxGeometricMedianAgreement
+from repro.agreement import AgreementProtocol, make_algorithm
 from repro.agreement.metrics import approximation_ratio, true_geometric_median
 from repro.byzantine import SignFlipAttack
 
@@ -43,7 +43,7 @@ def main() -> None:
 
     # --- 2. multi-round approximate agreement --------------------------------
     print("\nMulti-round BOX-GEOM agreement under a sign-flip attacker")
-    algorithm = HyperboxGeometricMedianAgreement(n, t)
+    algorithm = make_algorithm("box-geom", n, t)
     protocol = AgreementProtocol(algorithm, byzantine=(n - 1,), attack=SignFlipAttack(), seed=0)
     inputs = rng.normal(size=(n - t, d))
     result = protocol.run(inputs, rounds=6)

@@ -14,10 +14,12 @@ the paper's evaluation:
   applied once, i.e. the centralized variant), and
 - :class:`HyperboxMean` / :class:`HyperboxGeometricMedian` — the one-shot
   (single sub-round) applications of the BOX algorithms, used by the
-  centralized learning loop.
+  centralized learning loop, and
+- :class:`SafeArea` — the classical safe-area rule, restricted to
+  ``t < n / max(3, d+1)`` (Theorem 4.1's comparison point).
 
-The multi-round agreement versions of the BOX/MD algorithms live in
-:mod:`repro.agreement`.
+:mod:`repro.agreement` runs any of these once per sub-round as a
+multi-round agreement algorithm, by the same registry names.
 """
 
 from repro.aggregation.base import AggregationRule, aggregate_all
@@ -40,7 +42,8 @@ from repro.aggregation.hyperbox_rules import (
     HyperboxGeometricMedian,
     HyperboxMean,
 )
-from repro.aggregation.registry import available_rules, make_rule, register_rule
+from repro.aggregation.safe_area import SafeArea
+from repro.aggregation.registry import available_rules, make_rule
 
 __all__ = [
     "AggregationContext",
@@ -55,13 +58,13 @@ __all__ = [
     "MinimumDiameterGeometricMedian",
     "MinimumDiameterMean",
     "MultiKrum",
+    "SafeArea",
     "TrimmedMean",
     "aggregate_all",
     "available_rules",
     "cache_hit_rate",
     "cache_stats",
     "make_rule",
-    "register_rule",
     "reset_cache_stats",
     "subset_cache_hit_rate",
 ]

@@ -10,6 +10,18 @@ import numpy as np
 from repro.aggregation.context import AggregationContext
 
 
+def check_context(vectors: np.ndarray, context: AggregationContext) -> None:
+    """Raise ``ValueError`` unless ``context`` wraps a stack shaped like ``vectors``."""
+    shape = np.shape(vectors)  # no copy for array inputs
+    if len(shape) == 1:
+        shape = (1, shape[0])
+    if shape != context.matrix.shape:
+        raise ValueError(
+            f"context wraps a {context.matrix.shape} stack but "
+            f"vectors have shape {shape}"
+        )
+
+
 class AggregationRule(abc.ABC):
     """Maps a stack of received vectors to a single aggregate vector.
 
@@ -62,14 +74,7 @@ class AggregationRule(abc.ABC):
                 raise ValueError("aggregate() needs vectors or a context")
             context = AggregationContext(vectors)
         elif vectors is not None:
-            shape = np.shape(vectors)  # no copy for array inputs
-            if len(shape) == 1:
-                shape = (1, shape[0])
-            if shape != context.matrix.shape:
-                raise ValueError(
-                    f"context wraps a {context.matrix.shape} stack but "
-                    f"vectors have shape {shape}"
-                )
+            check_context(vectors, context)
         mat = context.matrix
         if mat.shape[0] == 1:
             return mat[0].copy()

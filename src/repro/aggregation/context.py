@@ -96,8 +96,7 @@ class AggregationContext:
     :meth:`subset_diameters`, :meth:`subset_means`,
     :meth:`subset_geometric_medians`) cache only exhaustive families —
     they are deterministic functions of the wrapped matrix, so reuse is
-    result-identical.  ``chunk_size`` arguments affect peak memory only,
-    never values, and are therefore not part of any cache key.
+    result-identical.
     """
 
     __slots__ = (
@@ -206,9 +205,7 @@ class AggregationContext:
             _CACHE_STATS["subset_hits"] += 1
         return cached
 
-    def subset_diameters(
-        self, subset_size: int, *, chunk_size: Optional[int] = None
-    ) -> np.ndarray:
+    def subset_diameters(self, subset_size: int) -> np.ndarray:
         """Diameters of every exhaustive ``subset_size``-subset (memoised)."""
         size = self._check_subset_size(subset_size)
         cached = self._subset_diameters.get(size)
@@ -217,19 +214,14 @@ class AggregationContext:
 
             _CACHE_STATS["subset_misses"] += 1
             cached = subset_diameters(
-                self.distances,
-                self.subset_indices(size),
-                chunk_size=chunk_size,
-                profile=self.profile,
+                self.distances, self.subset_indices(size), profile=self.profile
             )
             self._subset_diameters[size] = cached
         else:
             _CACHE_STATS["subset_hits"] += 1
         return cached
 
-    def subset_means(
-        self, subset_size: int, *, chunk_size: Optional[int] = None
-    ) -> np.ndarray:
+    def subset_means(self, subset_size: int) -> np.ndarray:
         """Means of every exhaustive ``subset_size``-subset (memoised)."""
         size = self._check_subset_size(subset_size)
         cached = self._subset_means.get(size)
@@ -238,10 +230,7 @@ class AggregationContext:
 
             _CACHE_STATS["subset_misses"] += 1
             cached = subset_means(
-                self.matrix,
-                self.subset_indices(size),
-                chunk_size=chunk_size,
-                profile=self.profile,
+                self.matrix, self.subset_indices(size), profile=self.profile
             )
             self._subset_means[size] = cached
         else:
@@ -255,7 +244,6 @@ class AggregationContext:
         tol: float = 1e-8,
         max_iter: int = 200,
         eps: float = 1e-12,
-        chunk_size: Optional[int] = None,
     ) -> np.ndarray:
         """Geometric medians of every exhaustive subset (memoised).
 
@@ -275,7 +263,6 @@ class AggregationContext:
                 tol=tol,
                 max_iter=max_iter,
                 eps=eps,
-                chunk_size=chunk_size,
                 dist=self.distances,
                 profile=self.profile,
             )

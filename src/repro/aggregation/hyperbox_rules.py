@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.aggregation.base import AggregationRule
+from repro.aggregation.base import AggregationRule, check_context
 from repro.aggregation.context import AggregationContext
 from repro.linalg.hyperbox import Hyperbox, bounding_hyperbox, trimmed_hyperbox
 from repro.linalg.subset_kernels import subset_geometric_medians, subset_means
@@ -47,15 +47,11 @@ class _HyperboxRuleBase(AggregationRule):
         *,
         max_subsets: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         super().__init__(n=n, t=t)
         if max_subsets is not None and max_subsets < 1:
             raise ValueError("max_subsets must be positive when given")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive when given")
         self.max_subsets = max_subsets
-        self.chunk_size = chunk_size
         self._rng = rng
 
     # -- batched per-subset aggregates (mean or geometric median) ------------
@@ -87,14 +83,7 @@ class _HyperboxRuleBase(AggregationRule):
         if context is None:
             context = AggregationContext(vectors)
         else:
-            shape = np.shape(vectors)
-            if len(shape) == 1:
-                shape = (1, shape[0])
-            if shape != context.matrix.shape:
-                raise ValueError(
-                    f"context wraps a {context.matrix.shape} stack but "
-                    f"vectors have shape {shape}"
-                )
+            check_context(vectors, context)
         m = context.num_vectors
         size = self.honest_subset_size(m)
         sampling = (
@@ -147,12 +136,12 @@ class HyperboxMean(_HyperboxRuleBase):
     def _cached_subset_aggregates(
         self, context: AggregationContext, size: int
     ) -> np.ndarray:
-        return context.subset_means(size, chunk_size=self.chunk_size)
+        return context.subset_means(size)
 
     def _sampled_subset_aggregates(
         self, context: AggregationContext, indices: np.ndarray
     ) -> np.ndarray:
-        return subset_means(context.matrix, indices, chunk_size=self.chunk_size)
+        return subset_means(context.matrix, indices)
 
 
 class HyperboxGeometricMedian(_HyperboxRuleBase):
@@ -173,11 +162,8 @@ class HyperboxGeometricMedian(_HyperboxRuleBase):
         rng: Optional[np.random.Generator] = None,
         tol: float = 1e-8,
         max_iter: int = 100,
-        chunk_size: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            n=n, t=t, max_subsets=max_subsets, rng=rng, chunk_size=chunk_size
-        )
+        super().__init__(n=n, t=t, max_subsets=max_subsets, rng=rng)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
 
@@ -185,7 +171,7 @@ class HyperboxGeometricMedian(_HyperboxRuleBase):
         self, context: AggregationContext, size: int
     ) -> np.ndarray:
         return context.subset_geometric_medians(
-            size, tol=self.tol, max_iter=self.max_iter, chunk_size=self.chunk_size
+            size, tol=self.tol, max_iter=self.max_iter
         )
 
     def _sampled_subset_aggregates(
@@ -196,6 +182,5 @@ class HyperboxGeometricMedian(_HyperboxRuleBase):
             indices,
             tol=self.tol,
             max_iter=self.max_iter,
-            chunk_size=self.chunk_size,
             dist=context.distances,
         )

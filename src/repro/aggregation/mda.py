@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.aggregation.base import AggregationRule
+from repro.aggregation.base import AggregationRule, check_context
 from repro.aggregation.context import AggregationContext
 from repro.linalg.geometric_median import geometric_median
 from repro.linalg.subsets import (
@@ -66,18 +66,14 @@ class _MinimumDiameterBase(AggregationRule):
         max_subsets: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         tie_break: str = "first",
-        chunk_size: Optional[int] = None,
     ) -> None:
         super().__init__(n=n, t=t)
         if max_subsets is not None and max_subsets < 1:
             raise ValueError("max_subsets must be positive when given")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive when given")
         if tie_break not in TIE_BREAKS:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
         self.max_subsets = max_subsets
         self.tie_break = tie_break
-        self.chunk_size = chunk_size
         self._rng = rng
 
     def _subset_aggregate(self, rows: np.ndarray) -> np.ndarray:
@@ -92,14 +88,18 @@ class _MinimumDiameterBase(AggregationRule):
         *,
         context: Optional[AggregationContext] = None,
     ) -> Tuple[Tuple[int, ...], float]:
-        """Indices of the selected minimum-diameter subset and its diameter."""
+        """Indices of the selected minimum-diameter subset and its diameter.
+
+        A given ``context`` must wrap the same stack as ``vectors``.
+        """
+        if context is not None:
+            check_context(vectors, context)
         size = self.honest_subset_size(vectors.shape[0])
         use_cache = context is not None and self._exhaustive(vectors.shape[0], size)
         if self.tie_break == "first":
             if use_cache:
                 return select_minimum_diameter(
-                    context.subset_indices(size),
-                    context.subset_diameters(size, chunk_size=self.chunk_size),
+                    context.subset_indices(size), context.subset_diameters(size)
                 )
             return minimum_diameter_subset(
                 vectors,
@@ -107,12 +107,10 @@ class _MinimumDiameterBase(AggregationRule):
                 max_subsets=self.max_subsets,
                 rng=self._rng,
                 dist=None if context is None else context.distances,
-                chunk_size=self.chunk_size,
             )
         if use_cache:
             tied, diam = select_minimum_diameter_ties(
-                context.subset_indices(size),
-                context.subset_diameters(size, chunk_size=self.chunk_size),
+                context.subset_indices(size), context.subset_diameters(size)
             )
         else:
             tied, diam = minimum_diameter_subsets(
@@ -121,7 +119,6 @@ class _MinimumDiameterBase(AggregationRule):
                 max_subsets=self.max_subsets,
                 rng=self._rng,
                 dist=None if context is None else context.distances,
-                chunk_size=self.chunk_size,
             )
         reference = vectors.mean(axis=0)
         best_idx = tied[0]
@@ -163,15 +160,9 @@ class MinimumDiameterGeometricMedian(_MinimumDiameterBase):
         tie_break: str = "first",
         tol: float = 1e-8,
         max_iter: int = 200,
-        chunk_size: Optional[int] = None,
     ) -> None:
         super().__init__(
-            n=n,
-            t=t,
-            max_subsets=max_subsets,
-            rng=rng,
-            tie_break=tie_break,
-            chunk_size=chunk_size,
+            n=n, t=t, max_subsets=max_subsets, rng=rng, tie_break=tie_break
         )
         self.tol = float(tol)
         self.max_iter = int(max_iter)

@@ -2,12 +2,15 @@
 
 Benchmarks, examples and experiment configs refer to aggregation rules
 by string name (``"box-geom"``, ``"md-mean"`` ...); the registry maps
-those names to constructors so configurations stay serialisable.
+those names to constructors so configurations stay serialisable.  Both
+settings read it: a centralized server applies the rule once per round,
+and :func:`repro.agreement.make_algorithm` wraps it into the per-sub-round
+update of a decentralized agreement algorithm.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Type
+from typing import Dict, Type
 
 from repro.aggregation.base import AggregationRule
 from repro.aggregation.geometric_median import GeometricMedian
@@ -16,18 +19,22 @@ from repro.aggregation.krum import Krum, MultiKrum
 from repro.aggregation.mda import MinimumDiameterGeometricMedian, MinimumDiameterMean
 from repro.aggregation.mean import CoordinatewiseMedian, Mean, TrimmedMean
 from repro.aggregation.medoid import Medoid
+from repro.aggregation.safe_area import SafeArea
 
-_REGISTRY: Dict[str, Type[AggregationRule]] = {}
-
-
-def register_rule(name: str, cls: Type[AggregationRule], *, overwrite: bool = False) -> None:
-    """Register an aggregation rule class under ``name``."""
-    key = name.strip().lower()
-    if not key:
-        raise ValueError("rule name must be non-empty")
-    if not overwrite and key in _REGISTRY:
-        raise ValueError(f"aggregation rule {key!r} is already registered")
-    _REGISTRY[key] = cls
+_REGISTRY: Dict[str, Type[AggregationRule]] = {
+    "mean": Mean,
+    "cw-median": CoordinatewiseMedian,
+    "trimmed-mean": TrimmedMean,
+    "geomedian": GeometricMedian,
+    "medoid": Medoid,
+    "krum": Krum,
+    "multi-krum": MultiKrum,
+    "md-mean": MinimumDiameterMean,
+    "md-geom": MinimumDiameterGeometricMedian,
+    "box-mean": HyperboxMean,
+    "box-geom": HyperboxGeometricMedian,
+    "safe-area": SafeArea,
+}
 
 
 def available_rules() -> list[str]:
@@ -48,19 +55,3 @@ def make_rule(name: str, n: int | None = None, t: int = 0, **kwargs) -> Aggregat
             f"unknown aggregation rule {name!r}; available: {available_rules()}"
         )
     return _REGISTRY[key](n=n, t=t, **kwargs)
-
-
-for _name, _cls in [
-    ("mean", Mean),
-    ("cw-median", CoordinatewiseMedian),
-    ("trimmed-mean", TrimmedMean),
-    ("geomedian", GeometricMedian),
-    ("medoid", Medoid),
-    ("krum", Krum),
-    ("multi-krum", MultiKrum),
-    ("md-mean", MinimumDiameterMean),
-    ("md-geom", MinimumDiameterGeometricMedian),
-    ("box-mean", HyperboxMean),
-    ("box-geom", HyperboxGeometricMedian),
-]:
-    register_rule(_name, _cls)

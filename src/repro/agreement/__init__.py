@@ -1,44 +1,43 @@
 """Multi-round approximate-agreement algorithms (the paper's core).
 
-An *agreement algorithm* specifies the rule every honest node applies to
-the vectors it received in a sub-round to obtain its vector for the next
+An *agreement algorithm* is the rule every honest node applies to the
+vectors it received in a sub-round to obtain its vector for the next
 sub-round.  Running that rule for several synchronous sub-rounds over
 the reliable-broadcast network yields ε-approximate agreement — or fails
-to, which is exactly what the paper analyses:
+to, which is exactly what the paper analyses.
 
-- :class:`HyperboxGeometricMedianAgreement` — Algorithm 2, ``BOX-GEOM``:
-  converges and is a ``2·sqrt(d)``-approximation of the true geometric
-  median (Theorem 4.4).
-- :class:`HyperboxMeanAgreement` — ``BOX-MEAN`` (Cambus–Melnyk).
-- :class:`MinimumDiameterGeometricMedianAgreement` — Algorithm 1,
-  ``MD-GEOM``: a 2-approximation per round but *not* convergent in the
-  worst case (Lemma 4.2).
-- :class:`MinimumDiameterMeanAgreement` — ``MD-MEAN`` (El-Mhamdi et al.).
-- :class:`SafeAreaAgreement` — the classical safe-area algorithm,
-  restricted to ``t < n / max(3, d+1)``; unbounded approximation ratio
-  for the geometric median (Theorem 4.1).
-- :class:`TrimmedMeanAgreement` — coordinate-wise trimmed mean, the
-  other optimal averaging-agreement algorithm from El-Mhamdi et al.
+Every such rule is a one-shot aggregation rule from
+:mod:`repro.aggregation`, so :func:`make_algorithm` takes the same names
+and keyword arguments as :func:`repro.aggregation.make_rule`:
 
-:class:`AgreementProtocol` executes any of these against a configurable
+- ``"box-geom"`` — Algorithm 2, ``BOX-GEOM``: converges and is a
+  ``2·sqrt(d)``-approximation of the true geometric median
+  (Theorem 4.4).
+- ``"box-mean"`` — ``BOX-MEAN`` (Cambus–Melnyk).
+- ``"md-geom"`` — Algorithm 1, ``MD-GEOM``: a 2-approximation per round
+  but *not* convergent in the worst case (Lemma 4.2;
+  ``tie_break="adversarial"`` exhibits it).
+- ``"md-mean"`` — ``MD-MEAN`` (El-Mhamdi et al.).
+- ``"safe-area"`` — the classical safe-area algorithm, restricted to
+  ``t < n / max(3, d+1)``; unbounded approximation ratio for the
+  geometric median (Theorem 4.1).
+- ``"trimmed-mean"`` — coordinate-wise trimmed mean, the other optimal
+  averaging-agreement algorithm from El-Mhamdi et al.
+- every other registered rule (``"mean"``, ``"geomedian"``, ``"krum"``,
+  ...) as a baseline.
+
+:class:`AgreementAlgorithm` wraps an already-built rule;
+:class:`AgreementProtocol` executes an algorithm against a configurable
 adversary; :mod:`repro.agreement.metrics` measures convergence and the
 approximation ratio of Definition 3.3.
 """
 
 from repro.agreement.base import (
     AgreementAlgorithm,
-    AgreementResult,
-    AggregationAgreement,
     AgreementProtocol,
+    AgreementResult,
+    make_algorithm,
 )
-from repro.agreement.algorithms import (
-    HyperboxGeometricMedianAgreement,
-    HyperboxMeanAgreement,
-    MinimumDiameterGeometricMedianAgreement,
-    MinimumDiameterMeanAgreement,
-    TrimmedMeanAgreement,
-)
-from repro.agreement.safe_area import SafeAreaAgreement
 from repro.agreement.metrics import (
     approximation_ratio,
     covering_ball_of_sgeo,
@@ -46,21 +45,12 @@ from repro.agreement.metrics import (
     honest_diameter_trace,
     true_geometric_median,
 )
-from repro.agreement.registry import available_algorithms, make_algorithm
 
 __all__ = [
-    "AggregationAgreement",
     "AgreementAlgorithm",
     "AgreementProtocol",
     "AgreementResult",
-    "HyperboxGeometricMedianAgreement",
-    "HyperboxMeanAgreement",
-    "MinimumDiameterGeometricMedianAgreement",
-    "MinimumDiameterMeanAgreement",
-    "SafeAreaAgreement",
-    "TrimmedMeanAgreement",
     "approximation_ratio",
-    "available_algorithms",
     "covering_ball_of_sgeo",
     "geometric_median_candidates",
     "honest_diameter_trace",

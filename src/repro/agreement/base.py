@@ -1,8 +1,7 @@
-"""Agreement algorithm interface and the multi-round protocol runner."""
+"""Agreement algorithms by rule name, and the multi-round protocol runner."""
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from repro.aggregation.base import AggregationRule
 from repro.aggregation.context import AggregationContext
+from repro.aggregation.registry import make_rule
 from repro.byzantine.base import GradientAttack
 from repro.engine.base import RoundEngine
 from repro.engine.rounds import attack_adversary_plan, run_exchange
@@ -19,54 +19,36 @@ from repro.utils.rng import as_generator
 from repro.utils.validation import ensure_matrix, validate_byzantine_bound
 
 
-class AgreementAlgorithm(abc.ABC):
+class AgreementAlgorithm:
     """Per-node, per-sub-round update rule of an agreement algorithm.
 
-    ``update(received)`` maps the ``(m, d)`` matrix of vectors a node
-    delivered in the current sub-round to the node's vector for the next
-    sub-round.  Implementations must be deterministic given the received
-    matrix so that the convergence statements of the paper apply.
-    """
+    Every algorithm in the paper has this shape: ``update(received)``
+    applies a one-shot aggregation rule to the ``(m, d)`` matrix of
+    vectors a node delivered in the current sub-round, and the result is
+    the node's vector for the next sub-round.  The convergence statements
+    of the paper assume the rule is deterministic given that matrix.
 
-    name: str = "agreement"
-    #: Resilience divisor: ``t < n / resilience_divisor`` must hold.
-    resilience_divisor: int = 3
-
-    def __init__(self, n: int, t: int) -> None:
-        validate_byzantine_bound(n, t, resilience_divisor=self.resilience_divisor)
-        self.n = int(n)
-        self.t = int(t)
-
-    @abc.abstractmethod
-    def update(self, received: np.ndarray) -> np.ndarray:
-        """New local vector from the ``(m, d)`` received stack."""
-        raise NotImplementedError
-
-    def minimum_messages(self) -> int:
-        """Quorum each honest node needs per sub-round (``n - t``)."""
-        return self.n - self.t
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(n={self.n}, t={self.t})"
-
-
-class AggregationAgreement(AgreementAlgorithm):
-    """Agreement algorithm whose update rule is a one-shot aggregation rule.
-
-    Every algorithm in the paper has this shape: the sub-round update is
-    an application of a robust aggregation rule to the received vectors.
+    ``rule.n`` is filled in when unset and must otherwise equal ``n``;
+    ``rule.t`` is set to ``t``.
     """
 
     def __init__(self, n: int, t: int, rule: AggregationRule) -> None:
-        super().__init__(n, t)
-        self.rule = rule
+        validate_byzantine_bound(n, t)
+        self.n = int(n)
+        self.t = int(t)
         if rule.n is None:
-            rule.n = n
-        if rule.t != t:
-            rule.t = t
-        self.name = getattr(rule, "name", self.name)
+            rule.n = self.n
+        elif rule.n != self.n:
+            raise ValueError(
+                f"rule {rule.name!r} is configured for n={rule.n} "
+                f"but the algorithm needs n={self.n}"
+            )
+        rule.t = self.t
+        self.rule = rule
+        self.name = rule.name
 
     def update(self, received: np.ndarray) -> np.ndarray:
+        """New local vector from the ``(m, d)`` received stack."""
         # The context validates the stack; it also shares the pairwise-
         # distance matrix between every distance-based step of the rule.
         context = AggregationContext(received)
@@ -76,6 +58,22 @@ class AggregationAgreement(AgreementAlgorithm):
                 f"need at least {self.minimum_messages()}"
             )
         return self.rule.aggregate(context=context)
+
+    def minimum_messages(self) -> int:
+        """Quorum each honest node needs per sub-round (``n - t``)."""
+        return self.n - self.t
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"AgreementAlgorithm(n={self.n}, t={self.t}, rule={self.name!r})"
+
+
+def make_algorithm(name: str, n: int, t: int, **kwargs) -> AgreementAlgorithm:
+    """Agreement algorithm applying the rule registered under ``name``.
+
+    ``kwargs`` go to the rule constructor, exactly as for
+    :func:`repro.aggregation.registry.make_rule`.
+    """
+    return AgreementAlgorithm(n, t, make_rule(name, n=n, t=t, **kwargs))
 
 
 @dataclass

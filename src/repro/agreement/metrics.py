@@ -42,7 +42,6 @@ def geometric_median_candidates(
     rng: Optional[np.random.Generator] = None,
     tol: float = 1e-9,
     max_iter: int = 200,
-    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """The set ``S_geo``: geometric medians of all ``(n - t)``-subsets.
 
@@ -55,9 +54,7 @@ def geometric_median_candidates(
     mat = ensure_matrix(received_vectors, name="received_vectors")
     subset_size = min(max(n - t, 1), mat.shape[0])
     indices = subset_family(mat, subset_size, max_subsets=max_subsets, rng=rng)
-    return subset_geometric_medians(
-        mat, indices, tol=tol, max_iter=max_iter, chunk_size=chunk_size
-    )
+    return subset_geometric_medians(mat, indices, tol=tol, max_iter=max_iter)
 
 
 def covering_ball_of_sgeo(
@@ -67,11 +64,10 @@ def covering_ball_of_sgeo(
     *,
     max_subsets: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    chunk_size: Optional[int] = None,
 ) -> Ball:
     """Minimum covering ball ``B(S_geo)`` whose radius is ``r_cov``."""
     candidates = geometric_median_candidates(
-        received_vectors, n, t, max_subsets=max_subsets, rng=rng, chunk_size=chunk_size
+        received_vectors, n, t, max_subsets=max_subsets, rng=rng
     )
     return minimum_covering_ball(candidates)
 

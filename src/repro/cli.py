@@ -51,7 +51,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.aggregation.registry import available_rules
-from repro.agreement.registry import available_algorithms
 from repro.analysis.reporting import (
     comparison_table,
     delivery_trace_summary,
@@ -696,8 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     _experiment_flags(compare_parser)
     compare_parser.add_argument(
         "--rules", nargs="+", default=["md-geom", "box-geom", "md-mean", "box-mean"],
-        help=f"rules to compare (centralized: {', '.join(available_rules())}; "
-             f"decentralized: {', '.join(available_algorithms())})",
+        help=f"rules to compare (available: {', '.join(available_rules())})",
     )
     compare_parser.set_defaults(func=_cmd_compare)
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.aggregation.registry import make_rule
-from repro.agreement.registry import make_algorithm
+from repro.agreement.base import make_algorithm
 from repro.byzantine.label_flip import LabelFlipAttack, flip_labels
 from repro.byzantine.registry import make_attack
 from repro.data.datasets import (

@@ -19,9 +19,9 @@ work into a handful of BLAS-shaped array kernels instead:
   convergence masking (:func:`subset_geometric_medians`, built on
   :func:`repro.linalg.geometric_median.batched_geometric_median`).
 
-Every kernel takes a ``chunk_size`` knob (number of subsets per chunk)
-so peak memory stays bounded at large ``C(m, n - t)``; ``None`` picks a
-chunk from the :data:`DEFAULT_CHUNK_ELEMENTS` element budget.
+Every kernel walks its family in chunks sized from the
+:data:`DEFAULT_CHUNK_ELEMENTS` element budget, so peak memory stays
+bounded at large ``C(m, n - t)``; chunking never changes values.
 
 Every kernel also takes an optional
 :class:`~repro.linalg.sparsity.SparsityProfile` of the row stack.  Given
@@ -103,14 +103,8 @@ def validate_subset_indices(indices: np.ndarray, m: int) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def resolve_chunk_size(
-    chunk_size: Optional[int], per_subset_elements: int, total: int
-) -> int:
-    """Number of subsets per chunk: explicit, or from the element budget."""
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        return min(int(chunk_size), max(1, total))
+def resolve_chunk_size(per_subset_elements: int, total: int) -> int:
+    """Number of subsets per chunk, from the element budget."""
     per = max(1, int(per_subset_elements))
     return max(1, min(total if total else 1, DEFAULT_CHUNK_ELEMENTS // per))
 
@@ -127,7 +121,6 @@ def subset_diameters(
     dist: np.ndarray,
     indices: np.ndarray,
     *,
-    chunk_size: Optional[int] = None,
     profile: Optional[SparsityProfile] = None,
 ) -> np.ndarray:
     """Diameter of every subset, gathered from a pairwise distance matrix.
@@ -139,8 +132,6 @@ def subset_diameters(
         :attr:`repro.aggregation.context.AggregationContext.distances`).
     indices:
         ``(S, s)`` subset index matrix.
-    chunk_size:
-        Subsets per chunk; bounds the ``chunk * s * s`` gather temporary.
     profile:
         Optional :class:`~repro.linalg.sparsity.SparsityProfile` of the
         row stack behind ``dist``.  Subsets gathering byte-identical
@@ -169,7 +160,7 @@ def subset_diameters(
 
     reduced_total = idx.shape[0]
     out = np.zeros(reduced_total, dtype=np.float64)
-    chunk = resolve_chunk_size(chunk_size, s * s, reduced_total)
+    chunk = resolve_chunk_size(s * s, reduced_total)
     for start in range(0, reduced_total, chunk):
         rows = idx[start : start + chunk]
         out[start : start + chunk] = dist[rows[:, :, None], rows[:, None, :]].max(
@@ -184,7 +175,6 @@ def subset_means(
     matrix: np.ndarray,
     indices: np.ndarray,
     *,
-    chunk_size: Optional[int] = None,
     profile: Optional[SparsityProfile] = None,
 ) -> np.ndarray:
     """Mean vector of every subset, as one chunked gather + reduction.
@@ -211,7 +201,7 @@ def subset_means(
 
     reduced_total = idx.shape[0]
     out = np.empty((reduced_total, d), dtype=np.float64)
-    chunk = resolve_chunk_size(chunk_size, s * d, reduced_total)
+    chunk = resolve_chunk_size(s * d, reduced_total)
     for start in range(0, reduced_total, chunk):
         gathered = mat[idx[start : start + chunk]]
         out[start : start + chunk] = gathered.mean(axis=1, dtype=np.float64)
@@ -227,7 +217,6 @@ def subset_geometric_medians(
     tol: float = 1e-8,
     max_iter: int = 200,
     eps: float = 1e-12,
-    chunk_size: Optional[int] = None,
     dist: Optional[np.ndarray] = None,
     profile: Optional[SparsityProfile] = None,
 ) -> np.ndarray:
@@ -242,10 +231,6 @@ def subset_geometric_medians(
     tol, max_iter, eps:
         Forwarded to the batched Weiszfeld iteration; identical meaning
         to the scalar :func:`repro.linalg.geometric_median.geometric_median`.
-    chunk_size:
-        Subsets per chunk; bounds the ``chunk * s * d`` iteration tensor
-        (and the ``chunk * s * s`` pairwise tensor of the vertex-snap
-        step).
     dist:
         Optional precomputed ``(m, m)`` pairwise distance matrix.  When
         given, the per-subset pairwise distances needed by the
@@ -291,7 +276,7 @@ def subset_geometric_medians(
 
     reduced_total = idx.shape[0]
     out = np.empty((reduced_total, d), dtype=np.float64)
-    chunk = resolve_chunk_size(chunk_size, s * max(s, d), reduced_total)
+    chunk = resolve_chunk_size(s * max(s, d), reduced_total)
     for start in range(0, reduced_total, chunk):
         rows = idx[start : start + chunk]
         points = mat[rows]

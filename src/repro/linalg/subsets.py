@@ -304,7 +304,6 @@ def minimum_diameter_subset(
     max_subsets: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     dist: Optional[np.ndarray] = None,
-    chunk_size: Optional[int] = None,
 ) -> Tuple[Tuple[int, ...], float]:
     """Indices of a ``subset_size``-subset with minimum diameter (Def. 3.4).
 
@@ -315,8 +314,7 @@ def minimum_diameter_subset(
     optionally supplies the precomputed pairwise distance matrix.
 
     All candidate diameters are computed in one chunked gather over the
-    distance matrix (:func:`repro.linalg.subset_kernels.subset_diameters`);
-    ``chunk_size`` bounds the gather temporary.
+    distance matrix (:func:`repro.linalg.subset_kernels.subset_diameters`).
     """
     mat = ensure_matrix(vectors, name="vectors")
     m = mat.shape[0]
@@ -326,7 +324,7 @@ def minimum_diameter_subset(
         )
     dist = _resolve_distances(mat, dist)
     indices = _candidate_indices(dist, m, subset_size, max_subsets, rng)
-    diams = subset_diameters(dist, indices, chunk_size=chunk_size)
+    diams = subset_diameters(dist, indices)
     return select_minimum_diameter(indices, diams)
 
 
@@ -338,7 +336,6 @@ def minimum_diameter_subsets(
     rng: Optional[np.random.Generator] = None,
     tolerance: float = 1e-12,
     dist: Optional[np.ndarray] = None,
-    chunk_size: Optional[int] = None,
 ) -> Tuple[list[Tuple[int, ...]], float]:
     """*All* minimum-diameter ``subset_size``-subsets (within ``tolerance``).
 
@@ -355,5 +352,5 @@ def minimum_diameter_subsets(
         raise ValueError(f"subset_size must be in [1, {m}], got {subset_size}")
     dist = _resolve_distances(mat, dist)
     indices = _candidate_indices(dist, m, subset_size, max_subsets, rng)
-    diams = subset_diameters(dist, indices, chunk_size=chunk_size)
+    diams = subset_diameters(dist, indices)
     return select_minimum_diameter_ties(indices, diams, tolerance=tolerance)

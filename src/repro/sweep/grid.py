@@ -274,21 +274,15 @@ class ScenarioGrid:
         hours in.  Returns the validated cells.
         """
         from repro.aggregation.registry import available_rules
-        from repro.agreement.registry import available_algorithms
         from repro.byzantine.registry import available_attacks
 
         cells = self.cells()
         for cell in cells:
             config = cell.config
-            known = (
-                available_rules()
-                if config.setting == "centralized"
-                else available_algorithms()
-            )
-            if config.aggregation not in known:
+            if config.aggregation not in available_rules():
                 raise ValueError(
-                    f"cell {cell.cell_id!r}: unknown {config.setting} aggregation "
-                    f"{config.aggregation!r}; available: {known}"
+                    f"cell {cell.cell_id!r}: unknown aggregation "
+                    f"{config.aggregation!r}; available: {available_rules()}"
                 )
             if config.attack is not None and config.attack not in available_attacks():
                 raise ValueError(

@@ -8,8 +8,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.aggregation.hyperbox_rules import HyperboxGeometricMedian
-from repro.agreement.algorithms import HyperboxGeometricMedianAgreement
-from repro.agreement.base import AgreementProtocol
+from repro.agreement.base import AgreementProtocol, make_algorithm
 from repro.agreement.metrics import approximation_ratio, contraction_factors
 from repro.byzantine.base import GradientAttack
 from repro.byzantine.sign_flip import SignFlipAttack
@@ -83,7 +82,7 @@ def hyperbox_contraction_experiment(
     so the diameter trace must converge to zero.
     """
     rng = as_generator(seed)
-    algorithm = HyperboxGeometricMedianAgreement(n, t)
+    algorithm = make_algorithm("box-geom", n, t)
     byzantine = tuple(range(n - t, n))
     protocol = AgreementProtocol(
         algorithm,

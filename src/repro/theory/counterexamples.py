@@ -13,7 +13,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.aggregation.krum import Krum
-from repro.agreement.algorithms import MinimumDiameterGeometricMedianAgreement
+from repro.agreement.base import AgreementProtocol, make_algorithm
 from repro.agreement.metrics import approximation_ratio
 from repro.byzantine.partition import PartitionAttack
 from repro.linalg.geometric_median import geometric_median
@@ -157,11 +157,8 @@ def md_geom_non_convergence_instance(
     for node in group_b:
         inputs[node] = v2.copy()
 
-    algorithm = MinimumDiameterGeometricMedianAgreement(n, t, tie_break=tie_break)
+    algorithm = make_algorithm("md-geom", n, t, tie_break=tie_break)
     attack = PartitionAttack(group_a=group_a, group_b=group_b)
-
-    from repro.agreement.base import AgreementProtocol
-
     protocol = AgreementProtocol(algorithm, byzantine=byzantine_ids, attack=attack, seed=0)
     result = protocol.run(inputs, rounds)
     diameters = result.diameter_trace()

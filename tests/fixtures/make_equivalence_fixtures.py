@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.agreement.algorithms import HyperboxGeometricMedianAgreement
-from repro.agreement.base import AgreementProtocol
+from repro.agreement.base import AgreementProtocol, make_algorithm
 from repro.byzantine.sign_flip import SignFlipAttack
 from repro.io.results import history_to_dict
 from repro.learning.experiment import ExperimentConfig, run_experiment
@@ -53,7 +52,7 @@ def _config(**overrides) -> ExperimentConfig:
 
 def _agreement_trace() -> dict:
     rng = np.random.default_rng(42)
-    algorithm = HyperboxGeometricMedianAgreement(7, 1)
+    algorithm = make_algorithm("box-geom", 7, 1)
     protocol = AgreementProtocol(algorithm, byzantine=(6,), attack=SignFlipAttack(), seed=7)
     inputs = rng.normal(size=(6, 4))
     result = protocol.run(inputs, rounds=3)

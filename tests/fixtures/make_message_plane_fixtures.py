@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.agreement.algorithms import HyperboxGeometricMedianAgreement
-from repro.agreement.base import AgreementProtocol
+from repro.agreement.base import AgreementProtocol, make_algorithm
 from repro.byzantine.registry import make_attack
 from repro.engine import make_scheduler
 from repro.io.results import history_to_dict
@@ -118,7 +117,7 @@ def agreement_traces() -> dict:
         rng = np.random.default_rng(42)
         inputs = rng.normal(size=(6, 4))
         engine = engine_factory()
-        algorithm = HyperboxGeometricMedianAgreement(7, 1)
+        algorithm = make_algorithm("box-geom", 7, 1)
         protocol = AgreementProtocol(
             algorithm, byzantine=(6,), attack=make_attack(attack_name),
             seed=7, engine=engine,

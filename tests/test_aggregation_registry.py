@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aggregation.base import AggregationRule
-from repro.aggregation.registry import available_rules, make_rule, register_rule
+from repro.aggregation.registry import available_rules, make_rule
 
 
 EXPECTED_RULES = {
@@ -19,6 +18,7 @@ EXPECTED_RULES = {
     "md-geom",
     "box-mean",
     "box-geom",
+    "safe-area",
 }
 
 
@@ -44,29 +44,3 @@ class TestRegistry:
     def test_case_insensitive(self):
         rule = make_rule("Box-Geom", n=10, t=1)
         assert rule.name == "box-geom"
-
-    def test_register_duplicate_rejected(self):
-        class Dummy(AggregationRule):
-            name = "dummy-rule"
-
-            def _aggregate(self, vectors, context):
-                return vectors.mean(axis=0)
-
-        register_rule("dummy-rule-test", Dummy)
-        try:
-            with pytest.raises(ValueError):
-                register_rule("dummy-rule-test", Dummy)
-            register_rule("dummy-rule-test", Dummy, overwrite=True)
-        finally:
-            # Clean up so repeated test runs in one session stay isolated.
-            from repro.aggregation import registry
-
-            registry._REGISTRY.pop("dummy-rule-test", None)
-
-    def test_register_empty_name_rejected(self):
-        class Dummy(AggregationRule):
-            def _aggregate(self, vectors, context):
-                return vectors.mean(axis=0)
-
-        with pytest.raises(ValueError):
-            register_rule("  ", Dummy)

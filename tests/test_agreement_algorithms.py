@@ -14,18 +14,8 @@ These tests check the paper's qualitative claims:
 import numpy as np
 import pytest
 
-from repro.agreement.algorithms import (
-    HyperboxGeometricMedianAgreement,
-    HyperboxMeanAgreement,
-    MinimumDiameterGeometricMedianAgreement,
-    MinimumDiameterMeanAgreement,
-    SimpleGeometricMedianAgreement,
-    SimpleMeanAgreement,
-    TrimmedMeanAgreement,
-)
-from repro.agreement.base import AgreementProtocol
-from repro.agreement.registry import available_algorithms, make_algorithm
-from repro.agreement.safe_area import SafeAreaAgreement
+from repro.aggregation.registry import available_rules
+from repro.agreement.base import AgreementAlgorithm, AgreementProtocol, make_algorithm
 from repro.byzantine.partition import PartitionAttack
 from repro.byzantine.sign_flip import SignFlipAttack
 
@@ -42,11 +32,11 @@ def two_pole_inputs(n_honest, d, separation, rng):
 
 
 class TestHyperboxAgreementConvergence:
-    @pytest.mark.parametrize("algo_cls", [HyperboxGeometricMedianAgreement, HyperboxMeanAgreement])
-    def test_contracts_under_partition_attack(self, algo_cls, rng):
+    @pytest.mark.parametrize("name", ["box-geom", "box-mean"])
+    def test_contracts_under_partition_attack(self, name, rng):
         n, t, d = 10, 2, 4
         honest_count = n - t
-        algorithm = algo_cls(n, t)
+        algorithm = make_algorithm(name, n, t)
         group_a = list(range(honest_count // 2))
         group_b = list(range(honest_count // 2, honest_count))
         attack = PartitionAttack(group_a=group_a, group_b=group_b)
@@ -61,7 +51,7 @@ class TestHyperboxAgreementConvergence:
 
     def test_outputs_stay_in_honest_box(self, rng):
         n, t, d = 10, 1, 5
-        algorithm = HyperboxGeometricMedianAgreement(n, t)
+        algorithm = make_algorithm("box-geom", n, t)
         protocol = AgreementProtocol(algorithm, byzantine=(9,), attack=SignFlipAttack(scale=50.0), seed=0)
         inputs = rng.normal(size=(n - 1, d))
         result = protocol.run(inputs, rounds=5)
@@ -72,7 +62,7 @@ class TestHyperboxAgreementConvergence:
 
     def test_validity_identical_inputs_unchanged(self):
         n, t = 6, 1
-        algorithm = HyperboxGeometricMedianAgreement(n, t)
+        algorithm = make_algorithm("box-geom", n, t)
         protocol = AgreementProtocol(algorithm, byzantine=(5,), attack=SignFlipAttack(), seed=0)
         inputs = np.tile([2.0, -1.0, 0.5], (n - 1, 1))
         result = protocol.run(inputs, rounds=3)
@@ -95,7 +85,7 @@ class TestMinimumDiameterAgreement:
 
     def test_md_mean_converges_under_sign_flip(self, rng):
         n, t, d = 10, 1, 4
-        algorithm = MinimumDiameterMeanAgreement(n, t)
+        algorithm = make_algorithm("md-mean", n, t)
         protocol = AgreementProtocol(algorithm, byzantine=(9,), attack=SignFlipAttack(), seed=0)
         inputs = rng.normal(size=(n - 1, d))
         result = protocol.run(inputs, rounds=4)
@@ -105,31 +95,35 @@ class TestMinimumDiameterAgreement:
 class TestOtherAgreements:
     def test_trimmed_mean_converges(self, rng):
         n, t, d = 7, 2, 3
-        algorithm = TrimmedMeanAgreement(n, t)
+        algorithm = make_algorithm("trimmed-mean", n, t)
         protocol = AgreementProtocol(algorithm, byzantine=(5, 6), attack=SignFlipAttack(), seed=0)
         inputs = rng.normal(size=(n - 2, d))
         result = protocol.run(inputs, rounds=4)
         assert result.converged(1e-9)
 
     def test_simple_mean_and_geomedian_names(self):
-        assert SimpleMeanAgreement(6, 1).name == "mean"
-        assert SimpleGeometricMedianAgreement(6, 1).name == "geomedian"
+        assert make_algorithm("mean", 6, 1).name == "mean"
+        assert make_algorithm("geomedian", 6, 1).name == "geomedian"
 
     def test_safe_area_low_dimension(self, rng):
         n, t, d = 8, 1, 2
-        algorithm = SafeAreaAgreement(n, t)
+        algorithm = make_algorithm("safe-area", n, t)
         received = rng.normal(size=(n, d))
         out = algorithm.update(received)
         assert out.shape == (d,)
 
     def test_safe_area_rejects_high_dimension(self, rng):
         n, t, d = 8, 1, 10
-        algorithm = SafeAreaAgreement(n, t)
-        with pytest.raises(ValueError):
-            algorithm.update(rng.normal(size=(n, d)))
+        received = rng.normal(size=(n, d))
+        algorithm = make_algorithm("safe-area", n, t)
+        with pytest.raises(ValueError, match="t < n/max"):
+            algorithm.update(received)
+        # The centralized one-shot rule fails the same way.
+        with pytest.raises(ValueError, match="t < n/max"):
+            algorithm.rule.aggregate(received)
 
     def test_safe_area_quorum(self, rng):
-        algorithm = SafeAreaAgreement(9, 1)
+        algorithm = make_algorithm("safe-area", 9, 1)
         with pytest.raises(ValueError):
             algorithm.update(rng.normal(size=(3, 2)))
 
@@ -138,12 +132,14 @@ class TestAgreementRegistry:
     def test_paper_algorithms_available(self):
         expected = {"box-geom", "box-mean", "md-geom", "md-mean", "trimmed-mean",
                     "safe-area", "mean", "geomedian"}
-        assert expected.issubset(set(available_algorithms()))
+        assert expected.issubset(set(available_rules()))
 
     def test_make_algorithm(self):
         algo = make_algorithm("box-geom", 10, 1)
-        assert isinstance(algo, HyperboxGeometricMedianAgreement)
+        assert isinstance(algo, AgreementAlgorithm)
+        assert algo.name == "box-geom"
         assert algo.n == 10 and algo.t == 1
+        assert algo.rule.n == 10 and algo.rule.t == 1
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -155,7 +151,7 @@ class TestAgreementRegistry:
 
     def test_all_registered_update_works(self, rng):
         received = rng.normal(size=(10, 3))
-        for name in available_algorithms():
+        for name in available_rules():
             algo = make_algorithm(name, 10, 1)
             out = algo.update(received)
             assert out.shape == (3,)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.agreement.algorithms import (
-    HyperboxGeometricMedianAgreement,
-    HyperboxMeanAgreement,
-    TrimmedMeanAgreement,
+from repro.agreement.base import (
+    AgreementAlgorithm,
+    AgreementProtocol,
+    AgreementResult,
+    make_algorithm,
 )
-from repro.agreement.base import AggregationAgreement, AgreementProtocol, AgreementResult
+from repro.aggregation.hyperbox_rules import HyperboxMean
 from repro.aggregation.mean import Mean
 from repro.byzantine.crash import CrashAttack
 from repro.byzantine.sign_flip import SignFlipAttack
@@ -34,27 +35,35 @@ class TestAgreementResult:
 
 
 class TestAggregationAgreement:
+    """An agreement algorithm built from one aggregation rule."""
+
     def test_wraps_rule(self, gaussian_cloud):
-        agreement = AggregationAgreement(10, 1, Mean())
+        rule = Mean()
+        agreement = AgreementAlgorithm(10, 1, rule)
+        assert (rule.n, rule.t, agreement.name) == (10, 1, "mean")
         out = agreement.update(gaussian_cloud)
         np.testing.assert_allclose(out, gaussian_cloud.mean(axis=0))
 
     def test_quorum_enforced(self):
-        agreement = AggregationAgreement(10, 2, Mean())
+        agreement = AgreementAlgorithm(10, 2, Mean())
         with pytest.raises(ValueError):
             agreement.update(np.zeros((5, 3)))
 
     def test_resilience_bound_enforced(self):
         with pytest.raises(ValueError):
-            HyperboxGeometricMedianAgreement(9, 3)
+            make_algorithm("box-geom", 9, 3)
 
     def test_minimum_messages(self):
-        assert HyperboxGeometricMedianAgreement(10, 3).minimum_messages() == 7
+        assert make_algorithm("box-geom", 10, 3).minimum_messages() == 7
+
+    def test_rule_for_a_different_n_rejected(self):
+        with pytest.raises(ValueError, match="n=7"):
+            AgreementAlgorithm(10, 1, HyperboxMean(n=7, t=1))
 
 
 class TestAgreementProtocol:
     def test_no_byzantine_converges_immediately(self, rng):
-        algorithm = HyperboxMeanAgreement(6, 1)
+        algorithm = make_algorithm("box-mean", 6, 1)
         protocol = AgreementProtocol(algorithm, byzantine=(), attack=None)
         inputs = rng.normal(size=(6, 3))
         result = protocol.run(inputs, rounds=2)
@@ -63,7 +72,7 @@ class TestAgreementProtocol:
 
     def test_crash_attack_tolerated(self, rng):
         n, t = 7, 2
-        algorithm = HyperboxGeometricMedianAgreement(n, t)
+        algorithm = make_algorithm("box-geom", n, t)
         protocol = AgreementProtocol(algorithm, byzantine=(5, 6), attack=CrashAttack())
         inputs = rng.normal(size=(n - 2, 4))
         result = protocol.run(inputs, rounds=3)
@@ -71,7 +80,7 @@ class TestAgreementProtocol:
 
     def test_sign_flip_attack_converges_and_stays_in_honest_box(self, rng):
         n, t = 10, 1
-        algorithm = HyperboxGeometricMedianAgreement(n, t)
+        algorithm = make_algorithm("box-geom", n, t)
         protocol = AgreementProtocol(algorithm, byzantine=(9,), attack=SignFlipAttack())
         inputs = rng.normal(size=(n - 1, 5))
         result = protocol.run(inputs, rounds=4)
@@ -81,43 +90,43 @@ class TestAgreementProtocol:
         assert np.all(final <= inputs.max(axis=0) + 1e-9)
 
     def test_too_many_byzantine_rejected(self):
-        algorithm = HyperboxMeanAgreement(10, 1)
+        algorithm = make_algorithm("box-mean", 10, 1)
         with pytest.raises(ValueError):
             AgreementProtocol(algorithm, byzantine=(8, 9), attack=SignFlipAttack())
 
     def test_byzantine_id_out_of_range(self):
-        algorithm = HyperboxMeanAgreement(10, 2)
+        algorithm = make_algorithm("box-mean", 10, 2)
         with pytest.raises(ValueError):
             AgreementProtocol(algorithm, byzantine=(10,), attack=None)
 
     def test_dict_inputs(self, rng):
-        algorithm = TrimmedMeanAgreement(5, 1)
+        algorithm = make_algorithm("trimmed-mean", 5, 1)
         protocol = AgreementProtocol(algorithm, byzantine=(4,), attack=CrashAttack())
         inputs = {i: rng.normal(size=3) for i in range(4)}
         result = protocol.run(inputs, rounds=2)
         assert set(result.final_vectors()) == {0, 1, 2, 3}
 
     def test_missing_dict_input_rejected(self, rng):
-        algorithm = TrimmedMeanAgreement(5, 1)
+        algorithm = make_algorithm("trimmed-mean", 5, 1)
         protocol = AgreementProtocol(algorithm, byzantine=(4,), attack=None)
         with pytest.raises(ValueError):
             protocol.run({0: np.zeros(2)}, rounds=1)
 
     def test_matrix_input_row_count_mismatch(self, rng):
-        algorithm = TrimmedMeanAgreement(5, 1)
+        algorithm = make_algorithm("trimmed-mean", 5, 1)
         protocol = AgreementProtocol(algorithm, byzantine=(4,), attack=None)
         with pytest.raises(ValueError):
             protocol.run(rng.normal(size=(5, 2)), rounds=1)
 
     def test_zero_rounds_returns_inputs(self, rng):
-        algorithm = TrimmedMeanAgreement(4, 1)
+        algorithm = make_algorithm("trimmed-mean", 4, 1)
         protocol = AgreementProtocol(algorithm, byzantine=(), attack=None)
         inputs = rng.normal(size=(4, 2))
         result = protocol.run(inputs, rounds=0)
         np.testing.assert_allclose(result.final_matrix(), inputs)
 
     def test_negative_rounds_rejected(self, rng):
-        algorithm = TrimmedMeanAgreement(4, 1)
+        algorithm = make_algorithm("trimmed-mean", 4, 1)
         protocol = AgreementProtocol(algorithm, byzantine=(), attack=None)
         with pytest.raises(ValueError):
             protocol.run(rng.normal(size=(4, 2)), rounds=-1)

@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.krum import Krum, krum_scores
-from repro.agreement.algorithms import (
-    HyperboxGeometricMedianAgreement,
-    HyperboxMeanAgreement,
-)
-from repro.agreement.base import AgreementProtocol
-from repro.agreement.safe_area import SafeAreaAgreement
+from repro.agreement.base import AgreementProtocol, make_algorithm
 from repro.byzantine.registry import make_attack
 from repro.linalg.distances import max_coordinate_spread
 
@@ -35,7 +30,7 @@ def honest_inputs(seed: int, count: int, d: int) -> np.ndarray:
 class TestDiameterContraction:
     def test_safe_area_diameter_non_increasing_under_crash(self):
         n, t, d = 7, 2, 2
-        algorithm = SafeAreaAgreement(n, t, grid_resolution=2)
+        algorithm = make_algorithm("safe-area", n, t, grid_resolution=2)
         protocol = AgreementProtocol(algorithm, byzantine=(5, 6), attack=None)
         result = protocol.run(honest_inputs(0, n - t, d), rounds=4)
         trace = result.diameter_trace()
@@ -45,23 +40,21 @@ class TestDiameterContraction:
 
     def test_safe_area_diameter_non_increasing_one_dimension(self):
         n, t, d = 7, 2, 1
-        algorithm = SafeAreaAgreement(n, t)
+        algorithm = make_algorithm("safe-area", n, t)
         protocol = AgreementProtocol(algorithm, byzantine=(6,), attack=None)
         result = protocol.run(honest_inputs(1, n - 1, d), rounds=5)
         trace = result.diameter_trace()
         for before, after in zip(trace, trace[1:]):
             assert after <= before + 1e-9, f"diameter grew: {trace}"
 
-    @pytest.mark.parametrize(
-        "algorithm_cls", (HyperboxMeanAgreement, HyperboxGeometricMedianAgreement)
-    )
-    def test_hyperbox_spread_non_increasing_under_sign_flip(self, algorithm_cls):
+    @pytest.mark.parametrize("name", ("box-mean", "box-geom"))
+    def test_hyperbox_spread_non_increasing_under_sign_flip(self, name):
         """Every hyperbox update lands inside the locally trusted box,
         which lies inside the honest per-coordinate range — so the
         honest coordinate spread (``E_max``) cannot grow, even against
         the paper's sign-flip adversary."""
         n, t, d = 7, 2, 3
-        algorithm = algorithm_cls(n, t)
+        algorithm = make_algorithm(name, n, t)
         protocol = AgreementProtocol(
             algorithm, byzantine=(5, 6), attack=make_attack("sign-flip"), seed=3
         )

@@ -23,11 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.agreement.algorithms import (
-    HyperboxGeometricMedianAgreement,
-    HyperboxMeanAgreement,
-)
-from repro.agreement.base import AgreementProtocol
+from repro.agreement.base import AgreementProtocol, make_algorithm
 from repro.byzantine.sign_flip import SignFlipAttack
 from repro.cli import main as cli_main
 from repro.engine import LossyScheduler
@@ -95,7 +91,7 @@ class TestPinnedFixtures:
     def test_agreement_trace_bitwise(self, fixture_payload):
         reference = fixture_payload["agreement"]
         rng = np.random.default_rng(reference["inputs_seed"])
-        algorithm = HyperboxGeometricMedianAgreement(7, 1)
+        algorithm = make_algorithm("box-geom", 7, 1)
         protocol = AgreementProtocol(
             algorithm, byzantine=(6,), attack=SignFlipAttack(), seed=7
         )
@@ -127,7 +123,7 @@ class TestAsynchronousEndToEnd:
         from repro.engine import AsynchronousScheduler
 
         n, t = 7, 2
-        algorithm = HyperboxMeanAgreement(n, t)
+        algorithm = make_algorithm("box-mean", n, t)
         engine = AsynchronousScheduler(
             n, byzantine=[6], timeout_rounds=2.0, burstiness=0.3, seed=4
         )
@@ -163,7 +159,7 @@ class TestAsynchronousEndToEnd:
         engine = _make_engine(config, config.num_clients, (5,))
         assert engine.wait.count == 3  # the config-pinned count arrived
         # A consumer's quorum default must not clobber the pinned count.
-        algorithm = HyperboxMeanAgreement(config.num_clients, 1)
+        algorithm = make_algorithm("box-mean", config.num_clients, 1)
         AgreementProtocol(algorithm, byzantine=(5,), engine=engine)
         assert engine.wait.count == 3 and engine.wait.quorum
         history = run_experiment(config)
@@ -268,7 +264,7 @@ class TestCrashQuorumInteraction:
 
     def test_protocol_survives_crash_window_with_starve_policy(self):
         n, t = 7, 2
-        algorithm = HyperboxMeanAgreement(n, t)
+        algorithm = make_algorithm("box-mean", n, t)
         engine = LossyScheduler(n, byzantine=[6], crash_schedule=[(0, 0, 2)], seed=3)
         protocol = AgreementProtocol(algorithm, byzantine=(6,), engine=engine)
         inputs = np.random.default_rng(5).normal(size=(n - 1, 3))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.registry import make_rule
-from repro.agreement.registry import make_algorithm
+from repro.agreement.base import make_algorithm
 from repro.learning.centralized import CentralizedTrainer
 from repro.learning.decentralized import DecentralizedTrainer, default_subround_schedule
 from repro.learning.experiment import (
@@ -219,3 +219,24 @@ class TestRunExperimentDispatch:
             run_centralized_experiment(small_config(setting="decentralized"))
         with pytest.raises(ValueError):
             run_decentralized_experiment(small_config(setting="centralized"))
+
+    @pytest.mark.parametrize("setting", ["centralized", "decentralized"])
+    def test_one_rule_vocabulary_in_both_settings(self, setting):
+        # One registry and one kwargs vocabulary: the rule's own
+        # constructor arguments work in both settings, nothing else does,
+        # and every rule name runs in both.
+        history = run_experiment(
+            small_config(setting=setting, rounds=1, aggregation_kwargs={"max_iter": 50})
+        )
+        assert len(history.records) == 1
+        with pytest.raises(TypeError):
+            run_experiment(
+                small_config(
+                    setting=setting, rounds=1, aggregation_kwargs={"weiszfeld_max_iter": 50}
+                )
+            )
+        history = run_experiment(
+            small_config(setting=setting, aggregation="krum", num_clients=7, rounds=1)
+        )
+        assert history.aggregation == "krum"
+        assert len(history.records) == 1

@@ -34,7 +34,9 @@ from repro.linalg.subset_kernels import (
 )
 
 N, T = 10, 2
-RULES = available_rules()
+# Safe-area needs t < n / max(3, d + 1), so it raises at these d > n
+# (Theorem 4.1); it reads no subset kernel, so it has nothing to dedup.
+RULES = [name for name in available_rules() if name != "safe-area"]
 
 
 def structured_stack(seed: int, *, n: int = N, t: int = T, d: int = 24,

@@ -6,7 +6,9 @@ The contract of :mod:`repro.linalg.subset_kernels`:
   per-tuple scalar loops,
 - subset **geometric medians** match the scalar Weiszfeld solves within
   a tolerance of order ``tol``,
-- ``chunk_size`` never changes values, only peak memory,
+- chunking never changes values, only peak memory (the chunk size
+  comes from the :data:`DEFAULT_CHUNK_ELEMENTS` budget, which the tests
+  shrink to force small chunks),
 - the :class:`~repro.aggregation.context.AggregationContext` subset
   caches serve the exact same arrays to every consumer in a round.
 """
@@ -23,6 +25,9 @@ from repro.aggregation.context import (
     reset_cache_stats,
     subset_cache_hit_rate,
 )
+from repro.aggregation.hyperbox_rules import HyperboxGeometricMedian, HyperboxMean
+from repro.aggregation.mda import MinimumDiameterGeometricMedian, MinimumDiameterMean
+from repro.linalg import subset_kernels
 from repro.linalg.backends import KernelBackend
 from repro.linalg.distances import pairwise_distances
 from repro.linalg.geometric_median import (
@@ -30,6 +35,7 @@ from repro.linalg.geometric_median import (
     geometric_median,
 )
 from repro.linalg.subset_kernels import (
+    DEFAULT_CHUNK_ELEMENTS,
     resolve_chunk_size,
     subset_diameters,
     subset_geometric_medians,
@@ -39,6 +45,14 @@ from repro.linalg.subset_kernels import (
     validate_subset_indices,
 )
 from repro.linalg.subsets import subset_family
+
+
+def set_chunk(monkeypatch, chunk, per_subset_elements, total):
+    """Shrink the element budget so the kernels walk ``chunk`` subsets at a time."""
+    monkeypatch.setattr(
+        subset_kernels, "DEFAULT_CHUNK_ELEMENTS", chunk * per_subset_elements
+    )
+    assert resolve_chunk_size(per_subset_elements, total) == min(chunk, total)
 
 
 def looped_means(mat, size):
@@ -127,20 +141,10 @@ class TestSubsetIndexMatrix:
 
 
 class TestResolveChunkSize:
-    def test_explicit_clamped_to_total(self):
-        assert resolve_chunk_size(100, 10, 7) == 7
-        assert resolve_chunk_size(3, 10, 7) == 3
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            resolve_chunk_size(0, 10, 7)
-
     def test_auto_respects_budget(self):
-        from repro.linalg.subset_kernels import DEFAULT_CHUNK_ELEMENTS
-
-        chunk = resolve_chunk_size(None, DEFAULT_CHUNK_ELEMENTS // 2, 100)
-        assert chunk == 2
-        assert resolve_chunk_size(None, 10 * DEFAULT_CHUNK_ELEMENTS, 100) == 1
+        assert resolve_chunk_size(DEFAULT_CHUNK_ELEMENTS // 2, 100) == 2
+        assert resolve_chunk_size(10 * DEFAULT_CHUNK_ELEMENTS, 100) == 1
+        assert resolve_chunk_size(1, 7) == 7  # clamped to the family size
 
 
 class TestBatchedMeans:
@@ -160,12 +164,11 @@ class TestBatchedMeans:
             )
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
-    def test_chunking_never_changes_values(self, gaussian_cloud, chunk):
+    def test_chunking_never_changes_values(self, gaussian_cloud, chunk, monkeypatch):
         idx = subset_index_matrix(10, 6)
         reference = subset_means(gaussian_cloud, idx)
-        assert np.array_equal(
-            subset_means(gaussian_cloud, idx, chunk_size=chunk), reference
-        )
+        set_chunk(monkeypatch, chunk, 6 * 5, idx.shape[0])
+        assert np.array_equal(subset_means(gaussian_cloud, idx), reference)
 
 
 class TestBatchedDiameters:
@@ -180,13 +183,12 @@ class TestBatchedDiameters:
             assert np.array_equal(batched, looped_diameters(dist, size))
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
-    def test_chunking_never_changes_values(self, gaussian_cloud, chunk):
+    def test_chunking_never_changes_values(self, gaussian_cloud, chunk, monkeypatch):
         dist = pairwise_distances(gaussian_cloud)
         idx = subset_index_matrix(10, 7)
         reference = subset_diameters(dist, idx)
-        assert np.array_equal(
-            subset_diameters(dist, idx, chunk_size=chunk), reference
-        )
+        set_chunk(monkeypatch, chunk, 7 * 7, idx.shape[0])
+        assert np.array_equal(subset_diameters(dist, idx), reference)
 
     def test_rejects_non_square_dist(self, gaussian_cloud):
         with pytest.raises(ValueError):
@@ -229,11 +231,11 @@ class TestBatchedGeometricMedians:
         np.testing.assert_allclose(with_dist, without, atol=1e-9)
 
     @pytest.mark.parametrize("chunk", [1, 4, 17, 1000])
-    def test_chunking_never_changes_values(self, gaussian_cloud, chunk):
+    def test_chunking_never_changes_values(self, gaussian_cloud, chunk, monkeypatch):
         idx = subset_index_matrix(10, 6)
         reference = subset_geometric_medians(gaussian_cloud, idx)
-        chunked = subset_geometric_medians(gaussian_cloud, idx, chunk_size=chunk)
-        assert np.array_equal(chunked, reference)
+        set_chunk(monkeypatch, chunk, 6 * 6, idx.shape[0])
+        assert np.array_equal(subset_geometric_medians(gaussian_cloud, idx), reference)
 
     def test_rejects_bad_dist_shape(self, gaussian_cloud):
         idx = subset_index_matrix(10, 3)
@@ -386,7 +388,6 @@ class TestRuleLevelEquivalence:
         return np.vstack([honest, byz])
 
     def test_box_mean_exact_vs_looped_reference(self, rng):
-        from repro.aggregation.hyperbox_rules import HyperboxMean
         from repro.linalg.hyperbox import bounding_hyperbox
 
         received = self._received(rng)
@@ -400,7 +401,6 @@ class TestRuleLevelEquivalence:
         assert np.array_equal(out, reference.midpoint())
 
     def test_box_geom_matches_looped_reference_within_tol(self, rng):
-        from repro.aggregation.hyperbox_rules import HyperboxGeometricMedian
         from repro.linalg.hyperbox import bounding_hyperbox
 
         received = self._received(rng)
@@ -413,10 +413,6 @@ class TestRuleLevelEquivalence:
         np.testing.assert_allclose(out, reference.midpoint(), atol=1e-7)
 
     def test_md_rules_select_brute_force_subset(self, rng):
-        from repro.aggregation.mda import (
-            MinimumDiameterGeometricMedian,
-            MinimumDiameterMean,
-        )
         from repro.linalg.distances import diameter
 
         received = self._received(rng)
@@ -435,36 +431,48 @@ class TestRuleLevelEquivalence:
             assert diam == pytest.approx(diameter(received[list(brute)]))
 
     def test_md_mean_output_exact(self, rng):
-        from repro.aggregation.mda import MinimumDiameterMean
-
         received = self._received(rng)
         rule = MinimumDiameterMean(n=10, t=2)
         out = rule.aggregate(received)
         idx, _ = rule.minimum_diameter_set(received)
         assert np.array_equal(out, received[list(idx)].mean(axis=0))
 
-    def test_chunked_rules_match_unchunked(self, rng):
-        from repro.aggregation.hyperbox_rules import HyperboxGeometricMedian
-        from repro.aggregation.mda import MinimumDiameterMean
-
+    def test_chunked_rules_match_unchunked(self, rng, monkeypatch):
         received = self._received(rng)
-        box = HyperboxGeometricMedian(n=10, t=2)
-        box_chunked = HyperboxGeometricMedian(n=10, t=2, chunk_size=3)
-        assert np.array_equal(box.aggregate(received), box_chunked.aggregate(received))
-        md = MinimumDiameterMean(n=10, t=2)
-        md_chunked = MinimumDiameterMean(n=10, t=2, chunk_size=5)
-        assert np.array_equal(md.aggregate(received), md_chunked.aggregate(received))
+        box, md = HyperboxGeometricMedian(n=10, t=2), MinimumDiameterMean(n=10, t=2)
+        box_reference, md_reference = box.aggregate(received), md.aggregate(received)
+        set_chunk(monkeypatch, 3, 8 * 8, comb(10, 8))  # medians: s * max(s, d)
+        assert np.array_equal(box.aggregate(received), box_reference)
+        set_chunk(monkeypatch, 5, 8 * 8, comb(10, 8))  # diameters: s * s
+        assert np.array_equal(md.aggregate(received), md_reference)
 
-    def test_aggregate_hyperbox_rejects_mismatched_context(self, rng):
-        from repro.aggregation.hyperbox_rules import HyperboxMean
-
+    @pytest.mark.parametrize(
+        "rule, methods",
+        [
+            pytest.param(
+                HyperboxMean(n=10, t=2),
+                ("aggregate_hyperbox", "decision_hyperbox"),
+                id="box-mean",
+            ),
+            *[
+                pytest.param(
+                    cls(n=10, t=2, tie_break=tie_break),
+                    ("minimum_diameter_set",),
+                    id=f"{cls.name}-{tie_break}",
+                )
+                for cls in (MinimumDiameterMean, MinimumDiameterGeometricMedian)
+                for tie_break in ("first", "adversarial")
+            ],
+        ],
+    )
+    def test_aggregate_hyperbox_rejects_mismatched_context(self, rng, rule, methods):
+        # A context is a cache over one stack; handing a rule another
+        # stack's context must fail instead of reading indices past the end.
         received = self._received(rng)
         other = rng.normal(size=(6, 4))
-        rule = HyperboxMean(n=10, t=2)
-        with pytest.raises(ValueError):
-            rule.aggregate_hyperbox(other, context=AggregationContext(received))
-        with pytest.raises(ValueError):
-            rule.decision_hyperbox(other, context=AggregationContext(received))
+        for method in ("aggregate",) + methods:
+            with pytest.raises(ValueError, match="context wraps a"):
+                getattr(rule, method)(other, context=AggregationContext(received))
 
     def test_sampled_family_respects_row_contract(self, rng):
         received = self._received(rng)

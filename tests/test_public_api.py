@@ -52,7 +52,7 @@ class TestCoreReExports:
 
     def test_core_agreement_flow(self):
         rng = np.random.default_rng(1)
-        algorithm = core.HyperboxGeometricMedianAgreement(7, 1)
+        algorithm = core.make_algorithm("box-geom", 7, 1)
         protocol = core.AgreementProtocol(algorithm, byzantine=(6,), attack=None)
         result = protocol.run(rng.normal(size=(6, 3)), rounds=3)
         assert isinstance(result, core.AgreementResult)

@@ -198,7 +198,7 @@ class TestScenarioGrid:
 
     def test_validate_catches_unknown_names_early(self):
         grid = ScenarioGrid(tiny_config(), {"aggregation": ["mean", "bogus-rule"]})
-        with pytest.raises(ValueError, match="unknown centralized aggregation 'bogus-rule'"):
+        with pytest.raises(ValueError, match="unknown aggregation 'bogus-rule'"):
             grid.validate()
         grid = ScenarioGrid(tiny_config(), {"attack": ["sign-flip", "bogus-attack"]})
         with pytest.raises(ValueError, match="unknown attack 'bogus-attack'"):
