@@ -2,12 +2,13 @@
 
 Not a figure of the paper; the acceptance benchmark for the batched
 subset-kernel layer (:mod:`repro.linalg.subset_kernels`).  For each
-``(n, t, d)`` case it times the pre-batching per-tuple path (one scalar
-Weiszfeld solve / diameter gather per subset, exactly what
-``subset_aggregates`` and the old ``minimum_diameter_subset`` did)
+``(n, t, d)`` case it times the per-tuple path (one
+``weiszfeld_reference`` solve, mean or diameter gather per subset)
 against the batched kernels, over the exhaustive ``C(n, n - t)``
 family, and checks the numerical equivalence contract along the way
 (bitwise for means/diameters, Weiszfeld-tolerance for medians).
+``weiszfeld_reference`` is the unbatched form of the one Weiszfeld
+loop; the tests hold ``geometric_median`` to it.
 
 The headline case — ``n=16, t=4, d=64``, 1820 subsets — must show at
 least a **5x** speedup for the geometric-median aggregation; the module
@@ -45,7 +46,7 @@ except ImportError:  # pragma: no cover - direct script execution
     from _harness import build_info, print_report, scaled
 
 from repro.linalg.distances import pairwise_distances
-from repro.linalg.geometric_median import geometric_median
+from repro.linalg.geometric_median import weiszfeld_reference
 from repro.linalg.sparsity import dedup_subsets, detect_structure
 from repro.linalg.subset_kernels import (
     subset_diameters,
@@ -88,7 +89,7 @@ def measure_case(n: int, t: int, d: int, *, seed: int = 0) -> Dict[str, object]:
     # -- geometric medians (the expensive aggregation) -----------------------
     start = time.perf_counter()
     looped_gm = np.stack(
-        [geometric_median(mat[rows], tol=TOL, max_iter=MAX_ITER) for rows in tuples]
+        [weiszfeld_reference(mat[rows], tol=TOL, max_iter=MAX_ITER) for rows in tuples]
     )
     looped_gm_s = time.perf_counter() - start
     start = time.perf_counter()

@@ -124,7 +124,7 @@ class AggregationContext:
         self._subset_indices: Dict[int, np.ndarray] = {}
         self._subset_diameters: Dict[int, np.ndarray] = {}
         self._subset_means: Dict[int, np.ndarray] = {}
-        self._subset_medians: Dict[Tuple[int, float, int, float], np.ndarray] = {}
+        self._subset_medians: Dict[Tuple[int, float, int], np.ndarray] = {}
 
     @property
     def num_vectors(self) -> int:
@@ -238,20 +238,15 @@ class AggregationContext:
         return cached
 
     def subset_geometric_medians(
-        self,
-        subset_size: int,
-        *,
-        tol: float = 1e-8,
-        max_iter: int = 200,
-        eps: float = 1e-12,
+        self, subset_size: int, *, tol: float = 1e-8, max_iter: int = 200
     ) -> np.ndarray:
         """Geometric medians of every exhaustive subset (memoised).
 
-        Cached per ``(subset_size, tol, max_iter, eps)`` so rules with
+        Cached per ``(subset_size, tol, max_iter)`` so rules with
         different solver settings never share results.
         """
         size = self._check_subset_size(subset_size)
-        key = (size, float(tol), int(max_iter), float(eps))
+        key = (size, float(tol), int(max_iter))
         cached = self._subset_medians.get(key)
         if cached is None:
             from repro.linalg.subset_kernels import subset_geometric_medians
@@ -262,7 +257,6 @@ class AggregationContext:
                 self.subset_indices(size),
                 tol=tol,
                 max_iter=max_iter,
-                eps=eps,
                 dist=self.distances,
                 profile=self.profile,
             )

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.aggregation.base import AggregationRule
 from repro.aggregation.context import AggregationContext
-from repro.linalg.geometric_median import geometric_median
+from repro.linalg.geometric_median import check_solver_settings, geometric_median
 
 
 class GeometricMedian(AggregationRule):
@@ -23,13 +23,6 @@ class GeometricMedian(AggregationRule):
     ----------
     tol, max_iter:
         Forwarded to :func:`repro.linalg.geometric_median.geometric_median`.
-
-    Notes
-    -----
-    The rule hands the context's shared pairwise-distance matrix to the
-    solver's vertex-snap step, turning its per-input cost loop into one
-    matrix-vector product (and sharing the GEMM with any other
-    distance-based rule evaluated in the same round).
     """
 
     name = "geomedian"
@@ -43,14 +36,9 @@ class GeometricMedian(AggregationRule):
         max_iter: int = 200,
     ) -> None:
         super().__init__(n=n, t=t)
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        if max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_solver_settings(tol, max_iter)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
 
     def _aggregate(self, vectors: np.ndarray, context: AggregationContext) -> np.ndarray:
-        return geometric_median(
-            vectors, tol=self.tol, max_iter=self.max_iter, dist=context.distances
-        )
+        return geometric_median(vectors, tol=self.tol, max_iter=self.max_iter)

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.aggregation.base import AggregationRule, check_context
 from repro.aggregation.context import AggregationContext
+from repro.linalg.geometric_median import check_solver_settings
 from repro.linalg.hyperbox import Hyperbox, bounding_hyperbox, trimmed_hyperbox
 from repro.linalg.subset_kernels import subset_geometric_medians, subset_means
 from repro.linalg.subsets import subset_count, subset_family
@@ -164,6 +165,7 @@ class HyperboxGeometricMedian(_HyperboxRuleBase):
         max_iter: int = 100,
     ) -> None:
         super().__init__(n=n, t=t, max_subsets=max_subsets, rng=rng)
+        check_solver_settings(tol, max_iter)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
 

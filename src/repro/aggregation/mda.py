@@ -20,6 +20,9 @@ exhaustive case the index matrix and the diameters come from the shared
 per-round :class:`~repro.aggregation.context.AggregationContext` cache,
 so MD-MEAN and MD-GEOM evaluated on the same received stack (or the
 adversarial tie-break re-scanning the same family) pay for them once.
+The selected subset is aggregated once, and the adversarial tie-break
+aggregates its whole tied family in one batched call; MD-GEOM's medians
+run through :func:`repro.linalg.subset_kernels.subset_geometric_medians`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import numpy as np
 
 from repro.aggregation.base import AggregationRule, check_context
 from repro.aggregation.context import AggregationContext
-from repro.linalg.geometric_median import geometric_median
+from repro.linalg.geometric_median import check_solver_settings
+from repro.linalg.subset_kernels import subset_geometric_medians, subsets_as_matrix
 from repro.linalg.subsets import (
     minimum_diameter_subset,
     minimum_diameter_subsets,
@@ -76,7 +80,8 @@ class _MinimumDiameterBase(AggregationRule):
         self.tie_break = tie_break
         self._rng = rng
 
-    def _subset_aggregate(self, rows: np.ndarray) -> np.ndarray:
+    def _subset_aggregates(self, vectors: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """``(S, d)`` aggregates of the subsets in an ``(S, s)`` index matrix."""
         raise NotImplementedError
 
     def _exhaustive(self, m: int, size: int) -> bool:
@@ -92,22 +97,32 @@ class _MinimumDiameterBase(AggregationRule):
 
         A given ``context`` must wrap the same stack as ``vectors``.
         """
+        idx, diam, _ = self._select(vectors, context)
+        return idx, diam
+
+    def _select(
+        self, vectors: np.ndarray, context: Optional[AggregationContext]
+    ) -> Tuple[Tuple[int, ...], float, Optional[np.ndarray]]:
+        """The selected subset, its diameter and, when the adversarial
+        tie-break already computed it, its aggregate (else ``None``)."""
         if context is not None:
             check_context(vectors, context)
         size = self.honest_subset_size(vectors.shape[0])
         use_cache = context is not None and self._exhaustive(vectors.shape[0], size)
         if self.tie_break == "first":
             if use_cache:
-                return select_minimum_diameter(
+                idx, diam = select_minimum_diameter(
                     context.subset_indices(size), context.subset_diameters(size)
                 )
-            return minimum_diameter_subset(
-                vectors,
-                size,
-                max_subsets=self.max_subsets,
-                rng=self._rng,
-                dist=None if context is None else context.distances,
-            )
+            else:
+                idx, diam = minimum_diameter_subset(
+                    vectors,
+                    size,
+                    max_subsets=self.max_subsets,
+                    rng=self._rng,
+                    dist=None if context is None else context.distances,
+                )
+            return idx, diam, None
         if use_cache:
             tied, diam = select_minimum_diameter_ties(
                 context.subset_indices(size), context.subset_diameters(size)
@@ -120,20 +135,22 @@ class _MinimumDiameterBase(AggregationRule):
                 rng=self._rng,
                 dist=None if context is None else context.distances,
             )
+        aggregates = self._subset_aggregates(vectors, subsets_as_matrix(tied))
         reference = vectors.mean(axis=0)
-        best_idx = tied[0]
+        best = 0
         best_dist = -1.0
-        for idx in tied:
-            aggregate = self._subset_aggregate(vectors[list(idx)])
+        for row, aggregate in enumerate(aggregates):
             dist = float(np.linalg.norm(aggregate - reference))
             if dist > best_dist + 1e-15:
                 best_dist = dist
-                best_idx = idx
-        return best_idx, diam
+                best = row
+        return tied[best], diam, aggregates[best]
 
     def _aggregate(self, vectors: np.ndarray, context: AggregationContext) -> np.ndarray:
-        idx, _ = self.minimum_diameter_set(vectors, context=context)
-        return self._subset_aggregate(vectors[list(idx)])
+        idx, _, aggregate = self._select(vectors, context)
+        if aggregate is None:
+            aggregate = self._subset_aggregates(vectors, np.array([idx]))[0]
+        return aggregate
 
 
 class MinimumDiameterMean(_MinimumDiameterBase):
@@ -141,8 +158,8 @@ class MinimumDiameterMean(_MinimumDiameterBase):
 
     name = "md-mean"
 
-    def _subset_aggregate(self, rows: np.ndarray) -> np.ndarray:
-        return rows.mean(axis=0)
+    def _subset_aggregates(self, vectors: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        return vectors[indices].mean(axis=1)
 
 
 class MinimumDiameterGeometricMedian(_MinimumDiameterBase):
@@ -164,8 +181,13 @@ class MinimumDiameterGeometricMedian(_MinimumDiameterBase):
         super().__init__(
             n=n, t=t, max_subsets=max_subsets, rng=rng, tie_break=tie_break
         )
+        check_solver_settings(tol, max_iter)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
 
-    def _subset_aggregate(self, rows: np.ndarray) -> np.ndarray:
-        return geometric_median(rows, tol=self.tol, max_iter=self.max_iter)
+    def _subset_aggregates(self, vectors: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        # No context distances: the snap centres each block on the final
+        # iterate, which stays accurate on near-identical rows.
+        return subset_geometric_medians(
+            vectors, indices, tol=self.tol, max_iter=self.max_iter
+        )

@@ -4,8 +4,8 @@ This package contains every geometric primitive the agreement and
 aggregation layers build on:
 
 - :mod:`repro.linalg.distances` — pairwise distance / diameter helpers.
-- :mod:`repro.linalg.geometric_median` — the Weiszfeld algorithm and the
-  exact one-dimensional median, plus the medoid.
+- :mod:`repro.linalg.geometric_median` — the Weiszfeld algorithm (one
+  batched solver and its single-stack front) and the medoid.
 - :mod:`repro.linalg.hyperbox` — axis-parallel hyperbox algebra
   (bounding boxes, intersections, midpoints, maximum edge length).
 - :mod:`repro.linalg.covering_ball` — minimum enclosing ball (exact
@@ -20,7 +20,7 @@ aggregation layers build on:
 - :mod:`repro.linalg.sparsity` — byte-level duplicate-row detection
   and the exact subset dedup it drives in the subset kernels.
 - :mod:`repro.linalg.backends` — :class:`KernelBackend`, the float64
-  Weiszfeld loop behind the batched geometric median.
+  Weiszfeld loop behind every geometric median.
 
 Every kernel computes in float64.
 """
@@ -35,7 +35,6 @@ from repro.linalg.distances import (
 )
 from repro.linalg.geometric_median import (
     BatchedWeiszfeldResult,
-    WeiszfeldResult,
     batched_geometric_median,
     geometric_median,
     geometric_median_cost,
@@ -57,7 +56,6 @@ from repro.linalg.subsets import (
     enumerate_subsets,
     minimum_diameter_subset,
     sample_subsets,
-    subset_aggregates,
     subset_count,
     subset_family,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "Hyperbox",
     "KernelBackend",
     "SparsityProfile",
-    "WeiszfeldResult",
     "batched_geometric_median",
     "bounding_hyperbox",
     "dedup_subsets",
@@ -89,7 +86,6 @@ __all__ = [
     "ritter_ball",
     "safe_area_vertices",
     "sample_subsets",
-    "subset_aggregates",
     "subset_count",
     "subset_diameters",
     "subset_family",

@@ -1,10 +1,10 @@
-"""The Weiszfeld loop behind the batched geometric-median kernels.
+"""The one Weiszfeld loop.
 
 :meth:`KernelBackend.weiszfeld_loop` is the one float64 implementation
-of the smoothed Weiszfeld fixed point over ``S`` point sets; every
-pinned fixture holds its results bit for bit.
-:func:`repro.linalg.geometric_median.batched_geometric_median` prepares
-its inputs and applies the vertex-snap repair around it.
+of the smoothed Weiszfeld fixed point; every geometric median in the
+package runs through it, and every pinned fixture holds its results bit
+for bit.  :func:`repro.linalg.geometric_median.batched_geometric_median`
+prepares its inputs and applies the vertex-snap repair around it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,11 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+#: Floor on the distances the update divides by: an iterate that
+#: coincides with an input point still gives it a bounded weight (the
+#: standard smoothed-Weiszfeld fix; see Pillutla et al. 2022).
+WEISZFELD_EPS = 1e-12
 
 
 class KernelBackend:
@@ -26,19 +31,17 @@ class KernelBackend:
     def weiszfeld_loop(
         self,
         pts: np.ndarray,
-        w: np.ndarray,
         current: np.ndarray,
         *,
         tol: float,
         max_iter: int,
-        eps: float,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run the smoothed Weiszfeld fixed point over ``S`` point sets.
 
-        Parameters are the pre-validated ``(S, s, d)`` float64 tensor,
-        ``(S, s)`` float64 weights and ``(S, d)`` float64 warm starts.
-        Returns ``(points, iterations, converged)``; ``current`` may be
-        consumed destructively.
+        Parameters are the pre-validated ``(S, s, d)`` float64 tensor
+        and ``(S, d)`` float64 warm starts.  Returns ``(points,
+        iterations, converged)``; ``current`` may be consumed
+        destructively.
         """
         num_sets = pts.shape[0]
         converged = np.zeros(num_sets, dtype=bool)
@@ -49,12 +52,11 @@ class KernelBackend:
         # (A, s, d) gather.
         active = np.arange(num_sets)
         sub = pts
-        w_act = w
         cur = current
         for _ in range(max_iter):
             diffs = sub - cur[:, None, :]
             dists = np.sqrt(np.einsum("asd,asd->as", diffs, diffs))
-            inv = w_act / np.maximum(dists, eps)
+            inv = 1.0 / np.maximum(dists, WEISZFELD_EPS)
             new_points = np.einsum("as,asd->ad", inv, sub) / inv.sum(axis=1)[:, None]
             move = np.linalg.norm(new_points - cur, axis=1)
             cur = new_points
@@ -69,7 +71,6 @@ class KernelBackend:
                 if active.size == 0:
                     break
                 sub = sub[keep]
-                w_act = w_act[keep]
                 cur = cur[keep]
         if active.size:
             current[active] = cur

@@ -4,7 +4,7 @@ The subset-quantified rules (BOX-MEAN / BOX-GEOM, MD-MEAN / MD-GEOM,
 ``S_geo``) all evaluate one small computation — a mean, a geometric
 median, a diameter — on every subset of a family of ``C(m, n - t)``
 index tuples.  Evaluating them one tuple at a time costs O(S) Python
-round-trips through the scalar solvers; this module restructures the
+round-trips through per-subset solves; this module restructures the
 work into a handful of BLAS-shaped array kernels instead:
 
 - a subset family is a single ``(S, s)`` int64 **index matrix**
@@ -216,7 +216,6 @@ def subset_geometric_medians(
     *,
     tol: float = 1e-8,
     max_iter: int = 200,
-    eps: float = 1e-12,
     dist: Optional[np.ndarray] = None,
     profile: Optional[SparsityProfile] = None,
 ) -> np.ndarray:
@@ -228,14 +227,14 @@ def subset_geometric_medians(
         ``(m, d)`` stack of received vectors.
     indices:
         ``(S, s)`` subset index matrix.
-    tol, max_iter, eps:
-        Forwarded to the batched Weiszfeld iteration; identical meaning
-        to the scalar :func:`repro.linalg.geometric_median.geometric_median`.
+    tol, max_iter:
+        Forwarded to
+        :func:`repro.linalg.geometric_median.batched_geometric_median`.
     dist:
         Optional precomputed ``(m, m)`` pairwise distance matrix.  When
         given, the per-subset pairwise distances needed by the
-        vertex-snap step are a free gather instead of a batched GEMM.
-        Validated once here — the per-chunk gathers skip re-validation.
+        vertex-snap step are a free gather; otherwise each subset's
+        block is built from the differences to its final iterate.
     profile:
         Optional :class:`~repro.linalg.sparsity.SparsityProfile` of
         ``matrix``.  Pattern-duplicate subsets then run one Weiszfeld
@@ -244,9 +243,10 @@ def subset_geometric_medians(
 
     Returns
     -------
-    ``(S, d)`` float64 array, matching the scalar per-subset solve
-    within a tolerance of order ``tol`` (the two paths run the same
-    iteration but accumulate sums in different orders).
+    ``(S, d)`` float64 array, matching
+    :func:`repro.linalg.geometric_median.weiszfeld_reference` per subset
+    within a tolerance of order ``tol`` (the two run the same iteration
+    but accumulate sums in different orders).
     """
     from repro.linalg.geometric_median import batched_geometric_median
 
@@ -284,12 +284,7 @@ def subset_geometric_medians(
         if dist is not None:
             pairwise = dist[rows[:, :, None], rows[:, None, :]]
         out[start : start + chunk] = batched_geometric_median(
-            points,
-            tol=tol,
-            max_iter=max_iter,
-            eps=eps,
-            pairwise=pairwise,
-            validate_pairwise=False,
+            points, tol=tol, max_iter=max_iter, pairwise=pairwise
         )
     if plan is not None:
         out = out[plan[1]]

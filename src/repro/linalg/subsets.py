@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,7 +124,9 @@ def subset_family(
     Exhaustive (lexicographic) when ``max_subsets`` is ``None`` or at
     least ``C(m, subset_size)``; otherwise ``max_subsets`` uniformly
     sampled subsets, optionally anchored by the two norm-ordered
-    prefix/suffix subsets (see :func:`subset_aggregates`).
+    prefix/suffix subsets: ``max_subsets`` rows plus up to two anchors,
+    appended only when not already sampled.  Pass
+    ``include_full_range_extremes=False`` for a hard cap.
 
     This is the canonical representation consumed by the batched kernels
     in :mod:`repro.linalg.subset_kernels` and cached per round by
@@ -154,72 +156,6 @@ def subset_family(
         extra = [s for s in (prefix, suffix) if s not in set(subsets)]
         subsets = list(subsets) + extra
     return subsets_as_matrix(subsets, subset_size)
-
-
-def subset_aggregates(
-    vectors: np.ndarray,
-    subset_size: int,
-    aggregate: Callable[[np.ndarray], np.ndarray],
-    *,
-    max_subsets: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    include_full_range_extremes: bool = True,
-) -> np.ndarray:
-    """Apply ``aggregate`` to every (or a sample of) ``subset_size``-subsets.
-
-    This is the *generic* per-subset evaluation path (arbitrary Python
-    callable).  The mean and geometric-median families the aggregation
-    rules need are served by the batched kernels
-    (:func:`repro.linalg.subset_kernels.subset_means` /
-    :func:`~repro.linalg.subset_kernels.subset_geometric_medians`),
-    which are orders of magnitude faster at exhaustive subset counts.
-
-    Parameters
-    ----------
-    vectors:
-        ``(m, d)`` stack of received vectors.
-    subset_size:
-        Size of each subset (``n - t`` in the paper).
-    aggregate:
-        Function mapping an ``(s, d)`` matrix to a ``(d,)`` vector, e.g.
-        the geometric median or the mean.
-    max_subsets:
-        When given and smaller than the exhaustive count, only this many
-        uniformly sampled subsets are evaluated.
-    include_full_range_extremes:
-        When sampling, always include the two "sorted prefix" and
-        "sorted suffix" subsets per coordinate ordering used by the
-        hyperbox intersection proof (g_alpha / g_beta in Theorem 4.4),
-        which guarantees the sampled hyperbox still intersects the
-        trusted hyperbox.  Only applies when sampling is active.
-
-    Returns
-    -------
-    ``(num_subsets, d)`` array of aggregate vectors.
-
-    .. note:: **Row-count contract.**  ``num_subsets`` equals the
-       exhaustive count when sampling is inactive, and otherwise
-       ``max_subsets`` plus *up to 2 extra rows* for the anchored
-       prefix/suffix subsets when ``include_full_range_extremes`` is
-       true (they are appended only when not already sampled).  Callers
-       that need a hard cap must pass
-       ``include_full_range_extremes=False`` or budget for
-       ``max_subsets + 2`` rows.
-    """
-    mat = ensure_matrix(vectors, name="vectors")
-    indices = subset_family(
-        mat,
-        subset_size,
-        max_subsets=max_subsets,
-        rng=rng,
-        include_full_range_extremes=include_full_range_extremes,
-    )
-    out = np.empty((indices.shape[0], mat.shape[1]), dtype=np.float64)
-    for row in range(indices.shape[0]):
-        out[row] = np.asarray(
-            aggregate(mat[indices[row]]), dtype=np.float64
-        ).reshape(-1)
-    return out
 
 
 def _candidate_indices(

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, validation, logging, and timing.
+"""Shared utilities: RNG management, validation and logging.
 
 These helpers are intentionally dependency-light so every other
 subpackage (geometry, aggregation, agreement, learning) can rely on them
@@ -13,7 +13,6 @@ from repro.utils.validation import (
     validate_byzantine_bound,
 )
 from repro.utils.logging import get_logger
-from repro.utils.timer import Timer
 
 __all__ = [
     "RngFactory",
@@ -24,5 +23,4 @@ __all__ = [
     "require",
     "validate_byzantine_bound",
     "get_logger",
-    "Timer",
 ]

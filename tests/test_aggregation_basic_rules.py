@@ -7,7 +7,7 @@ from repro.aggregation.base import AggregationRule
 from repro.aggregation.geometric_median import GeometricMedian
 from repro.aggregation.mean import CoordinatewiseMedian, Mean, TrimmedMean
 from repro.aggregation.medoid import Medoid
-from repro.linalg.geometric_median import geometric_median
+from repro.linalg.geometric_median import weiszfeld_reference
 
 
 class TestBaseBehaviour:
@@ -115,7 +115,7 @@ class TestGeometricMedianRule:
         rule = GeometricMedian(tol=1e-10, max_iter=1000)
         np.testing.assert_allclose(
             rule.aggregate(gaussian_cloud),
-            geometric_median(gaussian_cloud, tol=1e-10, max_iter=1000),
+            weiszfeld_reference(gaussian_cloud, tol=1e-10, max_iter=1000),
             atol=1e-8,
         )
 
@@ -130,6 +130,19 @@ class TestGeometricMedianRule:
             GeometricMedian(tol=-1.0)
         with pytest.raises(ValueError):
             GeometricMedian(max_iter=0)
+
+    def test_strict_majority_wins_on_near_identical_rows(self):
+        # Four copies of b and three rows within 1e-8 of it: b holds a
+        # strict majority, so it is the geometric median.  A vertex snap
+        # reading uncentred |x|^2 + |y|^2 - 2x.y distances (error ~1e-8
+        # here) misses it and returns a point with up to 2.3x b's cost.
+        rule = GeometricMedian(n=7, t=0)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            b = rng.normal(size=1000)
+            near = b + 1e-8 * rng.normal(size=(3, 1000)) / np.sqrt(1000)
+            stack = np.vstack([np.tile(b, (4, 1)), near])
+            assert np.array_equal(rule.aggregate(stack), b), seed
 
 
 class TestMedoid:

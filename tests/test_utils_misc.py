@@ -1,55 +1,8 @@
-"""Tests for repro.utils.timer and repro.utils.logging."""
+"""Tests for repro.utils.logging."""
 
 import logging
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.timer import Timer
-
-
-class TestTimer:
-    def test_measure_records(self):
-        timer = Timer()
-        with timer.measure("work"):
-            _ = sum(range(100))
-        assert timer.count("work") == 1
-        assert timer.total("work") >= 0.0
-
-    def test_multiple_measurements_accumulate(self):
-        timer = Timer()
-        for _ in range(3):
-            with timer.measure("loop"):
-                pass
-        assert timer.count("loop") == 3
-        assert timer.total("loop") >= 0.0
-
-    def test_unknown_name_is_zero(self):
-        timer = Timer()
-        assert timer.total("missing") == 0.0
-        assert timer.count("missing") == 0
-        assert timer.mean("missing") == 0.0
-
-    def test_mean(self):
-        timer = Timer()
-        with timer.measure("x"):
-            pass
-        assert timer.mean("x") == timer.total("x")
-
-    def test_summary_keys(self):
-        timer = Timer()
-        with timer.measure("a"):
-            pass
-        with timer.measure("b"):
-            pass
-        assert set(timer.summary()) == {"a", "b"}
-
-    def test_exception_still_recorded(self):
-        timer = Timer()
-        try:
-            with timer.measure("fail"):
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert timer.count("fail") == 1
 
 
 class TestLogging:
