@@ -28,7 +28,6 @@ from repro.aggregation.context import (
     cache_hit_rate,
     cache_stats,
     reset_cache_stats,
-    subset_cache_hit_rate,
 )
 from repro.aggregation.mean import CoordinatewiseMedian, Mean, TrimmedMean
 from repro.aggregation.geometric_median import GeometricMedian
@@ -66,5 +65,4 @@ __all__ = [
     "cache_stats",
     "make_rule",
     "reset_cache_stats",
-    "subset_cache_hit_rate",
 ]

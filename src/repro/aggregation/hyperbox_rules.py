@@ -16,10 +16,10 @@ the procedure across nodes converges; the one-shot output is a
 ``2·sqrt(d)``-approximation of the true geometric median.
 
 The per-subset aggregates run through the batched kernels of
-:mod:`repro.linalg.subset_kernels`: the exhaustive family is served by
-the per-round :class:`~repro.aggregation.context.AggregationContext`
-cache (shared with the MD rules and across BOX rules in one round) and
-sampled families go straight to the chunked kernels.  Subset means are
+:mod:`repro.linalg.subset_kernels` on one family from
+:func:`repro.linalg.subsets.subset_family`, exhaustive or capped by
+``max_subsets``, with the context's duplicate-row profile, so subsets
+gathering byte-identical rows are computed once.  Subset means are
 bitwise-identical to the per-tuple loop; subset geometric medians match
 within the Weiszfeld tolerance.
 """
@@ -35,7 +35,7 @@ from repro.aggregation.context import AggregationContext
 from repro.linalg.geometric_median import check_solver_settings
 from repro.linalg.hyperbox import Hyperbox, bounding_hyperbox, trimmed_hyperbox
 from repro.linalg.subset_kernels import subset_geometric_medians, subset_means
-from repro.linalg.subsets import subset_count, subset_family
+from repro.linalg.subsets import subset_family
 
 
 class _HyperboxRuleBase(AggregationRule):
@@ -55,17 +55,10 @@ class _HyperboxRuleBase(AggregationRule):
         self.max_subsets = max_subsets
         self._rng = rng
 
-    # -- batched per-subset aggregates (mean or geometric median) ------------
-    def _cached_subset_aggregates(
-        self, context: AggregationContext, size: int
-    ) -> np.ndarray:
-        """Exhaustive ``(S, d)`` aggregates from the shared context cache."""
-        raise NotImplementedError
-
-    def _sampled_subset_aggregates(
+    def _subset_aggregates(
         self, context: AggregationContext, indices: np.ndarray
     ) -> np.ndarray:
-        """``(S, d)`` aggregates of a sampled index-matrix family."""
+        """``(S, d)`` aggregates (mean or geometric median) of an index matrix."""
         raise NotImplementedError
 
     def trusted_hyperbox(self, vectors: np.ndarray) -> Hyperbox:
@@ -85,20 +78,13 @@ class _HyperboxRuleBase(AggregationRule):
             context = AggregationContext(vectors)
         else:
             check_context(vectors, context)
-        m = context.num_vectors
-        size = self.honest_subset_size(m)
-        sampling = (
-            self.max_subsets is not None
-            and self.max_subsets < subset_count(m, size)
+        indices = subset_family(
+            context.matrix,
+            self.honest_subset_size(context.num_vectors),
+            max_subsets=self.max_subsets,
+            rng=self._rng,
         )
-        if sampling:
-            indices = subset_family(
-                context.matrix, size, max_subsets=self.max_subsets, rng=self._rng
-            )
-            aggregates = self._sampled_subset_aggregates(context, indices)
-        else:
-            aggregates = self._cached_subset_aggregates(context, size)
-        return bounding_hyperbox(aggregates)
+        return bounding_hyperbox(self._subset_aggregates(context, indices))
 
     def decision_hyperbox(
         self,
@@ -134,15 +120,10 @@ class HyperboxMean(_HyperboxRuleBase):
 
     name = "box-mean"
 
-    def _cached_subset_aggregates(
-        self, context: AggregationContext, size: int
-    ) -> np.ndarray:
-        return context.subset_means(size)
-
-    def _sampled_subset_aggregates(
+    def _subset_aggregates(
         self, context: AggregationContext, indices: np.ndarray
     ) -> np.ndarray:
-        return subset_means(context.matrix, indices)
+        return subset_means(context.matrix, indices, profile=context.profile)
 
 
 class HyperboxGeometricMedian(_HyperboxRuleBase):
@@ -169,14 +150,7 @@ class HyperboxGeometricMedian(_HyperboxRuleBase):
         self.tol = float(tol)
         self.max_iter = int(max_iter)
 
-    def _cached_subset_aggregates(
-        self, context: AggregationContext, size: int
-    ) -> np.ndarray:
-        return context.subset_geometric_medians(
-            size, tol=self.tol, max_iter=self.max_iter
-        )
-
-    def _sampled_subset_aggregates(
+    def _subset_aggregates(
         self, context: AggregationContext, indices: np.ndarray
     ) -> np.ndarray:
         return subset_geometric_medians(
@@ -185,4 +159,5 @@ class HyperboxGeometricMedian(_HyperboxRuleBase):
             tol=self.tol,
             max_iter=self.max_iter,
             dist=context.distances,
+            profile=context.profile,
         )

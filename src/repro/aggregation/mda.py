@@ -15,11 +15,8 @@ The subset search is exponential in general (``C(m, n - t)`` subsets);
 :func:`repro.linalg.subsets.minimum_diameter_subset` for larger systems.
 
 All candidate diameters are computed by the batched gather kernel
-(:func:`repro.linalg.subset_kernels.subset_diameters`); in the
-exhaustive case the index matrix and the diameters come from the shared
-per-round :class:`~repro.aggregation.context.AggregationContext` cache,
-so MD-MEAN and MD-GEOM evaluated on the same received stack (or the
-adversarial tie-break re-scanning the same family) pay for them once.
+(:func:`repro.linalg.subset_kernels.subset_diameters`) over the
+context's distance matrix, one path for exhaustive and capped families.
 The selected subset is aggregated once, and the adversarial tie-break
 aggregates its whole tied family in one batched call; MD-GEOM's medians
 run through :func:`repro.linalg.subset_kernels.subset_geometric_medians`.
@@ -35,13 +32,7 @@ from repro.aggregation.base import AggregationRule, check_context
 from repro.aggregation.context import AggregationContext
 from repro.linalg.geometric_median import check_solver_settings
 from repro.linalg.subset_kernels import subset_geometric_medians, subsets_as_matrix
-from repro.linalg.subsets import (
-    minimum_diameter_subset,
-    minimum_diameter_subsets,
-    select_minimum_diameter,
-    select_minimum_diameter_ties,
-    subset_count,
-)
+from repro.linalg.subsets import minimum_diameter_subset, minimum_diameter_subsets
 
 #: Valid tie-breaking strategies among equal-diameter subsets.
 TIE_BREAKS = ("first", "adversarial")
@@ -84,9 +75,6 @@ class _MinimumDiameterBase(AggregationRule):
         """``(S, d)`` aggregates of the subsets in an ``(S, s)`` index matrix."""
         raise NotImplementedError
 
-    def _exhaustive(self, m: int, size: int) -> bool:
-        return self.max_subsets is None or self.max_subsets >= subset_count(m, size)
-
     def minimum_diameter_set(
         self,
         vectors: np.ndarray,
@@ -105,36 +93,28 @@ class _MinimumDiameterBase(AggregationRule):
     ) -> Tuple[Tuple[int, ...], float, Optional[np.ndarray]]:
         """The selected subset, its diameter and, when the adversarial
         tie-break already computed it, its aggregate (else ``None``)."""
-        if context is not None:
-            check_context(vectors, context)
-        size = self.honest_subset_size(vectors.shape[0])
-        use_cache = context is not None and self._exhaustive(vectors.shape[0], size)
-        if self.tie_break == "first":
-            if use_cache:
-                idx, diam = select_minimum_diameter(
-                    context.subset_indices(size), context.subset_diameters(size)
-                )
-            else:
-                idx, diam = minimum_diameter_subset(
-                    vectors,
-                    size,
-                    max_subsets=self.max_subsets,
-                    rng=self._rng,
-                    dist=None if context is None else context.distances,
-                )
-            return idx, diam, None
-        if use_cache:
-            tied, diam = select_minimum_diameter_ties(
-                context.subset_indices(size), context.subset_diameters(size)
-            )
+        if context is None:
+            context = AggregationContext(vectors)
         else:
-            tied, diam = minimum_diameter_subsets(
+            check_context(vectors, context)
+        vectors = context.matrix
+        size = self.honest_subset_size(context.num_vectors)
+        if self.tie_break == "first":
+            idx, diam = minimum_diameter_subset(
                 vectors,
                 size,
                 max_subsets=self.max_subsets,
                 rng=self._rng,
-                dist=None if context is None else context.distances,
+                dist=context.distances,
             )
+            return idx, diam, None
+        tied, diam = minimum_diameter_subsets(
+            vectors,
+            size,
+            max_subsets=self.max_subsets,
+            rng=self._rng,
+            dist=context.distances,
+        )
         aggregates = self._subset_aggregates(vectors, subsets_as_matrix(tied))
         reference = vectors.mean(axis=0)
         best = 0

@@ -59,7 +59,6 @@ def make_scheduler(
     burstiness: float = 0.0,
     seed: SeedLike = 0,
     keep_history: bool = True,
-    max_history: Optional[int] = None,
     require_full_broadcast: bool = True,
     node_trace: bool = False,
     topology: Optional[Topology] = None,
@@ -84,7 +83,6 @@ def make_scheduler(
     key = str(name).strip().lower()
     common = dict(
         keep_history=keep_history,
-        max_history=max_history,
         require_full_broadcast=require_full_broadcast,
         node_trace=node_trace,
         topology=topology,

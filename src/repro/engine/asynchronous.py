@@ -34,7 +34,7 @@ scenarios stay comparable across attack and wait-condition changes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -103,13 +103,12 @@ class AsynchronousScheduler(RoundEngine):
         wait_count: int = 0,
         seed: SeedLike = 0,
         keep_history: bool = True,
-        max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology=None,
     ) -> None:
         super().__init__(
-            n, byzantine, keep_history=keep_history, max_history=max_history,
+            n, byzantine, keep_history=keep_history,
             require_full_broadcast=require_full_broadcast,
             node_trace=node_trace, topology=topology,
         )

@@ -24,7 +24,6 @@ Concrete schedulers:
 from __future__ import annotations
 
 import abc
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -96,9 +95,6 @@ class RoundEngine(abc.ABC):
         Whether completed :class:`RoundResult` objects (with their full
         inboxes) are retained on :attr:`history`.  Trainers run thousands
         of rounds and disable this; interactive / test use keeps it on.
-    max_history:
-        Upper bound on retained round results (oldest dropped first);
-        ``None`` means unbounded.
     require_full_broadcast:
         Forwarded to :class:`ReliableBroadcast`: ``True`` (default)
         enforces the agreement protocols' full-broadcast contract on
@@ -130,7 +126,6 @@ class RoundEngine(abc.ABC):
         byzantine: Iterable[int] = (),
         *,
         keep_history: bool = True,
-        max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology: Optional[Topology] = None,
@@ -145,12 +140,7 @@ class RoundEngine(abc.ABC):
         self._min_honest_messages = 0
         self._quorum_policy = "raise"
         self.keep_history = bool(keep_history)
-        if max_history is not None and max_history < 0:
-            raise ValueError("max_history must be non-negative")
-        self.max_history = max_history
-        self.history: Sequence[RoundResult] = (
-            deque(maxlen=max_history) if max_history is not None else []
-        )
+        self.history: List[RoundResult] = []
         self.stats: Dict[str, int] = {
             "sent": 0, "delivered": 0, "dropped": 0, "delayed": 0, "crash_omitted": 0,
         }

@@ -85,13 +85,12 @@ class LossyScheduler(RoundEngine):
         crash_schedule: Iterable[Sequence[int]] = (),
         seed: SeedLike = 0,
         keep_history: bool = True,
-        max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology=None,
     ) -> None:
         super().__init__(
-            n, byzantine, keep_history=keep_history, max_history=max_history,
+            n, byzantine, keep_history=keep_history,
             require_full_broadcast=require_full_broadcast,
             node_trace=node_trace, topology=topology,
         )

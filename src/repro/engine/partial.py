@@ -17,7 +17,7 @@ does not wait for its own message.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,13 +59,12 @@ class PartiallySynchronousScheduler(RoundEngine):
         delay_prob: float = 0.5,
         seed: SeedLike = 0,
         keep_history: bool = True,
-        max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology=None,
     ) -> None:
         super().__init__(
-            n, byzantine, keep_history=keep_history, max_history=max_history,
+            n, byzantine, keep_history=keep_history,
             require_full_broadcast=require_full_broadcast,
             node_trace=node_trace, topology=topology,
         )

@@ -207,9 +207,8 @@ class CentralizedTrainer:
             return None, 0, mean_loss
         # Reorder delivered rows into client order without building a
         # single Message.  Delivery order already *is* client order for
-        # the horizon-based schedulers, keeping the gather zero-copy (and
-        # its transported sparsity profile attached); the asynchronous
-        # scheduler's arrival order needs one row permutation.
+        # the horizon-based schedulers, keeping the gather zero-copy; the
+        # asynchronous scheduler's arrival order needs one row permutation.
         row_of = {s: i for i, s in enumerate(inbox.senders())}
         order = [
             row_of[client.client_id]
@@ -218,7 +217,7 @@ class CentralizedTrainer:
         ]
         matrix = inbox.matrix()
         if order != list(range(len(order))) or len(order) != len(inbox):
-            matrix = np.asarray(matrix)[np.asarray(order, dtype=np.int64)]
+            matrix = matrix[np.asarray(order, dtype=np.int64)]
         return matrix, len(order), mean_loss
 
     # -- public API -----------------------------------------------------------

@@ -367,6 +367,21 @@ def _make_engine(
     )
 
 
+def _rule_kwargs(config: ExperimentConfig) -> dict:
+    """Rule constructor kwargs, seeding the subset sampler of capped families.
+
+    A ``max_subsets`` below ``C(n, n - t)`` makes the BOX/MD rules sample
+    their subset family; the generator comes from the config seed so the
+    run stays a pure function of its config.
+    """
+    kwargs = dict(config.aggregation_kwargs)
+    if "max_subsets" in kwargs:
+        kwargs["rng"] = np.random.default_rng(
+            stable_component_seed(config.seed, "aggregation")
+        )
+    return kwargs
+
+
 def run_centralized_experiment(config: ExperimentConfig) -> TrainingHistory:
     """Build and run a centralized experiment, returning its history."""
     require(config.setting == "centralized", "config.setting must be 'centralized'")
@@ -375,7 +390,7 @@ def run_centralized_experiment(config: ExperimentConfig) -> TrainingHistory:
         config.aggregation,
         n=config.num_clients,
         t=config.tolerance,
-        **config.aggregation_kwargs,
+        **_rule_kwargs(config),
     )
     byzantine = tuple(c.client_id for c in built.clients if c.is_byzantine)
     trainer = CentralizedTrainer(
@@ -402,7 +417,7 @@ def run_decentralized_experiment(config: ExperimentConfig) -> TrainingHistory:
         config.aggregation,
         config.num_clients,
         config.tolerance,
-        **config.aggregation_kwargs,
+        **_rule_kwargs(config),
     )
     byzantine = tuple(c.client_id for c in built.clients if c.is_byzantine)
     trainer = DecentralizedTrainer(

@@ -8,18 +8,9 @@ that computation vectorised and reused.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 import numpy as np
 
 from repro.utils.validation import ensure_matrix
-
-#: When set to a non-empty, non-"0" value, precomputed pairwise matrices
-#: are additionally checked for non-finite entries (a debug aid: the
-#: check is O(m^2) per call and the matrices come from trusted caches in
-#: production use).
-PAIRWISE_DEBUG_ENV = "REPRO_DEBUG_PAIRWISE"
 
 
 def pairwise_sq_distances(vectors: np.ndarray) -> np.ndarray:
@@ -48,7 +39,6 @@ def resolve_pairwise_matrix(
     precomputed: "np.ndarray | None",
     *,
     squared: bool = False,
-    check_finite: Optional[bool] = None,
 ) -> np.ndarray:
     """Validate a caller-supplied pairwise matrix or compute one.
 
@@ -59,9 +49,7 @@ def resolve_pairwise_matrix(
     and names the caller's expectation in every validation error; a
     supplied matrix is checked for shape and a floating dtype, trusting
     the caller on the squared/plain distinction (the values themselves
-    cannot distinguish the two).  ``check_finite`` adds an O(m^2)
-    NaN/inf sweep; it defaults to the :data:`PAIRWISE_DEBUG_ENV`
-    environment toggle so production paths stay validation-free.
+    cannot distinguish the two).
     """
     m = vectors.shape[0]
     kind = "squared Euclidean" if squared else "Euclidean"
@@ -76,13 +64,6 @@ def resolve_pairwise_matrix(
         raise ValueError(
             f"precomputed pairwise matrix must hold floating-point {kind} "
             f"distances, got dtype {pre.dtype}"
-        )
-    if check_finite is None:
-        check_finite = os.environ.get(PAIRWISE_DEBUG_ENV, "0") not in ("", "0")
-    if check_finite and not np.all(np.isfinite(pre)):
-        raise ValueError(
-            f"precomputed pairwise matrix contains non-finite entries; the "
-            f"caller expected finite {kind} distances"
         )
     return pre
 

@@ -78,26 +78,6 @@ def detect_structure(matrix: np.ndarray) -> SparsityProfile:
     return SparsityProfile(row_group_ids=group_ids, num_unique_rows=len(first_seen))
 
 
-def project_profile(profile: SparsityProfile, rows: np.ndarray) -> SparsityProfile:
-    """Project a batch-level profile through a row selection.
-
-    The batch message plane computes one profile per ``(S, d)`` payload
-    matrix and every receiver sees a gather ``payloads[rows]`` of it;
-    this derives the receiver's profile without re-running the per-row
-    byte hashing of :func:`detect_structure`.  Two gathered rows are
-    byte-equal iff their source rows are (gathering copies bytes
-    verbatim), so the result is exactly what ``detect_structure`` would
-    claim on the gather: the batch's group ids remapped to
-    first-occurrence positions *within the selection*.
-    """
-    group_ids = profile.row_group_ids[np.asarray(rows, dtype=np.int64)]
-    _, first, inverse = np.unique(group_ids, return_index=True, return_inverse=True)
-    return SparsityProfile(
-        row_group_ids=first[inverse.reshape(-1)].astype(np.int64, copy=False),
-        num_unique_rows=int(first.shape[0]),
-    )
-
-
 def dedup_subsets(
     indices: np.ndarray, profile: SparsityProfile
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:

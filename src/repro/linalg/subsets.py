@@ -129,8 +129,7 @@ def subset_family(
     ``include_full_range_extremes=False`` for a hard cap.
 
     This is the canonical representation consumed by the batched kernels
-    in :mod:`repro.linalg.subset_kernels` and cached per round by
-    :class:`repro.aggregation.context.AggregationContext`.
+    in :mod:`repro.linalg.subset_kernels`.
     """
     mat = ensure_matrix(vectors, name="vectors")
     m = mat.shape[0]

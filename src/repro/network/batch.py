@@ -17,48 +17,15 @@ round has one dense representation:
   :meth:`BatchInbox.matrix` gathers the received ``(m, d)`` stack with
   one fancy-index per batch — zero-copy when a receiver delivered an
   entire batch in order.
-
-Sparse-structure transport rides along: a batch computes its
-:class:`~repro.linalg.sparsity.SparsityProfile` once (lazily) and
-single-batch inboxes hand consumers a *projection* of it instead of
-letting every receiver re-run ``detect_structure`` on its own gather —
-see :func:`repro.linalg.sparsity.project_profile`.  The projected
-profile is exactly what self-detection would claim (byte-equality is
-preserved by row gathering), so kernel results are bitwise-unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.network.message import Message
-
-
-class TransportMatrix(np.ndarray):
-    """A received ``(m, d)`` stack carrying transported structure metadata.
-
-    Consumers that understand the transport
-    (:class:`repro.aggregation.context.AggregationContext`) read
-    ``_profile_provider`` — a callable mapping the validated matrix to a
-    :class:`~repro.linalg.sparsity.SparsityProfile` (or ``None``) —
-    before validation strips the subclass; everyone else sees a plain
-    ndarray.  Views and ufunc results deliberately drop the provider
-    (``__array_finalize__``): a profile describes one exact matrix, not
-    anything derived from it.
-    """
-
-    _profile_provider: Optional[Callable[[np.ndarray], object]] = None
-
-    def __array_finalize__(self, obj) -> None:
-        self._profile_provider = None
-
-
-def _as_transport(matrix: np.ndarray, provider) -> np.ndarray:
-    view = matrix.view(TransportMatrix)
-    view._profile_provider = provider
-    return view
 
 
 class RoundBatch:
@@ -89,7 +56,7 @@ class RoundBatch:
 
     __slots__ = (
         "round_index", "n", "senders", "payloads", "delivers",
-        "metadata", "delays", "_profile",
+        "metadata", "delays",
     )
 
     def __init__(
@@ -109,7 +76,6 @@ class RoundBatch:
         self.delivers = delivers
         self.metadata = metadata
         self.delays = delays
-        self._profile = None
 
     @property
     def num_senders(self) -> int:
@@ -118,20 +84,6 @@ class RoundBatch:
     @property
     def dimension(self) -> int:
         return int(self.payloads.shape[1])
-
-    @property
-    def profile(self):
-        """Duplicate-row structure of the payload matrix (computed once).
-
-        Receivers project this through their row selection instead of
-        re-detecting structure per inbox — the transported analogue of
-        :attr:`repro.aggregation.context.AggregationContext.profile`.
-        """
-        if self._profile is None:
-            from repro.linalg.sparsity import detect_structure
-
-            self._profile = detect_structure(self.payloads)
-        return self._profile
 
     def delivers_mask(self) -> np.ndarray:
         """The ``(S, n)`` delivery mask, materialised if implicit."""
@@ -289,12 +241,10 @@ class BatchInbox(Sequence):
         """The received ``(m, d)`` payload stack in delivery order.
 
         Values are bitwise-identical to stacking the materialised
-        message payloads.  Single-batch inboxes return a
-        :class:`TransportMatrix` whose profile provider projects the
-        batch's structure profile (zero-copy — the shared read-only
-        payload matrix itself — when the whole batch was delivered in
-        order); multi-batch inboxes (cross-round stragglers) gather per
-        batch and fall back to consumer-side detection.
+        message payloads.  A receiver that delivered a whole batch in
+        order gets the shared read-only payload matrix itself
+        (zero-copy); other single-batch inboxes take one gather, and
+        multi-batch inboxes (cross-round stragglers) gather per batch.
         """
         if len(self) == 0:
             raise ValueError("cannot build a matrix from an empty inbox")
@@ -303,26 +253,11 @@ class BatchInbox(Sequence):
             if rows.shape[0] == batch.num_senders and int(rows[0]) == 0 and (
                 np.array_equal(rows, batch.full_rows())
             ):
-                return _as_transport(batch.payloads, _profile_projector(batch, None))
-            gathered = batch.payloads[rows]
-            return _as_transport(gathered, _profile_projector(batch, rows))
+                return batch.payloads
+            return batch.payloads[rows]
         out = np.empty((len(self), self._batches[0].dimension), dtype=np.float64)
         for bid, batch in enumerate(self._batches):
             mask = self._bids == bid
             if mask.any():
                 out[mask] = batch.payloads[self._rows[mask]]
         return out
-
-
-def _profile_projector(batch: RoundBatch, rows: Optional[np.ndarray]):
-    """Provider closure handed to consumers via :class:`TransportMatrix`."""
-    def provider(matrix: np.ndarray):
-        from repro.linalg.sparsity import project_profile
-
-        expected = batch.num_senders if rows is None else int(rows.shape[0])
-        if matrix.shape != (expected, batch.dimension):
-            return None  # not the matrix this profile describes
-        selection = batch.full_rows() if rows is None else rows
-        return project_profile(batch.profile, selection)
-
-    return provider

@@ -67,9 +67,8 @@ class RoundResult:
         """Stack of payloads node ``node`` delivered this round, ``(m, d)``.
 
         A single vectorized gather (zero-copy when the node delivered a
-        whole batch in order) that also carries the batch's transported
-        sparsity profile; values are bitwise-identical to stacking the
-        materialised messages.
+        whole batch in order); values are bitwise-identical to stacking
+        the materialised messages.
         """
         inbox = self.inboxes.get(node)
         if inbox is None or not len(inbox):

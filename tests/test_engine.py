@@ -71,13 +71,6 @@ class TestSynchronousScheduler:
         assert list(engine.history) == []
         assert engine.rounds_executed == 4
 
-    def test_history_bounded(self):
-        engine = SynchronousScheduler(3, max_history=2)
-        values = _values(3)
-        for r in range(5):
-            engine.run_round(r, _honest_plan(values))
-        assert [res.round_index for res in engine.history] == [3, 4]
-
     def test_quorum_starve_policy_marks_nodes(self):
         engine = SynchronousScheduler(4, byzantine=[2, 3])
         engine.require_quorum(3, policy="starve")

@@ -221,6 +221,22 @@ class TestRunExperimentDispatch:
             run_decentralized_experiment(small_config(setting="centralized"))
 
     @pytest.mark.parametrize("setting", ["centralized", "decentralized"])
+    def test_capped_subset_family_is_reproducible(self, setting):
+        # max_subsets=10 < C(8, 6) = 28 samples box-geom's subset family;
+        # the sampler is seeded from the config, so reruns match exactly.
+        config = small_config(
+            setting=setting,
+            num_clients=8,
+            num_byzantine=2,
+            rounds=2,
+            mlp_hidden=(8, 4),
+            aggregation_kwargs={"max_subsets": 10},
+        )
+        first, second = run_experiment(config), run_experiment(config)
+        assert first.accuracies() == second.accuracies()
+        assert first.losses() == second.losses()
+
+    @pytest.mark.parametrize("setting", ["centralized", "decentralized"])
     def test_one_rule_vocabulary_in_both_settings(self, setting):
         # One registry and one kwargs vocabulary: the rule's own
         # constructor arguments work in both settings, nothing else does,

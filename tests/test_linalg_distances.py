@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.linalg.distances import (
-    PAIRWISE_DEBUG_ENV,
     diameter,
     distances_to,
     max_coordinate_spread,
@@ -76,32 +75,6 @@ class TestResolvePairwiseMatrix:
             resolve_pairwise_matrix(mat, bad)
         with pytest.raises(ValueError, match="floating-point squared Euclidean"):
             resolve_pairwise_matrix(mat, bad, squared=True)
-
-    def test_finite_check_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(PAIRWISE_DEBUG_ENV, raising=False)
-        mat = self._cloud(m=3)
-        bad = np.full((3, 3), np.nan)
-        # Production default: trusted caches, no O(m^2) sweep.
-        assert resolve_pairwise_matrix(mat, bad) is bad
-
-    def test_finite_check_env_toggle(self, monkeypatch):
-        monkeypatch.setenv(PAIRWISE_DEBUG_ENV, "1")
-        mat = self._cloud(m=3)
-        bad = np.full((3, 3), np.inf)
-        with pytest.raises(ValueError, match="non-finite.*Euclidean"):
-            resolve_pairwise_matrix(mat, bad)
-        # "0" and empty disable the sweep again.
-        monkeypatch.setenv(PAIRWISE_DEBUG_ENV, "0")
-        assert resolve_pairwise_matrix(mat, bad) is bad
-
-    def test_finite_check_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.delenv(PAIRWISE_DEBUG_ENV, raising=False)
-        mat = self._cloud(m=3)
-        bad = np.full((3, 3), np.nan)
-        with pytest.raises(ValueError, match="non-finite.*squared Euclidean"):
-            resolve_pairwise_matrix(mat, bad, squared=True, check_finite=True)
-        good = pairwise_distances(mat)
-        assert resolve_pairwise_matrix(mat, good, check_finite=True) is good
 
 
 class TestDiameter:

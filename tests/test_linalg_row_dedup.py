@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.context import AggregationContext
+from repro.aggregation.hyperbox_rules import HyperboxGeometricMedian
 from repro.aggregation.registry import available_rules, make_rule
 from repro.linalg.backends import KernelBackend
 from repro.linalg.distances import pairwise_distances
@@ -32,6 +33,7 @@ from repro.linalg.subset_kernels import (
     subset_index_matrix,
     subset_means,
 )
+from repro.linalg.subsets import subset_family
 
 N, T = 10, 2
 # Safe-area needs t < n / max(3, d + 1), so it raises at these d > n
@@ -62,6 +64,27 @@ def assert_kernels_dedup_exactly(mat: np.ndarray, n: int, t: int) -> None:
     }
     for name, kernel in kernels.items():
         assert np.array_equal(kernel(None), kernel(prof)), name
+
+
+def count_weiszfeld_sets(monkeypatch) -> list:
+    """Record the number of point sets of every ``weiszfeld_loop`` call."""
+    sets = []
+    loop = KernelBackend.weiszfeld_loop
+
+    def counting_loop(self, pts, *args, **kwargs):
+        sets.append(pts.shape[0])
+        return loop(self, pts, *args, **kwargs)
+
+    monkeypatch.setattr(KernelBackend, "weiszfeld_loop", counting_loop)
+    return sets
+
+
+def dense_aggregate(rule_factory, stack, monkeypatch) -> np.ndarray:
+    """A fresh rule's output with every subset kernel run dense."""
+    with monkeypatch.context() as patch:
+        # Test seam: a context without a profile runs every kernel dense.
+        patch.setattr(AggregationContext, "profile", None)
+        return rule_factory().aggregate(context=AggregationContext(stack))
 
 
 # -- sparsity module ----------------------------------------------------------
@@ -130,12 +153,7 @@ def test_rule_with_and_without_profile_bitwise(rule_name, monkeypatch):
         deduped = make_rule(rule_name, n=N, t=T).aggregate(
             context=AggregationContext(stack)
         )
-        with monkeypatch.context() as patch:
-            # Test seam: a context without a profile runs every kernel dense.
-            patch.setattr(AggregationContext, "profile", None)
-            dense = make_rule(rule_name, n=N, t=T).aggregate(
-                context=AggregationContext(stack)
-            )
+        dense = dense_aggregate(lambda: make_rule(rule_name, n=N, t=T), stack, monkeypatch)
         assert np.array_equal(dense, deduped), rule_name
 
 
@@ -143,22 +161,29 @@ def test_rule_with_and_without_profile_bitwise(rule_name, monkeypatch):
 class TestDefaultContext:
     def test_dedup_sends_fewer_sets_to_weiszfeld(self, monkeypatch):
         mat = structured_stack(0)
-        size = N - T
-        sets = []
-        loop = KernelBackend.weiszfeld_loop
-
-        def counting_loop(self, pts, *args, **kwargs):
-            sets.append(pts.shape[0])
-            return loop(self, pts, *args, **kwargs)
-
-        monkeypatch.setattr(KernelBackend, "weiszfeld_loop", counting_loop)
-        context = AggregationContext(mat)
-        deduped = context.subset_geometric_medians(size)
-        assert 0 < sum(sets) < comb(N, size)
-
-        dense = subset_geometric_medians(
-            mat, subset_index_matrix(N, size), dist=pairwise_distances(mat)
+        dense = dense_aggregate(lambda: HyperboxGeometricMedian(n=N, t=T), mat, monkeypatch)
+        sets = count_weiszfeld_sets(monkeypatch)
+        deduped = HyperboxGeometricMedian(n=N, t=T).aggregate(
+            context=AggregationContext(mat)
         )
+        assert 0 < sum(sets) < comb(N, N - T)
+        assert np.array_equal(deduped, dense)
+
+    def test_capped_box_family_dedups(self, monkeypatch):
+        mat = structured_stack(0)
+        cap = 20
+        assert cap < comb(N, N - T)
+
+        def rule():
+            return HyperboxGeometricMedian(
+                n=N, t=T, max_subsets=cap, rng=np.random.default_rng(4)
+            )
+
+        family = subset_family(mat, N - T, max_subsets=cap, rng=np.random.default_rng(4))
+        dense = dense_aggregate(rule, mat, monkeypatch)
+        sets = count_weiszfeld_sets(monkeypatch)
+        deduped = rule().aggregate(context=AggregationContext(mat))
+        assert 0 < sum(sets) < family.shape[0]
         assert np.array_equal(deduped, dense)
 
     @pytest.mark.parametrize("rule_name", ("krum", "multi-krum"))

@@ -9,9 +9,7 @@ The contract of :mod:`repro.linalg.subset_kernels`:
   tolerance of order ``tol``,
 - chunking never changes values, only peak memory (the chunk size
   comes from the :data:`DEFAULT_CHUNK_ELEMENTS` budget, which the tests
-  shrink to force small chunks),
-- the :class:`~repro.aggregation.context.AggregationContext` subset
-  caches serve the exact same arrays to every consumer in a round.
+  shrink to force small chunks).
 """
 
 from itertools import combinations
@@ -20,12 +18,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from repro.aggregation.context import (
-    AggregationContext,
-    cache_stats,
-    reset_cache_stats,
-    subset_cache_hit_rate,
-)
+from repro.aggregation.context import AggregationContext
 from repro.aggregation.hyperbox_rules import HyperboxGeometricMedian, HyperboxMean
 from repro.aggregation.mda import MinimumDiameterGeometricMedian, MinimumDiameterMean
 from repro.linalg import subset_kernels
@@ -315,52 +308,6 @@ class TestBatchedWeiszfeldSolver:
         for a in range(pts.shape[0]):
             reference = weiszfeld_reference(pts[a], tol=1e-8, max_iter=500)
             assert np.allclose(points[a], reference, atol=1e-6)
-
-
-class TestContextSubsetCaches:
-    def test_artifacts_are_memoised_objects(self, gaussian_cloud):
-        ctx = AggregationContext(gaussian_cloud)
-        assert ctx.subset_indices(8) is ctx.subset_indices(8)
-        assert ctx.subset_diameters(8) is ctx.subset_diameters(8)
-        assert ctx.subset_means(8) is ctx.subset_means(8)
-        medians = ctx.subset_geometric_medians(8, tol=1e-8, max_iter=100)
-        assert medians is ctx.subset_geometric_medians(8, tol=1e-8, max_iter=100)
-        # Different solver settings are cached separately.
-        assert medians is not ctx.subset_geometric_medians(8, tol=1e-6, max_iter=100)
-
-    def test_artifacts_match_kernels(self, gaussian_cloud):
-        ctx = AggregationContext(gaussian_cloud)
-        idx = subset_index_matrix(10, 7)
-        assert np.array_equal(ctx.subset_indices(7), idx)
-        dist = pairwise_distances(gaussian_cloud)
-        assert np.array_equal(ctx.subset_diameters(7), subset_diameters(dist, idx))
-        assert np.array_equal(ctx.subset_means(7), subset_means(gaussian_cloud, idx))
-        np.testing.assert_allclose(
-            ctx.subset_geometric_medians(7),
-            subset_geometric_medians(gaussian_cloud, idx, dist=dist),
-            atol=1e-12,
-        )
-
-    def test_subset_cache_counters(self, gaussian_cloud):
-        reset_cache_stats()
-        try:
-            ctx = AggregationContext(gaussian_cloud)
-            ctx.subset_diameters(8)  # misses: indices + diameters
-            ctx.subset_diameters(8)  # hit
-            ctx.subset_means(8)  # miss (indices now hit)
-            stats = cache_stats()
-            assert stats["subset_misses"] == 3
-            assert stats["subset_hits"] == 2
-            assert 0.0 < subset_cache_hit_rate() < 1.0
-        finally:
-            reset_cache_stats()
-
-    def test_subset_size_validation(self, gaussian_cloud):
-        ctx = AggregationContext(gaussian_cloud)
-        with pytest.raises(ValueError):
-            ctx.subset_indices(0)
-        with pytest.raises(ValueError):
-            ctx.subset_means(11)
 
 
 class TestRuleLevelEquivalence:

@@ -1,6 +1,6 @@
 """Batch message plane acceptance tests.
 
-Four contracts of the array-backed delivery refactor:
+Three contracts of the array-backed delivery refactor:
 
 1. **Bitwise equivalence** — the batch plane must reproduce the
    per-message object plane's outputs exactly for every scheduler.  The
@@ -20,9 +20,6 @@ Four contracts of the array-backed delivery refactor:
 3. **Zero-copy message views** — ``Message`` adopts already-immutable
    payloads (batch rows) without the defensive copy, while anything a
    caller could still mutate keeps being copied.
-4. **Sparse-structure transport** — a single-batch inbox's matrix
-   carries a projected :class:`SparsityProfile` identical to what
-   consumer-side ``detect_structure`` would claim.
 """
 
 from __future__ import annotations
@@ -34,11 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.aggregation.context import AggregationContext
 from repro.engine import make_scheduler
 from repro.io.results import history_to_dict
 from repro.learning.experiment import ExperimentConfig, run_experiment
-from repro.linalg.sparsity import detect_structure, project_profile
 from repro.network.batch import BatchInbox, build_round_batch
 from repro.network.delivery import full_broadcast_plan
 from repro.network.message import Message
@@ -309,7 +304,7 @@ class TestBatchInbox:
     def test_full_inbox_matrix_is_zero_copy(self, batch):
         inbox = BatchInbox.single(batch, batch.full_rows())
         matrix = inbox.matrix()
-        assert np.shares_memory(matrix, batch.payloads)
+        assert matrix is batch.payloads
 
     def test_empty_inbox(self):
         inbox = BatchInbox.empty()
@@ -336,60 +331,3 @@ class TestBatchInbox:
         }
         with pytest.raises(ValueError, match="dimension mismatch"):
             build_round_batch(plans, 0, 2)
-
-
-# ---------------------------------------------------------------------------
-# 4. sparse-structure transport
-# ---------------------------------------------------------------------------
-
-class TestProfileTransport:
-    @pytest.fixture
-    def structured_batch(self):
-        # Duplicate rows (0 == 2).
-        rows = np.asarray([
-            [1.0, 0.0, 3.0, 0.0],
-            [2.0, 0.0, 4.0, 5.0],
-            [1.0, 0.0, 3.0, 0.0],
-            [6.0, 0.0, 7.0, 8.0],
-        ])
-        plans = {i: full_broadcast_plan(i, rows[i]) for i in range(4)}
-        return build_round_batch(plans, 0, 4)
-
-    @staticmethod
-    def _claims(profile):
-        return profile.row_group_ids.tolist(), profile.num_unique_rows
-
-    def test_projected_profile_matches_detection(self, structured_batch):
-        for rows in ([0, 1, 2, 3], [0, 2, 3], [1, 3], [2]):
-            selection = np.asarray(rows, dtype=np.int64)
-            matrix = np.asarray(structured_batch.payloads)[selection]
-            projected = project_profile(structured_batch.profile, selection)
-            assert self._claims(projected) == self._claims(detect_structure(matrix))
-
-    def test_inbox_matrix_carries_provider(self, structured_batch):
-        inbox = BatchInbox.single(
-            structured_batch, np.asarray([0, 2, 3], dtype=np.int64)
-        )
-        matrix = inbox.matrix()
-        provider = getattr(matrix, "_profile_provider", None)
-        assert provider is not None
-        profile = provider(np.asarray(matrix))
-        assert self._claims(profile) == self._claims(
-            detect_structure(np.asarray(matrix))
-        )
-        # Derived arrays must drop the provider: a profile describes one
-        # exact matrix, not anything computed from it.
-        assert getattr(matrix + 1.0, "_profile_provider", None) is None
-        assert getattr(matrix[1:], "_profile_provider", None) is None
-
-    def test_context_consumes_transported_profile(self, structured_batch):
-        inbox = BatchInbox.single(structured_batch, structured_batch.full_rows())
-        context = AggregationContext(inbox.matrix())
-        assert self._claims(context.profile) == self._claims(
-            detect_structure(structured_batch.payloads)
-        )
-
-    def test_provider_rejects_foreign_matrix(self, structured_batch):
-        inbox = BatchInbox.single(structured_batch, structured_batch.full_rows())
-        provider = inbox.matrix()._profile_provider
-        assert provider(np.zeros((2, 2))) is None
