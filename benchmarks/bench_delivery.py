@@ -122,7 +122,7 @@ def measure_case(
 ) -> Dict[str, object]:
     """Time ``rounds`` exchange rounds of one case; one artifact row."""
     engine = make_scheduler(
-        scheduler, n, seed=seed, keep_history=False,
+        scheduler, n, seed=seed,
         topology=make_topology(topology, n, seed=seed, **TOPOLOGIES[topology]),
         **kwargs,
     )

@@ -206,8 +206,8 @@ class AgreementProtocol:
         """
         if rounds < 0:
             raise ValueError("rounds must be non-negative")
-        # Each run is a fresh exchange: drop history and any message
-        # still in flight from a previous run on a delaying scheduler.
+        # Each run is a fresh exchange: drop any message still in
+        # flight from a previous run on a delaying scheduler.
         self.engine.reset()
         honest_ids = self.engine.honest
         current = self._normalise_inputs(inputs, honest_ids)

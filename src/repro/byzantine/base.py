@@ -32,7 +32,9 @@ class AttackContext:
     honest_vectors:
         Mapping from honest node id to the vector it broadcasts this
         round.  The standard Byzantine model allows a rushing adversary
-        to see these before choosing its message.
+        to see these before choosing its message, not to change them:
+        the context stores read-only views (no copy), so an attack that
+        writes into one raises instead of rewriting an honest broadcast.
     rng:
         Generator dedicated to the adversary, so attack randomness does
         not perturb the honest nodes' streams.
@@ -57,6 +59,14 @@ class AttackContext:
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     horizon: int = 0
     delivery_trace: Tuple[Mapping[str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        views: Dict[int, np.ndarray] = {}
+        for node, vector in self.honest_vectors.items():
+            view = np.asarray(vector).view()
+            view.flags.writeable = False
+            views[node] = view
+        self.honest_vectors = views
 
     @property
     def dimension(self) -> int:

@@ -58,7 +58,6 @@ def make_scheduler(
     wait_timeout: float = 0.0,
     burstiness: float = 0.0,
     seed: SeedLike = 0,
-    keep_history: bool = True,
     require_full_broadcast: bool = True,
     node_trace: bool = False,
     topology: Optional[Topology] = None,
@@ -82,7 +81,6 @@ def make_scheduler(
     """
     key = str(name).strip().lower()
     common = dict(
-        keep_history=keep_history,
         require_full_broadcast=require_full_broadcast,
         node_trace=node_trace,
         topology=topology,

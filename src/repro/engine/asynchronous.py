@@ -102,14 +102,12 @@ class AsynchronousScheduler(RoundEngine):
         timeout_rounds: float = 4.0,
         wait_count: int = 0,
         seed: SeedLike = 0,
-        keep_history: bool = True,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology=None,
     ) -> None:
         super().__init__(
-            n, byzantine, keep_history=keep_history,
-            require_full_broadcast=require_full_broadcast,
+            n, byzantine, require_full_broadcast=require_full_broadcast,
             node_trace=node_trace, topology=topology,
         )
         if delay_scale < 0.0:
@@ -327,7 +325,7 @@ class AsynchronousScheduler(RoundEngine):
         return np.bincount(self._pending_links[3], minlength=self.n).astype(np.int64)
 
     def reset(self) -> None:
-        """Drop history and expire in-flight messages at the exchange boundary.
+        """Expire in-flight messages at the exchange boundary.
 
         Asynchrony never loses messages; ones still in flight when an
         exchange ends simply arrive too late to matter and are counted
@@ -339,4 +337,3 @@ class AsynchronousScheduler(RoundEngine):
             self._node_counter("expired_at_reset")[:] += self.pending_count_per_node()
         self._pending_links = _empty_links()
         self._batches_in_flight.clear()
-        super().reset()

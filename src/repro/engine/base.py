@@ -91,10 +91,6 @@ class RoundEngine(abc.ABC):
         Number of nodes.
     byzantine:
         Ids of Byzantine nodes.
-    keep_history:
-        Whether completed :class:`RoundResult` objects (with their full
-        inboxes) are retained on :attr:`history`.  Trainers run thousands
-        of rounds and disable this; interactive / test use keeps it on.
     require_full_broadcast:
         Forwarded to :class:`ReliableBroadcast`: ``True`` (default)
         enforces the agreement protocols' full-broadcast contract on
@@ -125,7 +121,6 @@ class RoundEngine(abc.ABC):
         n: int,
         byzantine: Iterable[int] = (),
         *,
-        keep_history: bool = True,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology: Optional[Topology] = None,
@@ -139,8 +134,6 @@ class RoundEngine(abc.ABC):
         self.honest = tuple(sorted(set(range(self.n)) - set(self.byzantine)))
         self._min_honest_messages = 0
         self._quorum_policy = "raise"
-        self.keep_history = bool(keep_history)
-        self.history: List[RoundResult] = []
         self.stats: Dict[str, int] = {
             "sent": 0, "delivered": 0, "dropped": 0, "delayed": 0, "crash_omitted": 0,
         }
@@ -284,10 +277,7 @@ class RoundEngine(abc.ABC):
             round_index,
             policy=self._quorum_policy,
         )
-        result = RoundResult(round_index=round_index, inboxes=inboxes, starved=starved)
-        if self.keep_history:
-            self.history.append(result)
-        return result
+        return RoundResult(round_index=round_index, inboxes=inboxes, starved=starved)
 
     @abc.abstractmethod
     def _deliver_batch(
@@ -324,18 +314,13 @@ class RoundEngine(abc.ABC):
         return counter
 
     # -- lifecycle ------------------------------------------------------------
-    def reset_history(self) -> None:
-        """Drop recorded round results (used between learning iterations)."""
-        self.history.clear()
-
     def reset(self) -> None:
-        """Start a fresh exchange: drop history and any in-flight state.
+        """Start a fresh exchange: drop any in-flight state.
 
-        Schedulers holding cross-round state (pending delayed messages,
-        crash bookkeeping) extend this; cumulative :attr:`stats` survive
-        so a whole training run can be summarised.
+        A no-op for schedulers without cross-round state; the ones that
+        hold pending delayed messages override it.  Cumulative
+        :attr:`stats` survive so a whole training run can be summarised.
         """
-        self.reset_history()
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Copy of the cumulative delivery counters."""
@@ -379,9 +364,9 @@ class RoundEngine(abc.ABC):
 
         One sparse dictionary per executed round: ``{"round": <monotone
         clock>, "sent": ..., "delivered": ..., ...}`` with zero counters
-        omitted.  Empty for schedulers that do not record stats.  Unlike
-        :attr:`history`, traces survive :meth:`reset` — they summarise a
-        whole training run, exchange boundaries included.
+        omitted.  Empty for schedulers that do not record stats.  Traces
+        survive :meth:`reset` — they summarise a whole training run,
+        exchange boundaries included.
         """
         return [dict(row) for row in self.traces]
 

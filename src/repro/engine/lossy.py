@@ -84,14 +84,12 @@ class LossyScheduler(RoundEngine):
         drop_rate: float = 0.0,
         crash_schedule: Iterable[Sequence[int]] = (),
         seed: SeedLike = 0,
-        keep_history: bool = True,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology=None,
     ) -> None:
         super().__init__(
-            n, byzantine, keep_history=keep_history,
-            require_full_broadcast=require_full_broadcast,
+            n, byzantine, require_full_broadcast=require_full_broadcast,
             node_trace=node_trace, topology=topology,
         )
         if not 0.0 <= drop_rate < 1.0:

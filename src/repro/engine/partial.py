@@ -58,14 +58,12 @@ class PartiallySynchronousScheduler(RoundEngine):
         max_delay: int = 1,
         delay_prob: float = 0.5,
         seed: SeedLike = 0,
-        keep_history: bool = True,
         require_full_broadcast: bool = True,
         node_trace: bool = False,
         topology=None,
     ) -> None:
         super().__init__(
-            n, byzantine, keep_history=keep_history,
-            require_full_broadcast=require_full_broadcast,
+            n, byzantine, require_full_broadcast=require_full_broadcast,
             node_trace=node_trace, topology=topology,
         )
         if max_delay < 0:
@@ -235,7 +233,7 @@ class PartiallySynchronousScheduler(RoundEngine):
         return counts
 
     def reset(self) -> None:
-        """Drop history and expire in-flight messages at the exchange boundary.
+        """Expire in-flight messages at the exchange boundary.
 
         An exchange boundary is a synchronisation point: messages still
         in flight when the exchange ends never reach their receivers.
@@ -249,4 +247,3 @@ class PartiallySynchronousScheduler(RoundEngine):
         if expired:
             self._node_counter("expired_at_reset")[:] += self.pending_count_per_node()
         self._pending_batches.clear()
-        super().reset()

@@ -43,7 +43,6 @@ def attack_adversary_plan(
     *,
     horizon: int = 0,
     engine: Optional[RoundEngine] = None,
-    extra_metadata: Optional[dict] = None,
 ) -> AdversaryPlanFn:
     """Adversary plan callback driving each Byzantine node's attack.
 
@@ -73,15 +72,11 @@ def attack_adversary_plan(
         payload = attack.corrupt(context)
         recipients = attack.recipients(context)
         delays = attack.send_delays(context)
-        metadata = {"attack": attack.name}
-        if extra_metadata:
-            metadata.update(extra_metadata)
         return BroadcastPlan(
             sender=node,
             payload=None if payload is None else np.asarray(payload, dtype=np.float64),
             recipients=recipients,
             delays=delays,
-            metadata=metadata,
         )
 
     return plan

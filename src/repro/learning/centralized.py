@@ -87,8 +87,7 @@ class CentralizedTrainer:
         self.server_node = max(c.client_id for c in self.clients) + 1
         if engine is None:
             engine = SynchronousScheduler(
-                self.server_node + 1, byz_ids, keep_history=False,
-                require_full_broadcast=False,
+                self.server_node + 1, byz_ids, require_full_broadcast=False
             )
         if engine.n != self.server_node + 1:
             raise ValueError(
@@ -143,9 +142,8 @@ class CentralizedTrainer:
 
         Returns the received ``(m, d)`` gradient stack in client order
         (``None`` when nothing arrived), the received count, and the
-        honest mean loss.  On the batch message plane the stack is one
-        vectorized gather — zero-copy for a fully delivered round — with
-        the rows bitwise-identical to stacking per-message payloads.
+        honest mean loss.  The stack is one vectorized gather from the
+        batch plane, zero-copy for a fully delivered round.
         """
         honest_vectors: Dict[int, np.ndarray] = {}
         own_vectors: Dict[int, np.ndarray] = {}
@@ -196,7 +194,6 @@ class CentralizedTrainer:
                     else np.asarray(corrupted, dtype=np.float64).reshape(-1),
                     recipients=server_only,
                     delays=delays,
-                    metadata={"attack": client.attack.name},
                 )
             )
 
@@ -205,10 +202,10 @@ class CentralizedTrainer:
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         if len(inbox) == 0:
             return None, 0, mean_loss
-        # Reorder delivered rows into client order without building a
-        # single Message.  Delivery order already *is* client order for
-        # the horizon-based schedulers, keeping the gather zero-copy; the
-        # asynchronous scheduler's arrival order needs one row permutation.
+        # Reorder delivered rows into client order.  Delivery order
+        # already *is* client order for the horizon-based schedulers,
+        # keeping the gather zero-copy; the asynchronous scheduler's
+        # arrival order needs one row permutation.
         row_of = {s: i for i, s in enumerate(inbox.senders())}
         order = [
             row_of[client.client_id]

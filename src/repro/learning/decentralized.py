@@ -128,9 +128,7 @@ class DecentralizedTrainer:
             )
         self.honest_ids = tuple(c.client_id for c in self.clients if not c.is_byzantine)
         if engine is None:
-            engine = SynchronousScheduler(
-                len(self.clients), self.byzantine_ids, keep_history=False
-            )
+            engine = SynchronousScheduler(len(self.clients), self.byzantine_ids)
         if engine.n != len(self.clients):
             raise ValueError(
                 f"engine is configured for n={engine.n} but there are {len(self.clients)} clients"
@@ -177,7 +175,6 @@ class DecentralizedTrainer:
         honest_gradients: Dict[int, np.ndarray],
         byzantine_gradients: Dict[int, np.ndarray],
         subrounds: int,
-        iteration: int,
     ) -> Dict[int, np.ndarray]:
         """Execute the agreement sub-rounds; returns each honest node's output."""
         current = {i: g.copy() for i, g in honest_gradients.items()}
@@ -188,7 +185,6 @@ class DecentralizedTrainer:
                 self._rng,
                 horizon=self.engine.horizon,
                 engine=self.engine,
-                extra_metadata={"iteration": iteration},
             )
             if self.byzantine_ids
             else None
@@ -247,7 +243,7 @@ class DecentralizedTrainer:
 
             subrounds = int(self.subround_schedule(iteration))
             agreed = self._run_agreement(
-                honest_gradients, byzantine_gradients, subrounds, iteration
+                honest_gradients, byzantine_gradients, subrounds
             )
 
             for node, aggregate in agreed.items():

@@ -360,7 +360,6 @@ def _make_engine(
         wait_timeout=config.wait_timeout,
         burstiness=config.burstiness,
         seed=stable_component_seed(config.seed, "scheduler", config.scheduler),
-        keep_history=False,
         require_full_broadcast=not star,
         node_trace=config.node_trace,
         topology=topology,

@@ -15,15 +15,16 @@ decentralized learning loop run against the same adversary model the
 theory analyses.
 
 The synchronous-rounds assumption is no longer baked in: this package
-owns message *delivery* (plans, reliable-broadcast validation, quorum,
+owns payload *delivery* (plans, reliable-broadcast validation, the
+array-backed batch plane of :mod:`repro.network.batch`, quorum,
 :class:`RoundResult`), while :mod:`repro.engine` owns the *timing*
-models built on top of it (lock-step, partially synchronous, lossy) —
-see ``docs/architecture.md`` for the layer map.  An empty inbox raises
-:class:`EmptyInboxError` so lossy-scheduler consumers can tell "the
-network dropped everything" apart from malformed input.
+models built on top of it (lock-step, partially synchronous, lossy,
+asynchronous) — see ``docs/architecture.md`` for the layer map.  An
+empty inbox raises :class:`EmptyInboxError` so lossy-scheduler
+consumers can tell "the network dropped everything" apart from
+malformed input.
 """
 
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan, ReliableBroadcast
 from repro.network.delivery import (
     EmptyInboxError,
@@ -44,7 +45,6 @@ from repro.network.topology import (
 __all__ = [
     "BroadcastPlan",
     "EmptyInboxError",
-    "Message",
     "ReliableBroadcast",
     "RoundResult",
     "TOPOLOGY_NAMES",

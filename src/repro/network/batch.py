@@ -1,31 +1,27 @@
-"""Array-backed batch message plane.
+"""Array-backed batch delivery plane.
 
-Every scheduler delivers through this plane.  Materialising one
-:class:`~repro.network.message.Message` per delivered (sender, receiver)
-link would let per-message validation, payload copies and list churn
-dominate simulation cost long before the linear algebra does; instead a
-round has one dense representation:
+Every scheduler delivers through this plane.  A round has one dense
+representation, never one object per delivered (sender, receiver) link:
 
-- :class:`RoundBatch` — the round's ``(S, d)`` payload matrix (one row
-  per speaking sender, sender-ascending), the ``(S,)`` sender ids, the
-  optional ``(S, n)`` boolean delivery mask (``None`` means every sender
-  broadcasts to all), and per-row metadata / adversarial delay maps.
-- :class:`BatchInbox` — a receiver's view into one or more batches: a
-  :class:`~collections.abc.Sequence` of messages that stores only
-  ``(batch, row)`` index pairs and materialises ``Message`` objects
-  lazily (the thin compatibility view), while
-  :meth:`BatchInbox.matrix` gathers the received ``(m, d)`` stack with
-  one fancy-index per batch — zero-copy when a receiver delivered an
-  entire batch in order.
+- :class:`RoundBatch` — the round's ``(S, d)`` read-only payload matrix
+  (one row per speaking sender, sender-ascending), the ``(S,)`` sender
+  ids, the optional ``(S, n)`` boolean delivery mask (``None`` means
+  every sender broadcasts to all), and per-row adversarial delay maps.
+- :class:`BatchInbox` — a receiver's immutable reference into one or
+  more batches: ``(batch, row)`` index pairs from which
+  :meth:`BatchInbox.senders` and :meth:`BatchInbox.matrix` read the
+  delivered sender ids and the received ``(m, d)`` stack — zero-copy
+  when a receiver delivered an entire batch in order.
+
+The payload matrix is a read-only copy of the plans' payloads, so a
+sender cannot change what was delivered after the round was built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.network.message import Message
 
 
 class RoundBatch:
@@ -33,48 +29,36 @@ class RoundBatch:
 
     Attributes
     ----------
-    round_index:
-        The send round of every row.
     n:
         Number of nodes in the engine (width of the delivery mask).
     senders:
         ``(S,)`` int64, strictly ascending — the speaking senders.
     payloads:
         ``(S, d)`` float64, C-contiguous, read-only.  Row ``i`` is the
-        payload of ``senders[i]``; message views alias these rows.
+        payload of ``senders[i]``.
     delivers:
         ``(S, n)`` bool mask (``delivers[i, r]`` — does receiver ``r``
         deliver row ``i``), or ``None`` when every row broadcasts to all
         (the honest common case, kept implicit so full broadcasts cost
         no mask at all).
-    metadata:
-        Per-row plan metadata mappings (copied into each materialised
-        ``Message``).
     delays:
         Per-row adversarial delay maps (``None`` for rows without one).
     """
 
-    __slots__ = (
-        "round_index", "n", "senders", "payloads", "delivers",
-        "metadata", "delays",
-    )
+    __slots__ = ("n", "senders", "payloads", "delivers", "delays")
 
     def __init__(
         self,
-        round_index: int,
         n: int,
         senders: np.ndarray,
         payloads: np.ndarray,
         delivers: Optional[np.ndarray],
-        metadata: Tuple[dict, ...],
         delays: Tuple[Optional[Dict[int, int]], ...],
     ) -> None:
-        self.round_index = int(round_index)
         self.n = int(n)
         self.senders = senders
         self.payloads = payloads
         self.delivers = delivers
-        self.metadata = metadata
         self.delays = delays
 
     @property
@@ -114,8 +98,8 @@ class RoundBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"RoundBatch(round={self.round_index}, senders={self.num_senders}, "
-            f"d={self.dimension}, masked={self.delivers is not None})"
+            f"RoundBatch(senders={self.num_senders}, d={self.dimension}, "
+            f"masked={self.delivers is not None})"
         )
 
 
@@ -136,7 +120,6 @@ def build_round_batch(
     first = by_sender[speaking[0]].payload
     d = int(first.shape[0])
     payloads = np.empty((len(speaking), d), dtype=np.float64)
-    metadata: List[dict] = []
     delays: List[Optional[Dict[int, int]]] = []
     delivers: Optional[np.ndarray] = None
     for i, sender in enumerate(speaking):
@@ -148,7 +131,6 @@ def build_round_batch(
                 f"{speaking[0]} sent d={d}, sender {sender} sent d={payload.shape[0]}"
             )
         payloads[i] = payload
-        metadata.append(plan.metadata)
         delays.append(plan.delays)
         if plan.recipients is not None and delivers is None:
             delivers = np.zeros((len(speaking), n), dtype=bool)
@@ -160,27 +142,26 @@ def build_round_batch(
                 delivers[i, list(plan.recipients)] = True
     payloads.setflags(write=False)
     return RoundBatch(
-        round_index=round_index,
         n=n,
         senders=np.asarray(speaking, dtype=np.int64),
         payloads=payloads,
         delivers=delivers,
-        metadata=tuple(metadata),
         delays=tuple(delays),
     )
 
 
-class BatchInbox(Sequence):
-    """One receiver's delivered messages, stored as batch references.
+class BatchInbox:
+    """One receiver's delivered payloads, stored as batch references.
 
-    A ``Sequence`` of messages: ``len`` / indexing / iteration
-    materialise frozen ``Message`` objects lazily through the trusted
-    zero-copy payload path (each payload is a read-only row view into
-    its batch matrix).  Consumers on the hot path call :meth:`matrix`
-    instead, which never builds a message at all.
+    Row ``k`` of the inbox is row ``rows[k]`` of batch
+    ``batches[bids[k]]`` (of ``batches[0]`` when ``bids`` is ``None``),
+    in delivery order.  Nothing is materialised per message: consumers
+    read :meth:`senders` and :meth:`matrix`.  An inbox never changes
+    after construction, so the same object handed to several receivers
+    stands for one stack.
     """
 
-    __slots__ = ("_batches", "_bids", "_rows", "_cache")
+    __slots__ = ("batches", "rows", "bids")
 
     def __init__(
         self,
@@ -188,10 +169,9 @@ class BatchInbox(Sequence):
         rows: np.ndarray,
         bids: Optional[np.ndarray] = None,
     ) -> None:
-        self._batches = batches
-        self._rows = rows
-        self._bids = bids  # None: every row references batches[0]
-        self._cache: Optional[List[Optional[Message]]] = None
+        self.batches = batches
+        self.rows = rows
+        self.bids = bids
 
     @classmethod
     def empty(cls) -> "BatchInbox":
@@ -202,62 +182,39 @@ class BatchInbox(Sequence):
         return cls((batch,), rows)
 
     def __len__(self) -> int:
-        return int(self._rows.shape[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        if self._cache is None:
-            self._cache = [None] * len(self)
-        message = self._cache[index]
-        if message is None:
-            batch = self._batches[0 if self._bids is None else int(self._bids[index])]
-            row = int(self._rows[index])
-            message = Message(
-                sender=int(batch.senders[row]),
-                round_index=batch.round_index,
-                payload=batch.payloads[row],
-                metadata=dict(batch.metadata[row]),
-            )
-            self._cache[index] = message
-        return message
+        return int(self.rows.shape[0])
 
     def senders(self) -> List[int]:
-        """Sender ids in delivery order (no message materialisation)."""
-        if self._bids is None:
-            if not self._batches:
+        """Sender ids in delivery order."""
+        if self.bids is None:
+            if not self.batches:
                 return []
-            return self._batches[0].senders[self._rows].tolist()
+            return self.batches[0].senders[self.rows].tolist()
         return [
-            int(self._batches[int(b)].senders[int(r)])
-            for b, r in zip(self._bids, self._rows)
+            int(self.batches[int(b)].senders[int(r)])
+            for b, r in zip(self.bids, self.rows)
         ]
 
     def matrix(self) -> np.ndarray:
         """The received ``(m, d)`` payload stack in delivery order.
 
-        Values are bitwise-identical to stacking the materialised
-        message payloads.  A receiver that delivered a whole batch in
-        order gets the shared read-only payload matrix itself
-        (zero-copy); other single-batch inboxes take one gather, and
-        multi-batch inboxes (cross-round stragglers) gather per batch.
+        A receiver that delivered a whole batch in order gets the
+        shared read-only payload matrix itself (zero-copy); other
+        single-batch inboxes take one gather, and multi-batch inboxes
+        (cross-round stragglers) gather per batch.
         """
         if len(self) == 0:
             raise ValueError("cannot build a matrix from an empty inbox")
-        if self._bids is None:
-            batch, rows = self._batches[0], self._rows
+        if self.bids is None:
+            batch, rows = self.batches[0], self.rows
             if rows.shape[0] == batch.num_senders and int(rows[0]) == 0 and (
                 np.array_equal(rows, batch.full_rows())
             ):
                 return batch.payloads
             return batch.payloads[rows]
-        out = np.empty((len(self), self._batches[0].dimension), dtype=np.float64)
-        for bid, batch in enumerate(self._batches):
-            mask = self._bids == bid
+        out = np.empty((len(self), self.batches[0].dimension), dtype=np.float64)
+        for bid, batch in enumerate(self.batches):
+            mask = self.bids == bid
             if mask.any():
-                out[mask] = batch.payloads[self._rows[mask]]
+                out[mask] = batch.payloads[self.rows[mask]]
         return out

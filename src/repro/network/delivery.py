@@ -51,7 +51,7 @@ class RoundResult:
     round_index:
         The round the result belongs to.
     inboxes:
-        Receiver id -> delivered messages, ordered deterministically
+        Receiver id -> delivered payloads, ordered deterministically
         (arrival round, then sender id).
     starved:
         Honest nodes that delivered fewer messages than the required
@@ -67,8 +67,7 @@ class RoundResult:
         """Stack of payloads node ``node`` delivered this round, ``(m, d)``.
 
         A single vectorized gather (zero-copy when the node delivered a
-        whole batch in order); values are bitwise-identical to stacking
-        the materialised messages.
+        whole batch in order).
         """
         inbox = self.inboxes.get(node)
         if inbox is None or not len(inbox):
@@ -83,13 +82,10 @@ class RoundResult:
         return [] if inbox is None else inbox.senders()
 
 
-def full_broadcast_plan(
-    node: int, payload: np.ndarray, metadata: Optional[dict] = None
-) -> BroadcastPlan:
+def full_broadcast_plan(node: int, payload: np.ndarray) -> BroadcastPlan:
     """Convenience constructor for the plan an honest node always uses."""
     return BroadcastPlan(
-        sender=node, payload=np.asarray(payload, dtype=np.float64), recipients=None,
-        metadata=metadata or {},
+        sender=node, payload=np.asarray(payload, dtype=np.float64), recipients=None
     )
 
 
@@ -104,10 +100,12 @@ def collect_plans(
 
     ``honest_plan(node, round)`` must return a full-broadcast plan for
     every honest node.  ``adversary_plan(node, round, honest_values)``
-    is called for every Byzantine node with a read-only view of the
-    honest payloads of this round (Byzantine nodes are rushing: they
-    may inspect honest messages before choosing their own).  A ``None``
-    adversary means Byzantine nodes stay silent (crash).
+    is called for every Byzantine node with the honest payloads of this
+    round (Byzantine nodes are rushing: they may inspect honest messages
+    before choosing their own); an attack sees them through
+    :class:`~repro.byzantine.base.AttackContext`, which makes them
+    read-only.  A ``None`` adversary means Byzantine nodes stay silent
+    (crash).
     """
     plans: List[BroadcastPlan] = []
     honest_values: Dict[int, np.ndarray] = {}

@@ -10,18 +10,16 @@ which is consistent with an asynchronous adversary delaying deliveries
 past the round boundary.
 
 :class:`BroadcastPlan` captures one sender's behaviour for one round;
-:class:`ReliableBroadcast` validates plans and materialises the per-node
-delivery lists.
+:class:`ReliableBroadcast` validates plans and computes the per-node
+lock-step deliveries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.network.message import Message
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class BroadcastPlan:
     sender: int
     payload: Optional[np.ndarray]
     recipients: Optional[frozenset[int]] = None
-    metadata: dict = field(default_factory=dict, compare=False)
     delays: Optional[Dict[int, int]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -68,12 +65,6 @@ class BroadcastPlan:
             if any(lag < 0 for lag in clean.values()):
                 raise ValueError("delivery delays must be non-negative")
             object.__setattr__(self, "delays", clean)
-
-    def delay_to(self, node: int) -> int:
-        """Adversary-requested extra rounds before ``node`` delivers."""
-        if self.delays is None:
-            return 0
-        return self.delays.get(node, 0)
 
     def delivers_to(self, node: int) -> bool:
         """Whether ``node`` delivers this sender's message this round."""
@@ -165,27 +156,21 @@ class ReliableBroadcast:
 
     def deliver(
         self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> Dict[int, List[Message]]:
-        """Return the messages each node delivers this round.
+    ) -> Dict[int, List[Tuple[int, np.ndarray]]]:
+        """Return the ``(sender, payload)`` pairs each node delivers this round.
 
-        The result maps receiver id to the list of delivered messages,
-        ordered by sender id (deterministic, which keeps experiments
-        reproducible).  This is the lock-step reference the engine's
-        schedulers are tested against.
+        The result maps receiver id to its delivered pairs, ordered by
+        sender id (deterministic, which keeps experiments reproducible).
+        This is the lock-step reference the engine's schedulers are
+        tested against.
         """
         by_sender = self.plans_by_sender(plans, round_index)
-        inbox: Dict[int, List[Message]] = {node: [] for node in range(self.n)}
+        inbox: Dict[int, List[Tuple[int, np.ndarray]]] = {
+            node: [] for node in range(self.n)
+        }
         for sender in sorted(by_sender):
             plan = by_sender[sender]
-            if plan.payload is None:
-                continue
-            message = Message(
-                sender=sender,
-                round_index=round_index,
-                payload=plan.payload,
-                metadata=dict(plan.metadata),
-            )
             for node in range(self.n):
                 if plan.delivers_to(node):
-                    inbox[node].append(message)
+                    inbox[node].append((sender, plan.payload))
         return inbox

@@ -69,7 +69,7 @@ def raw_exchange(
 ) -> dict:
     """Drive ``rounds`` full-broadcast rounds; a JSON-safe delivery record."""
     engine = make_scheduler(
-        scheduler, n, (n - 1,), keep_history=False,
+        scheduler, n, (n - 1,),
         topology=None if topology is None else make_topology(topology, n),
         **SCHEDULER_SETUPS[scheduler],
     )

@@ -11,8 +11,22 @@ from repro.agreement.base import (
 )
 from repro.aggregation.hyperbox_rules import HyperboxMean
 from repro.aggregation.mean import Mean
+from repro.byzantine.base import GradientAttack
 from repro.byzantine.crash import CrashAttack
 from repro.byzantine.sign_flip import SignFlipAttack
+
+
+class RewriteHonestAttack(GradientAttack):
+    """Tries to overwrite the first honest broadcast, then sends zeros."""
+
+    name = "rewrite-honest"
+
+    def corrupt(self, context):
+        try:
+            context.honest_vectors[min(context.honest_vectors)][:] = 1e6
+        except ValueError:
+            pass  # the honest vectors are read-only
+        return np.zeros(context.dimension)
 
 
 class TestAgreementResult:
@@ -62,6 +76,16 @@ class TestAggregationAgreement:
 
 
 class TestAgreementProtocol:
+    def test_attack_cannot_rewrite_honest_broadcasts(self):
+        protocol = AgreementProtocol(
+            make_algorithm("mean", 4, 1), byzantine=[3], attack=RewriteHonestAttack()
+        )
+        inputs = {0: np.array([0.0]), 1: np.array([1.0]), 2: np.array([2.0])}
+        result = protocol.run(inputs, rounds=1)
+        # mean of the honest 0, 1, 2 and the Byzantine 0
+        for node in (0, 1, 2):
+            np.testing.assert_array_equal(result.per_round[0][node], [0.75])
+
     def test_no_byzantine_converges_immediately(self, rng):
         algorithm = make_algorithm("box-mean", 6, 1)
         protocol = AgreementProtocol(algorithm, byzantine=(), attack=None)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.aggregation.registry import make_rule
 from repro.agreement.base import make_algorithm
+from repro.byzantine.base import GradientAttack
 from repro.learning.centralized import CentralizedTrainer
 from repro.learning.decentralized import DecentralizedTrainer, default_subround_schedule
 from repro.learning.experiment import (
@@ -146,6 +147,42 @@ class TestCentralizedTrainer:
         built = build_experiment(small_config())
         with pytest.raises(ValueError):
             CentralizedTrainer(built.global_model, [], make_rule("mean"), built.test_data)
+
+    def test_attack_cannot_rewrite_honest_gradients(self):
+        class ZerosAttack(GradientAttack):
+            """Sends zeros, after trying to overwrite an honest gradient."""
+
+            name = "zeros"
+
+            def __init__(self, rewrite):
+                self.rewrite = rewrite
+
+            def corrupt(self, context):
+                if self.rewrite:
+                    try:
+                        context.honest_vectors[min(context.honest_vectors)][:] = 1e6
+                    except ValueError:
+                        pass  # the honest vectors are read-only
+                return np.zeros(context.dimension)
+
+        def trained_parameters(attack):
+            built = build_experiment(small_config(rounds=2))
+            for client in built.clients:
+                if client.is_byzantine:
+                    client.attack = attack
+            trainer = CentralizedTrainer(
+                built.global_model, built.clients, make_rule("mean", n=6, t=1),
+                built.test_data, optimizer=SGD(0.1, total_rounds=2),
+            )
+            trainer.train(2)
+            return built.global_model.get_flat_parameters()
+
+        # The refused write leaves the server the same gradients as an
+        # attack that never tried it.
+        np.testing.assert_array_equal(
+            trained_parameters(ZerosAttack(rewrite=True)),
+            trained_parameters(ZerosAttack(rewrite=False)),
+        )
 
     def test_robust_rule_learns_under_magnitude_attack(self):
         # A magnitude-inflation attacker destroys the plain mean (the

@@ -17,9 +17,9 @@ Three contracts of the array-backed delivery refactor:
    exactly to the aggregate counters and the per-round trace, and obey
    per-node conservation (``sent == delivered + dropped/expired +
    pending``).
-3. **Zero-copy message views** — ``Message`` adopts already-immutable
-   payloads (batch rows) without the defensive copy, while anything a
-   caller could still mutate keeps being copied.
+3. **Payload isolation** — a sender cannot change a delivered payload:
+   each round batch holds a read-only copy of the plans' payloads, and
+   the matrix a fully delivered round shares across nodes is read-only.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.io.results import history_to_dict
 from repro.learning.experiment import ExperimentConfig, run_experiment
 from repro.network.batch import BatchInbox, build_round_batch
 from repro.network.delivery import full_broadcast_plan
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -100,9 +99,7 @@ class TestCrossPlaneEquivalence:
 
 def _run_node_traced(scheduler: str, *, rounds: int = 6, n: int = 6):
     kwargs = dict(SCHEDULER_SETUPS[scheduler])
-    engine = make_scheduler(
-        scheduler, n, (), keep_history=False, node_trace=True, **kwargs
-    )
+    engine = make_scheduler(scheduler, n, (), node_trace=True, **kwargs)
     if scheduler == "asynchronous":
         engine.wait_for(count=n - 1)
     rng = np.random.default_rng(9)
@@ -223,54 +220,38 @@ def test_node_stats_summary_reading():
 
 
 # ---------------------------------------------------------------------------
-# 3. zero-copy message views / mutation protection
+# 3. payload isolation
 # ---------------------------------------------------------------------------
 
-class TestMessagePayloadTrust:
-    def test_writable_payload_is_copied(self):
-        source = np.ones(4)
-        message = Message(sender=0, round_index=0, payload=source)
-        source[0] = 99.0
-        assert message.payload[0] == 1.0
-        assert not message.payload.flags.writeable
+class TestPayloadIsolation:
+    """A sender cannot change what the plane delivered."""
 
-    def test_readonly_view_of_writable_base_is_copied(self):
-        # The owner of the base could still mutate through its own
-        # reference, so a read-only *view* must not be trusted.
-        base = np.arange(4.0)
-        view = base[:]
-        view.setflags(write=False)
-        message = Message(sender=0, round_index=0, payload=view)
-        base[0] = 99.0
-        assert message.payload[0] == 0.0
+    @pytest.mark.parametrize("scheduler", ["synchronous", "lossy"])
+    def test_sender_writes_after_submit_do_not_reach_inboxes(self, scheduler):
+        n = 5
+        engine = make_scheduler(scheduler, n, (), **SCHEDULER_SETUPS[scheduler])
+        sent = {node: np.arange(3.0) + node for node in range(n)}
+        result = engine.submit(
+            [full_broadcast_plan(node, sent[node]) for node in range(n)], 0
+        )
+        before = {node: result.received_matrix(node).copy() for node in range(n)}
+        for vector in sent.values():
+            vector[:] = 1e6
+        for node in range(n):
+            assert np.array_equal(result.received_matrix(node), before[node])
 
-    def test_immutable_chain_is_adopted_without_copy(self):
-        owned = np.arange(4.0)
-        owned.setflags(write=False)
-        message = Message(sender=0, round_index=0, payload=owned)
-        assert message.payload is owned
-
-    def test_batch_row_view_is_adopted_without_copy(self):
-        plans = {i: full_broadcast_plan(i, np.arange(3.0) + i) for i in range(3)}
-        batch = build_round_batch(plans, 0, 3)
-        inbox = BatchInbox.single(batch, batch.full_rows())
-        message = inbox[1]
-        assert np.shares_memory(message.payload, batch.payloads)
-        assert not message.payload.flags.writeable
-
-    def test_with_payload_adopts_trusted_without_copy(self):
-        message = Message(sender=0, round_index=0, payload=np.ones(3))
-        replacement = np.full(3, 2.0)
-        replacement.setflags(write=False)
-        assert message.with_payload(replacement).payload is replacement
-
-    def test_untrusted_inputs_still_validated(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            Message(sender=0, round_index=0, payload=np.empty(0))
-        empty = np.empty(0, dtype=np.float64)
-        empty.setflags(write=False)
-        with pytest.raises(ValueError, match="non-empty"):
-            Message(sender=0, round_index=0, payload=empty)
+    @pytest.mark.parametrize("scheduler", ["synchronous", "lossy"])
+    def test_shared_full_round_matrix_is_read_only(self, scheduler):
+        n = 4
+        engine = make_scheduler(scheduler, n)
+        result = engine.submit(
+            [full_broadcast_plan(node, np.full(2, float(node))) for node in range(n)], 0
+        )
+        shared = result.received_matrix(0)
+        assert all(result.received_matrix(node) is shared for node in range(n))
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +267,26 @@ class TestBatchInbox:
         return build_round_batch(plans, 2, 5)
 
     def test_sequence_protocol(self, batch):
+        # An inbox is the ordered sequence of its delivered rows: len,
+        # senders() and matrix() agree on count and order.
         inbox = BatchInbox.single(batch, np.asarray([0, 2, 4], dtype=np.int64))
         assert len(inbox) == 3
-        assert [m.sender for m in inbox] == [0, 2, 4]
-        assert inbox[-1].sender == 4
-        assert [m.sender for m in inbox[1:]] == [2, 4]
-        with pytest.raises(IndexError):
-            inbox[3]
         assert inbox.senders() == [0, 2, 4]
-        assert inbox[1] is inbox[1]  # lazy views are cached
+        assert inbox.matrix().tolist() == batch.payloads[[0, 2, 4]].tolist()
 
     def test_matrix_matches_message_stacking(self, batch):
-        inbox = BatchInbox.single(batch, np.asarray([1, 3], dtype=np.int64))
-        stacked = np.stack([m.payload for m in inbox], axis=0)
+        # A multi-batch inbox (a straggler ahead of fresh rows) gathers
+        # the bytes of stacking each delivered payload in order.
+        late = build_round_batch(
+            {i: full_broadcast_plan(i, -np.arange(4.0) - i) for i in range(5)}, 1, 5
+        )
+        inbox = BatchInbox(
+            (late, batch),
+            np.asarray([3, 1, 3], dtype=np.int64),
+            np.asarray([0, 1, 1], dtype=np.int64),
+        )
+        stacked = np.stack([late.payloads[3], batch.payloads[1], batch.payloads[3]])
+        assert inbox.senders() == [3, 1, 3]
         assert inbox.matrix().tobytes() == stacked.tobytes()
 
     def test_full_inbox_matrix_is_zero_copy(self, batch):
