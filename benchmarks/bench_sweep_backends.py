@@ -2,12 +2,12 @@
 
 Not a figure of the paper; the smoke benchmark for
 :mod:`repro.sweep.executors`.  It drives one small grid through every
-execution backend — serial, process pool, static 2-shard (both shards
-run here, then merged), and lease-mode 2-worker — and reports cells/sec
-per backend, so CI can track the dispatch overhead of the backend layer.
-Every backend's output is asserted byte-identical to the serial stream
-(after ``repro.sweep.merge`` for the sharded runs) — the invariant the
-distributed path rests on.
+execution backend — serial and process pool — and through a static
+2-shard split (both shards run here, then merged), and reports cells/sec
+per case, so CI can track the dispatch overhead of the backend layer.
+Every case's output is asserted byte-identical to the serial stream
+(after ``repro.sweep.merge`` for the sharded run) — the invariant the
+sharded path rests on.
 
 Running it writes a ``BENCH_sweep_backends.json`` artifact:
 
@@ -25,7 +25,6 @@ import json
 import shutil
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -41,7 +40,6 @@ from repro.sweep import (
     ProcessPoolBackend,
     ScenarioGrid,
     SerialBackend,
-    ShardBackend,
     SweepRunner,
     merge_shards,
 )
@@ -102,35 +100,9 @@ def run_trajectory(smoke: bool = False) -> Dict[str, object]:
             for index in range(2):
                 out = workdir / f"static{index}.jsonl"
                 out.unlink(missing_ok=True)
-                backend = ShardBackend(shard_index=index, shard_count=2)
-                SweepRunner(grid, backend=backend, output_path=out).run()
+                SweepRunner(grid, shard=(index, 2), output_path=out).run()
                 shards.append(out)
             merged = workdir / "static_merged.jsonl"
-            merge_shards(shards, merged, grid=grid)
-            return merged.read_bytes()
-
-        def lease_shards() -> bytes:
-            # Two workers racing on one lease dir concurrently, so the
-            # claim/contention path is actually exercised (and timed).
-            lease_dir = workdir / "leases"
-            shutil.rmtree(lease_dir, ignore_errors=True)
-            shards = []
-            threads = []
-            for index in range(2):
-                out = workdir / f"lease{index}.jsonl"
-                out.unlink(missing_ok=True)
-                backend = ShardBackend(
-                    lease_dir=lease_dir, owner=f"bench-{index}",
-                    lease_timeout=300, poll_interval=0.02,
-                )
-                runner = SweepRunner(grid, backend=backend, output_path=out)
-                threads.append(threading.Thread(target=runner.run))
-                shards.append(out)
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            merged = workdir / "lease_merged.jsonl"
             merge_shards(shards, merged, grid=grid)
             return merged.read_bytes()
 
@@ -148,7 +120,6 @@ def run_trajectory(smoke: bool = False) -> Dict[str, object]:
             timed("serial", serial),
             timed("process(2)", pool),
             timed("shard-static(2)+merge", static_shards),
-            timed("shard-lease(2)+merge", lease_shards),
         ]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -9,16 +9,12 @@ The sub-commands cover the common workflows:
   and print the comparison table (final / best / smoothed accuracy and
   the converging / diverging verdict).
 - ``sweep run`` — expand a JSON scenario-grid spec into experiment cells
-  and run them through an execution backend (serial, process pool, or
-  one shard of a multi-host run), streaming JSONL rows with resume
+  and run them — all of them, or one static shard (``--shard I/M``) —
+  serially or on a process pool, streaming JSONL rows with resume
   support (see ``docs/sweeps.md``).  Plain ``sweep spec.json`` still
   works — ``run`` is inserted for you.
-- ``sweep merge`` — fold per-shard JSONL files from a multi-host sweep
-  into the canonical grid-order stream, byte-identical to a single-host
-  run.
-- ``sweep status`` — aggregate per-shard progress (claimed / done /
-  stale leases, per-owner breakdown) from a lease directory, optionally
-  vetted against a spec for unclaimed-cell counts.
+- ``sweep merge`` — fold per-shard JSONL files into the canonical
+  grid-order stream, byte-identical to a single-host run.
 - ``analyze`` — stream a sweep row file (arbitrarily large; ``.gz``
   transparently decompressed) through the constant-memory aggregator
   and emit a group-by table, deterministic JSON, or a self-contained
@@ -33,9 +29,8 @@ Examples
     python -m repro.cli run --setting centralized --aggregation box-geom --rounds 20
     python -m repro.cli compare --setting decentralized --rules md-geom box-geom --rounds 10
     python -m repro.cli sweep spec.json --output results.jsonl --workers 4
-    python -m repro.cli sweep run spec.json --backend shard --shard 0/2 --output shard0.jsonl
+    python -m repro.cli sweep run spec.json --shard 0/2 --output shard0.jsonl
     python -m repro.cli sweep merge shard0.jsonl shard1.jsonl --output merged.jsonl --spec spec.json
-    python -m repro.cli sweep status --lease-dir leases/ --spec spec.json
     python -m repro.cli analyze results.jsonl --group-by aggregation --format table
     python -m repro.cli analyze results.jsonl --format html --output report.html --figures figs/
     python -m repro.cli theory
@@ -222,7 +217,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 #: Keys the optional ``"execution"`` spec section may set (CLI flags
 #: override them; host-specific choices like --shard stay CLI-only).
-EXECUTION_SPEC_KEYS = ("backend", "workers", "max_retries", "lease_timeout")
+EXECUTION_SPEC_KEYS = ("backend", "workers", "max_retries")
 
 
 def _load_sweep_spec(path_str: str):
@@ -252,10 +247,9 @@ def _load_sweep_spec(path_str: str):
             ("backend", str, "a backend name"),
             ("workers", int, "an integer"),
             ("max_retries", int, "an integer"),
-            ("lease_timeout", (int, float), "a number"),
         ):
             value = execution.get(key)
-            # bool is an int subclass but never a sane count/timeout.
+            # bool is an int subclass but never a sane count.
             if value is not None and (
                 not isinstance(value, kind) or isinstance(value, bool)
             ):
@@ -293,7 +287,7 @@ def _build_backend(args: argparse.Namespace, execution: dict):
     """Resolve CLI flags + the spec's execution section into a backend.
 
     Returns ``(backend, workers)``; raises ``ValueError`` on conflicting
-    or incomplete settings.
+    settings.
     """
     from repro.sweep import make_backend
 
@@ -303,42 +297,12 @@ def _build_backend(args: argparse.Namespace, execution: dict):
         if args.max_retries is not None
         else execution.get("max_retries", 0)
     )
-    lease_timeout = (
-        args.lease_timeout
-        if args.lease_timeout is not None
-        else execution.get("lease_timeout", 300.0)
-    )
-    sharded = args.shard is not None or args.lease_dir is not None
-    if args.backend is not None and args.backend != "shard" and sharded:
-        raise ValueError("--shard/--lease-dir require --backend shard")
-    if sharded:
-        # Host-specific shard flags take precedence over a spec-level
-        # backend default — the same spec serves every worker.
-        name = "shard"
-    elif args.backend is not None:
+    if args.backend is not None:
         name = args.backend
     elif execution.get("backend") is not None:
         name = execution["backend"]
     else:
         name = "serial" if workers == 1 else "process"
-    if args.lease_timeout is not None and args.lease_dir is None:
-        raise ValueError("--lease-timeout only applies with --lease-dir")
-    shard_index = shard_count = None
-    if args.shard is not None:
-        if args.lease_dir is not None:
-            raise ValueError("--shard (static) and --lease-dir (dynamic) are exclusive")
-        shard_index, shard_count = _parse_shard(args.shard)
-    if name == "shard" and not sharded:
-        raise ValueError("--backend shard needs --shard i/M or --lease-dir DIR")
-    if name == "shard" and args.workers is not None and args.workers > 1:
-        # A spec-level workers default is simply ignored for shard hosts
-        # (same spec serves the fleet), but an explicit flag deserves a
-        # loud answer rather than a silently serial run.
-        raise ValueError(
-            "--workers does not apply to the shard backend (each worker "
-            "runs its cells one at a time); launch more shard workers "
-            "for parallelism"
-        )
     if name == "serial" and workers > 1:
         if args.workers is not None:
             raise ValueError(
@@ -346,18 +310,10 @@ def _build_backend(args: argparse.Namespace, execution: dict):
                 f"backend resolved to 'serial'; drop the serial override "
                 f"or use --backend process"
             )
-        # Only the spec's single-host workers default conflicts: an
-        # explicit serial choice simply ignores it, like the shard path.
+        # Only the spec's workers default conflicts: an explicit serial
+        # choice simply ignores it.
         workers = 1
-    backend = make_backend(
-        name,
-        workers=workers,
-        max_retries=max_retries,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        lease_dir=args.lease_dir,
-        lease_timeout=lease_timeout,
-    )
+    backend = make_backend(name, workers=workers, max_retries=max_retries)
     return backend, workers
 
 
@@ -376,29 +332,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         print(loaded, file=sys.stderr)
         return 2
     grid, execution = loaded
-    try:
-        # Vet the fleet flags before the dry-run early return, so a
-        # --dry-run pre-flight of a launch script catches a bad --shard
-        # or --lease-dir combination instead of green-lighting it.
-        # Construction is side-effect free (the lease dir is only
-        # touched on submit).
-        backend, workers = _build_backend(args, execution)
-    except ValueError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 2
-    try:
-        total = len(grid)
-        print(f"sweep: {total} cells over axes {', '.join(grid.axis_names())}")
-        if args.dry_run:
-            # A real run validates inside SweepRunner.run(); doing it
-            # here too would expand the grid twice.
-            for cell in grid.validate():
-                print(f"  [{cell.index:>3d}] {cell.cell_id} (seed={cell.config.seed})")
-            return 0
-    except ValueError as exc:
-        print(f"invalid sweep spec: {exc}", file=sys.stderr)
-        return 2
-
+    total = len(grid)
     state = {"start": time.monotonic(), "fresh": 0}
 
     def progress(cell, row, reused):
@@ -422,19 +356,20 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
             elapsed = time.monotonic() - state["start"]
             if elapsed > 0:
                 rate = state["fresh"] / elapsed
-                line += f"  ({rate:.2f} cells/s"
                 # run() publishes pending_count from its one resume-file
-                # read, so only non-cached cells are priced into the ETA.
-                pending = runner.pending_count
-                if backend.exhaustive and pending is not None:
-                    # A shard worker cannot know its share up front
-                    # (lease claims are dynamic), so no ETA there.
-                    remaining = max(0, pending - state["fresh"])
-                    line += f", eta {_format_eta(remaining / rate)}"
-                line += ")"
+                # read, so only this runner's non-cached cells are priced
+                # into the ETA.
+                remaining = max(0, runner.pending_count - state["fresh"])
+                line += (f"  ({rate:.2f} cells/s, "
+                         f"eta {_format_eta(remaining / rate)})")
         print(line)
 
     try:
+        # Vet the flags before the dry-run early return, so a --dry-run
+        # pre-flight of a launch script catches a bad --shard or output
+        # path instead of green-lighting it.  Construction touches no
+        # file.
+        backend, workers = _build_backend(args, execution)
         runner = SweepRunner(
             grid,
             workers=workers,
@@ -442,27 +377,35 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
             output_path=args.output,
             resume=not args.no_resume,
             on_cell=progress,
+            shard=None if args.shard is None else _parse_shard(args.shard),
         )
+    except ValueError as exc:
+        print(f"sweep failed: {exc}", file=sys.stderr)
+        return 2
+    print(f"sweep: {total} cells over axes {', '.join(grid.axis_names())}")
+    if args.dry_run:
+        try:
+            cells = runner.cells()
+        except ValueError as exc:
+            print(f"invalid sweep spec: {exc}", file=sys.stderr)
+            return 2
+        for cell in cells:
+            print(f"  [{cell.index:>3d}] {cell.cell_id} (seed={cell.config.seed})")
+        return 0
+
+    try:
         rows = runner.run()
     except ValueError as exc:
-        # Bad flags, or a corrupt (non-interrupt-shaped) resume file.
+        # An invalid cell, or a corrupt (non-interrupt-shaped) resume file.
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
     print()
     # The spec is at hand here, so pin the axis-column order to the grid
     # instead of recovering it from the rows.
     print(sweep_summary_table(rows, axis_names=grid.axis_names()))
-    stats = backend.stats()
-    if stats.get("skipped"):
-        # Lease-mode skips are cells some worker durably completed;
-        # static-mode skips are merely assigned elsewhere and may not
-        # have run at all yet.
-        verb = (
-            "completed by other workers"
-            if args.lease_dir is not None
-            else "assigned to other shards"
-        )
-        print(f"\n{stats['skipped']} cell(s) {verb} "
+    if len(rows) < total:
+        # Other shards' cells may not have run at all yet.
+        print(f"\n{total - len(rows)} cell(s) assigned to other shards "
               f"(merge the shard files for the full grid)")
     failures = failed_rows(rows)
     if failures:
@@ -522,63 +465,6 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
     # Missing cells only reach here when the operator opted in with
     # --allow-incomplete, so they do not fail the command; error rows do.
     return 1 if report.failed else 0
-
-
-def _cmd_sweep_status(args: argparse.Namespace) -> int:
-    from repro.sweep.executors import lease_keys_for_cells, scan_lease_dir
-
-    try:
-        status = scan_lease_dir(args.lease_dir, timeout=args.lease_timeout)
-    except FileNotFoundError as exc:
-        print(f"sweep status failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"sweep status failed: {exc}", file=sys.stderr)
-        return 2
-    claimed_fresh = status["in_progress"] - status["stale"]
-    print(f"lease dir: {status['lease_dir']} "
-          f"(staleness timeout {status['timeout']:g}s)")
-    line = (f"  done: {status['done_ok']}  failed: {status['done_failed']}  "
-            f"in progress: {claimed_fresh}  stale: {status['stale']}")
-    if args.spec is not None:
-        loaded = _load_sweep_spec(args.spec)
-        if isinstance(loaded, str):
-            print(loaded, file=sys.stderr)
-            return 2
-        grid, _ = loaded
-        try:
-            keys = lease_keys_for_cells(list(grid.validate()))
-        except ValueError as exc:
-            print(f"invalid sweep spec: {exc}", file=sys.stderr)
-            return 2
-        known = status["keys"]
-        spec_keys = set(keys.values())
-        if known and not (spec_keys & set(known)):
-            # Lease keys are namespaced by the grid fingerprint, so a
-            # spec whose axes differ from the one the fleet ran (wrong
-            # file, edited grid, older schema) matches *nothing* — every
-            # cell would count as unclaimed and every lease as done-
-            # elsewhere, both misleading.  Name the mismatch instead.
-            line += (f"  total: {len(keys)}  (foreign spec: none of the "
-                     f"{len(known)} lease(s) here match this spec's grid "
-                     f"fingerprint — unclaimed counts would be meaningless)")
-        else:
-            unclaimed = sum(1 for key in keys.values() if key not in known)
-            line += f"  unclaimed: {unclaimed}  total: {len(keys)}"
-            foreign = sorted(set(known) - spec_keys)
-            if foreign:
-                # Markers from another spec (or schema version) in the
-                # same directory are invisible to this sweep's workers —
-                # but the operator pointing `status` at the wrong spec
-                # should see them.
-                line += f"  (+{len(foreign)} lease(s) from a different spec)"
-    print(line)
-    if status["owners"]:
-        print("  per owner:")
-        for owner, row in status["owners"].items():
-            print(f"    {owner}: claimed={row['claimed']} stale={row['stale']} "
-                  f"done_ok={row['done_ok']} done_failed={row['done_failed']}")
-    return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -714,18 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker processes (default 1 = run in-process)")
     sweep_run.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                            help="execution backend (default: serial, or process "
-                                "when --workers > 1; shard for multi-host runs)")
+                                "when --workers > 1)")
     sweep_run.add_argument("--shard", type=str, default=None, metavar="I/M",
-                           help="static shard assignment: run shard I of M "
-                                "(backend=shard; cells are assigned round-robin "
-                                "by grid index)")
-    sweep_run.add_argument("--lease-dir", type=str, default=None,
-                           help="shared directory of atomic lease files for "
-                                "dynamic cell claiming (backend=shard)")
-    sweep_run.add_argument("--lease-timeout", type=float, default=None,
-                           help="seconds before an unfinished lease counts as "
-                                "stale and is reclaimed (default 300; must "
-                                "exceed the slowest cell)")
+                           help="run only shard I of M: the cells assigned "
+                                "round-robin by grid index (combines with "
+                                "--workers; merge the shard files afterwards)")
     sweep_run.add_argument("--max-retries", type=int, default=None,
                            help="re-attempts for a raising cell before an error "
                                 "row is emitted in its place (default 0)")
@@ -750,19 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_merge.add_argument("--allow-incomplete", action="store_true",
                              help="merge even when cells are missing")
     sweep_merge.set_defaults(func=_cmd_sweep_merge)
-
-    sweep_status = sweep_sub.add_parser(
-        "status", help="aggregate fleet progress from a lease directory"
-    )
-    sweep_status.add_argument("--lease-dir", type=str, required=True,
-                              help="the shared lease directory the fleet writes to")
-    sweep_status.add_argument("--lease-timeout", type=float, default=300.0,
-                              help="seconds before an unfinished lease counts as "
-                                   "stale (match the fleet's --lease-timeout)")
-    sweep_status.add_argument("--spec", type=str, default=None,
-                              help="sweep spec JSON; adds unclaimed/total counts "
-                                   "and flags leases from a different spec")
-    sweep_status.set_defaults(func=_cmd_sweep_status)
 
     analyze_parser = subparsers.add_parser(
         "analyze",
@@ -827,7 +693,7 @@ def _normalize_argv(argv: Sequence[str]) -> List[str]:
     """
     argv = list(argv)
     if argv and argv[0] == "sweep" and len(argv) > 1:
-        if argv[1] not in ("run", "merge", "status", "-h", "--help"):
+        if argv[1] not in ("run", "merge", "-h", "--help"):
             argv.insert(1, "run")
     return argv
 

@@ -53,13 +53,30 @@ def dump_row(row: dict) -> str:
     return json.dumps(_json_safe(row), sort_keys=True, allow_nan=False)
 
 
+def writable_jsonl_path(path: PathLike) -> Path:
+    """Vet a path rows are about to be written to; return it as a ``Path``.
+
+    Writers emit plain text, while every reader gunzips a ``.gz`` path
+    (:func:`iter_jsonl`), so rows written under such a name could never
+    be read back: resume and ``repro analyze`` would both fail on the
+    file.  Refuse the name instead of writing it.
+    """
+    target = Path(path)
+    if target.suffix == ".gz":
+        raise ValueError(
+            f"cannot write rows to {target}: JSONL is written uncompressed; "
+            f"write to {target.with_suffix('')} and gzip the finished file"
+        )
+    return target
+
+
 def append_jsonl(path: PathLike, row: dict) -> Path:
     """Append one row to a JSONL file (created, with parents, if missing).
 
     The file handle is flushed before returning so a crash after the
     call never loses the row.
     """
-    target = Path(path)
+    target = writable_jsonl_path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("a", encoding="utf-8") as handle:
         handle.write(dump_row(row) + "\n")
@@ -69,7 +86,7 @@ def append_jsonl(path: PathLike, row: dict) -> Path:
 
 def write_jsonl(path: PathLike, rows: Iterable[dict]) -> Path:
     """Write (overwrite) a JSONL file from an iterable of rows."""
-    target = Path(path)
+    target = writable_jsonl_path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as handle:
         for row in rows:

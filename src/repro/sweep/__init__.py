@@ -1,9 +1,9 @@
 """Batched scenario sweeps: declarative grids over experiment configs.
 
 ``ScenarioGrid`` expands axis specs into experiment configurations with
-deterministic per-cell seeds; ``SweepRunner`` executes them through a
-pluggable execution backend — serially, on a process pool, or as one
-shard of a multi-host run (``repro.sweep.executors``) — streaming one
+deterministic per-cell seeds; ``SweepRunner`` executes them — the whole
+grid or one static shard of it — through a pluggable execution backend,
+serially or on a process pool (``repro.sweep.executors``), streaming one
 JSONL row per cell and resuming interrupted runs.  ``repro.sweep.merge``
 folds per-shard files back into the canonical single-host stream.  See
 ``docs/sweeps.md`` for the spec format and CLI.
@@ -14,14 +14,10 @@ from repro.sweep.executors import (
     ERROR_ROW_SCHEMA_VERSION,
     ROW_SCHEMA_VERSION,
     ExecutionBackend,
-    LeaseStore,
     ProcessPoolBackend,
     SerialBackend,
-    ShardBackend,
     assign_shard,
-    default_owner_id,
     execute_payload,
-    grid_fingerprint,
     make_backend,
     row_matches_grid,
     run_cell,
@@ -49,23 +45,19 @@ __all__ = [
     "CONFIG_FIELDS",
     "ERROR_ROW_SCHEMA_VERSION",
     "ExecutionBackend",
-    "LeaseStore",
     "MergeReport",
     "ProcessPoolBackend",
     "ROW_SCHEMA_VERSION",
     "ScenarioGrid",
     "SerialBackend",
-    "ShardBackend",
     "SweepCell",
     "SweepRunner",
     "assign_shard",
     "config_from_dict",
     "config_to_dict",
-    "default_owner_id",
     "escape_axis_value",
     "execute_payload",
     "failed_rows",
-    "grid_fingerprint",
     "iter_rows_to_histories",
     "make_backend",
     "merge_shard_rows",

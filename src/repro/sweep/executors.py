@@ -1,26 +1,19 @@
 """Pluggable execution backends for scenario sweeps.
 
 :class:`~repro.sweep.runner.SweepRunner` owns the *policy* of a sweep —
-expansion, resume bookkeeping, streaming, ordering — and delegates the
-*mechanics* of running cells to an :class:`ExecutionBackend`:
+expansion, shard selection, resume bookkeeping, streaming, ordering —
+and delegates the *mechanics* of running cells to an
+:class:`ExecutionBackend`:
 
-- :class:`SerialBackend` — in-process, one cell at a time (the
-  ``workers=1`` path of the original runner, byte-identical output);
+- :class:`SerialBackend` — in-process, one cell at a time;
 - :class:`ProcessPoolBackend` — a ``multiprocessing`` pool consuming
-  results in submission order (the ``workers=N`` path, byte-identical);
-- :class:`ShardBackend` — one worker of a multi-host run.  In *static*
-  mode (``shard_index``/``shard_count``) cells are assigned round-robin
-  by grid index, so the partition is a pure function of the grid; in
-  *lease* mode (``lease_dir``) workers claim cells dynamically through
-  atomic lease files in a shared directory, with stale-lease reclaim so
-  a crashed worker's cells are picked up by the survivors.
+  results in submission order.
 
-Every backend yields **rows** (the JSONL dicts of
-:func:`~repro.sweep.executors.run_cell`).  Exhaustive backends (serial,
-process pool) yield exactly one row per submitted payload, in submission
-order — the contract the single-host byte-identity guarantee rests on.
-The shard backend is *partial*: it yields rows only for the cells this
-worker ran; ``repro.sweep.merge`` folds the per-shard files back into
+Every backend yields exactly one **row** (the JSONL dict of
+:func:`run_cell`) per submitted payload, in submission order — the
+contract the byte-identity guarantee rests on.  A static shard is not a
+backend: :func:`assign_shard` decides which cells a shard's runner
+submits, and ``repro.sweep.merge`` folds the per-shard files back into
 the canonical single-host stream.
 
 A cell that raises does not abort the sweep: :func:`execute_payload`
@@ -32,27 +25,17 @@ command after a fix re-runs exactly the failed cells.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
-import re
-import socket
-import threading
-import time
 import traceback
 from functools import partial
-from hashlib import sha1
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.io.results import history_to_dict
 from repro.learning.experiment import run_experiment
-from repro.sweep.grid import config_from_dict, config_to_dict
+from repro.sweep.grid import config_from_dict
 from repro.utils.logging import get_logger
 
 _logger = get_logger("sweep.executors")
-
-PathLike = Union[str, Path]
 
 #: Bumped when the row layout changes incompatibly.
 #: v2: corrected delivery accounting (crashed senders are `suppressed`,
@@ -71,7 +54,7 @@ ERROR_ROW_SCHEMA_VERSION = 1
 TRACEBACK_TAIL_LINES = 10
 
 #: Backend names accepted by :func:`make_backend` and the CLI.
-BACKEND_NAMES = ("serial", "process", "shard")
+BACKEND_NAMES = ("serial", "process")
 
 
 def run_cell(payload: dict) -> dict:
@@ -134,21 +117,6 @@ def run_cell(payload: dict) -> dict:
         "summary": summary,
         "history": history_to_dict(history),
     }
-
-
-def grid_fingerprint(cells: Sequence) -> str:
-    """Deterministic digest of a grid's full identity.
-
-    Hashes every cell id and configuration plus the row schema version,
-    so any spec revision (or schema bump) yields a new fingerprint.
-    Used to namespace lease files: completion markers from a previous
-    spec must never satisfy a different grid.
-    """
-    payload = json.dumps(
-        [[cell.cell_id, config_to_dict(cell.config)] for cell in cells],
-        sort_keys=True,
-    )
-    return sha1(f"v{ROW_SCHEMA_VERSION}\n{payload}".encode("utf-8")).hexdigest()
 
 
 def row_matches_grid(row: dict, expected: Dict[str, dict]) -> bool:
@@ -225,77 +193,22 @@ def execute_payload(payload: dict, max_retries: int = 0) -> dict:
 class ExecutionBackend:
     """Protocol every sweep execution backend implements.
 
-    ``submit(payloads)`` returns an iterator of result rows.  When
-    :attr:`exhaustive` is true the iterator yields exactly one row per
-    payload, in submission order (serial / process pool); otherwise it
-    yields only the rows this worker executed, as they complete (shard).
-    ``stats()`` exposes lifecycle counters for CLI summaries, and
-    ``close()`` releases any external resources.
+    ``submit(payloads)`` returns an iterator that yields exactly one row
+    per payload, in submission order: the runner walks its cells in
+    lockstep with it, which is what makes the streamed file
+    byte-identical for every backend and worker count.
     """
 
     #: Human-readable backend name (CLI ``--backend`` value).
     name = "?"
-    #: One row per payload, in submission order?
-    exhaustive = True
-    #: Can the runner honour ``resume=False`` (re-run every cell)?
-    #: Lease-mode sharding cannot: done markers in the shared lease dir
-    #: would still suppress re-execution, silently yielding no rows.
-    supports_no_resume = True
-    #: Does this backend require the runner to stream rows to a file?
-    #: Lease-mode sharding does: a done marker tells every other worker
-    #: the row is durable *somewhere* — without an output file it would
-    #: be durable nowhere and the cell lost to the whole fleet.
-    requires_output_path = False
 
     def __init__(self, *, max_retries: int = 0) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.max_retries = int(max_retries)
-        self.grid_id: Optional[str] = None
-        self._stats: Dict[str, int] = {"executed": 0, "failed": 0, "skipped": 0}
 
     def submit(self, payloads: Sequence[dict]) -> Iterator[dict]:
         raise NotImplementedError
-
-    def bind_grid(self, fingerprint: str) -> None:
-        """Hear the grid fingerprint before any cell state is touched.
-
-        The runner calls this (with :func:`grid_fingerprint` of the full
-        expansion) ahead of :meth:`note_completed`/:meth:`submit`; the
-        lease-mode shard backend namespaces its lease files with it so a
-        reused lease directory never satisfies a different spec.
-        """
-        self.grid_id = fingerprint
-
-    def note_completed(self, cell_ids: Sequence[str]) -> None:
-        """Hear about cells the runner resumed from its output file.
-
-        Called before :meth:`submit` with the cells whose rows are
-        already durable in this worker's stream.  Default: nothing to
-        do; the lease-mode shard backend re-announces their done
-        markers so peers stop waiting on leases a crashed predecessor
-        left behind.
-        """
-
-    def stats(self) -> Dict[str, int]:
-        """Counters: cells executed / failed here, cells skipped (other
-        shards')."""
-        return dict(self._stats)
-
-    def close(self) -> None:
-        """Release backend resources; the runner calls this after run().
-
-        The built-in backends are stateless across submit (pools close
-        inside ``submit`` itself), so the default is a no-op — but the
-        hook is part of the protocol so resource-holding backends are
-        not silently leaked by the runner.
-        """
-
-    def _record(self, row: dict) -> dict:
-        self._stats["executed"] += 1
-        if "error" in row:
-            self._stats["failed"] += 1
-        return row
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -308,7 +221,7 @@ class SerialBackend(ExecutionBackend):
 
     def submit(self, payloads: Sequence[dict]) -> Iterator[dict]:
         for payload in payloads:
-            yield self._record(execute_payload(payload, self.max_retries))
+            yield execute_payload(payload, self.max_retries)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -328,18 +241,17 @@ class ProcessPoolBackend(ExecutionBackend):
         if len(payloads) <= 1:
             # Not worth a pool; identical rows either way.
             for payload in payloads:
-                yield self._record(execute_payload(payload, self.max_retries))
+                yield execute_payload(payload, self.max_retries)
             return
         run = partial(execute_payload, max_retries=self.max_retries)
         # imap preserves submission order, so the streamed JSONL matches
         # the serial execution byte for byte even when cells finish out
         # of order.
         with multiprocessing.Pool(processes=min(self.workers, len(payloads))) as pool:
-            for row in pool.imap(run, payloads):
-                yield self._record(row)
+            yield from pool.imap(run, payloads)
 
 
-# -- multi-host sharding -----------------------------------------------------
+# -- static sharding ---------------------------------------------------------
 
 def assign_shard(index: int, shard_count: int) -> int:
     """Static cell→shard assignment: round-robin by grid index.
@@ -353,527 +265,17 @@ def assign_shard(index: int, shard_count: int) -> int:
     return index % shard_count
 
 
-def _lease_key(cell_id: str, namespace: str = "") -> str:
-    """Filesystem-safe, collision-free key for a cell id.
-
-    ``namespace`` (the grid fingerprint) is folded into the digest so a
-    spec revision yields fresh keys: a reused lease directory can never
-    satisfy a different grid with old completion markers.
-    """
-    digest = sha1(f"{namespace}\n{cell_id}".encode("utf-8")).hexdigest()[:10]
-    readable = re.sub(r"[^A-Za-z0-9._=-]", "_", cell_id)[:80]
-    return f"{readable}-{digest}"
-
-
-class LeaseStore:
-    """Atomic lease files coordinating dynamic cell claiming.
-
-    Layout (one pair per cell, under the shared ``lease_dir``):
-
-    - ``<key>.lease`` — created with ``O_EXCL`` by the claiming worker
-      (atomic on a shared POSIX filesystem); holds owner + claim time.
-    - ``<key>.done`` — written *after* the owner's row is durably in its
-      shard file; holds ``{"ok": bool}`` so failed cells stay
-      reclaimable.
-
-    A lease with no done marker whose age exceeds ``timeout`` is
-    **stale** (its owner is presumed dead) and may be taken over via an
-    atomic ``os.replace`` followed by an ownership read-back.  The
-    read-back closes most of the take-over race; the residual window can
-    at worst run a cell twice on two hosts, which is harmless — cells
-    are deterministic, and the merge step deduplicates by cell id.
-    There is no heartbeat renewal, so ``timeout`` must exceed the
-    slowest cell's runtime.
-
-    Staleness uses two clocks: the lease file's mtime age (fast, but
-    subject to cross-host clock skew on shared filesystems) *or* how
-    long this worker has locally observed the same unchanged lease
-    (monotonic, skew-free).  The second clock guarantees reclaim within
-    ``timeout`` of first observation even when a skewed writer stamps
-    lease mtimes in the future; skew in the other direction can at
-    worst reclaim early, which degrades into the harmless duplicate-run
-    case above.
-    """
-
-    def __init__(
-        self,
-        lease_dir: PathLike,
-        *,
-        owner: str,
-        timeout: float,
-        namespace: str = "",
-    ) -> None:
-        if timeout <= 0:
-            raise ValueError(f"lease timeout must be > 0, got {timeout}")
-        self.root = Path(lease_dir)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.owner = str(owner)
-        self.timeout = float(timeout)
-        #: Grid fingerprint folded into every key: markers written for a
-        #: different spec (or schema version) are simply invisible here.
-        self.namespace = str(namespace)
-        #: When this store (≈ this worker's run) began: failures that
-        #: predate it are immediately retryable, failures observed
-        #: during our own run are another worker's fresh verdict.
-        self.started_unix = time.time()
-        # cell_id -> (lease mtime, local monotonic time first observed).
-        self._observed: Dict[str, tuple] = {}
-
-    # -- paths ---------------------------------------------------------------
-    def lease_path(self, cell_id: str) -> Path:
-        return self.root / f"{_lease_key(cell_id, self.namespace)}.lease"
-
-    def done_path(self, cell_id: str) -> Path:
-        return self.root / f"{_lease_key(cell_id, self.namespace)}.done"
-
-    # -- state reads ---------------------------------------------------------
-    def is_done(self, cell_id: str) -> bool:
-        """True when some worker durably recorded this cell (ok or not)."""
-        return self.done_path(cell_id).exists()
-
-    def done_ok(self, cell_id: str) -> Optional[bool]:
-        """The done marker's ok flag, or None when the cell is not done."""
-        try:
-            data = json.loads(self.done_path(cell_id).read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        return bool(data.get("ok", False))
-
-    def lease_owner(self, cell_id: str) -> Optional[str]:
-        try:
-            data = json.loads(self.lease_path(cell_id).read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            # A lease mid-write parses as garbage; treat as unknown owner.
-            return None
-        owner = data.get("owner")
-        return str(owner) if owner is not None else None
-
-    def is_stale(self, cell_id: str) -> bool:
-        """Lease present, cell not done, and the lease older than timeout
-        (by mtime age, or by how long *we* have watched it sit unchanged)."""
-        lease = self.lease_path(cell_id)
-        try:
-            mtime = lease.stat().st_mtime
-        except FileNotFoundError:
-            self._observed.pop(cell_id, None)
-            return False
-        if self.is_done(cell_id):
-            return False
-        now_mono = time.monotonic()
-        seen_mtime, first_seen = self._observed.get(cell_id, (None, None))
-        if seen_mtime != mtime:
-            # New or replaced lease: restart the local observation clock.
-            self._observed[cell_id] = (mtime, now_mono)
-            first_seen = now_mono
-        return (
-            time.time() - mtime > self.timeout
-            or now_mono - first_seen > self.timeout
-        )
-
-    # -- transitions ---------------------------------------------------------
-    def _lease_body(self) -> str:
-        return json.dumps(
-            {"owner": self.owner, "claimed_unix": time.time()}, sort_keys=True
-        )
-
-    def claim(self, cell_id: str) -> bool:
-        """Try to take ownership of a cell; True means *run it*.
-
-        Won when: the cell had no lease (fresh ``O_EXCL`` create), its
-        lease went stale, its holder is a provably dead process on this
-        host (a restarted worker reclaims its own crashed run's cells
-        immediately instead of sitting out the timeout), or a previous
-        attempt ended in an error row (``done.ok == false`` — the
-        claimant retries the failure).
-        """
-        lease = self.lease_path(cell_id)
-        ok = self.done_ok(cell_id)
-        if ok:
-            return False  # completed successfully elsewhere
-        if ok is False:
-            # A failed cell is retryable — but a failure recorded
-            # *during our own run* is a peer's fresh verdict on the same
-            # code: re-running it immediately would multiply the
-            # advertised max_retries by the fleet size.  A failure that
-            # predates this run (an operator re-running after a fix) or
-            # has aged past the timeout is picked up at once.
-            try:
-                done_mtime = self.done_path(cell_id).stat().st_mtime
-            except FileNotFoundError:
-                done_mtime = 0.0
-            fresh_verdict = (
-                done_mtime >= self.started_unix
-                and time.time() - done_mtime <= self.timeout
-            )
-            if fresh_verdict:
-                return False
-            return self._take_over(cell_id, clear_done=True)
-        try:
-            with lease.open("x", encoding="utf-8") as handle:
-                handle.write(self._lease_body())
-            return True
-        except FileExistsError:
-            pass
-        holder = self.lease_owner(cell_id)
-        if holder == self.owner:
-            return True  # already ours (idempotent re-claim)
-        if self.is_stale(cell_id) or _owner_is_dead_local_process(holder):
-            return self._take_over(cell_id, clear_done=False)
-        return False
-
-    def _take_over(self, cell_id: str, *, clear_done: bool) -> bool:
-        lease = self.lease_path(cell_id)
-        temp = lease.with_name(f"{lease.name}.{_lease_key(self.owner)}.tmp")
-        temp.write_text(self._lease_body(), encoding="utf-8")
-        os.replace(temp, lease)
-        if clear_done:
-            try:
-                self.done_path(cell_id).unlink()
-            except FileNotFoundError:
-                pass
-        won = self.lease_owner(cell_id) == self.owner
-        if won:
-            _logger.info("reclaimed lease for cell %s", cell_id)
-        return won
-
-    def mark_done(self, cell_id: str, *, ok: bool) -> None:
-        """Record a durably-written row (call *after* the JSONL append)."""
-        done = self.done_path(cell_id)
-        temp = done.with_name(f"{done.name}.{_lease_key(self.owner)}.tmp")
-        temp.write_text(
-            json.dumps(
-                {"ok": bool(ok), "owner": self.owner, "done_unix": time.time()},
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-        os.replace(temp, done)
-
-
-def default_owner_id() -> str:
-    """Host + pid + thread identity for lease files.
-
-    The thread id matters: two lease workers in one process (threads
-    sharing a lease dir) must not see each other's leases as "already
-    ours", or every cell would run twice.
-    """
-    return f"{socket.gethostname()}:{os.getpid()}:{threading.get_ident()}"
-
-
-def lease_keys_for_cells(cells: Sequence) -> Dict[str, str]:
-    """Map each cell id to its lease-file key under the grid's namespace.
-
-    The namespace is the grid fingerprint — the same one
-    :class:`ShardBackend` folds into its :class:`LeaseStore` — so the
-    returned keys are exactly the ``<key>.lease`` / ``<key>.done`` base
-    names a sweep over ``cells`` produces.
-    """
-    namespace = grid_fingerprint(cells)
-    return {cell.cell_id: _lease_key(cell.cell_id, namespace) for cell in cells}
-
-
-def scan_lease_dir(lease_dir: PathLike, *, timeout: float = 300.0) -> dict:
-    """Aggregate per-shard sweep progress from a lease directory.
-
-    Reads every ``<key>.lease`` / ``<key>.done`` pair a
-    :class:`LeaseStore` fleet has written and returns a JSON-safe
-    summary: totals (``done_ok`` / ``done_failed`` / ``in_progress`` /
-    ``stale``), a per-owner breakdown, and the per-key state mapping
-    (``keys``) so callers holding the grid (via
-    :func:`lease_keys_for_cells`) can compute unclaimed cells.  A lease
-    without a done marker whose mtime age exceeds ``timeout`` counts as
-    **stale** — its owner is presumed dead and any live worker will
-    reclaim it.  Read-only: never mutates the directory, so it is safe
-    to run next to an active fleet.
-    """
-    root = Path(lease_dir)
-    if not root.is_dir():
-        raise FileNotFoundError(f"lease dir {root} does not exist")
-    if timeout <= 0:
-        raise ValueError(f"lease timeout must be > 0, got {timeout}")
-    now = time.time()
-    leases: Dict[str, dict] = {}
-    dones: Dict[str, dict] = {}
-    for path in sorted(root.iterdir()):
-        name = path.name
-        if name.endswith(".tmp"):
-            continue  # a writer mid-os.replace
-        if name.endswith(".lease"):
-            key = name[: -len(".lease")]
-            try:
-                age = max(0.0, now - path.stat().st_mtime)
-            except FileNotFoundError:
-                continue  # released between listing and stat
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                data = {}  # mid-write; owner unknown
-            owner = data.get("owner")
-            leases[key] = {
-                "owner": str(owner) if owner is not None else None,
-                "age": age,
-            }
-        elif name.endswith(".done"):
-            key = name[: -len(".done")]
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                data = {}
-            owner = data.get("owner")
-            dones[key] = {
-                "ok": bool(data.get("ok", False)),
-                "owner": str(owner) if owner is not None else None,
-            }
-
-    owners: Dict[str, Dict[str, int]] = {}
-
-    def owner_row(owner: Optional[str]) -> Dict[str, int]:
-        return owners.setdefault(
-            owner or "<unknown>",
-            {"claimed": 0, "stale": 0, "done_ok": 0, "done_failed": 0},
-        )
-
-    keys: Dict[str, str] = {}
-    totals = {"done_ok": 0, "done_failed": 0, "in_progress": 0, "stale": 0}
-    for key, entry in dones.items():
-        row = owner_row(entry["owner"])
-        if entry["ok"]:
-            totals["done_ok"] += 1
-            row["done_ok"] += 1
-            keys[key] = "done"
-        else:
-            totals["done_failed"] += 1
-            row["done_failed"] += 1
-            keys[key] = "failed"
-    for key, entry in leases.items():
-        if key in dones:
-            continue
-        row = owner_row(entry["owner"])
-        row["claimed"] += 1
-        totals["in_progress"] += 1
-        if entry["age"] > timeout:
-            totals["stale"] += 1
-            row["stale"] += 1
-            keys[key] = "stale"
-        else:
-            keys[key] = "claimed"
-    return {
-        "lease_dir": str(root),
-        "timeout": float(timeout),
-        **totals,
-        "owners": {name: owners[name] for name in sorted(owners)},
-        "keys": keys,
-    }
-
-
-def _owner_is_dead_local_process(owner: Optional[str]) -> bool:
-    """True only when ``owner`` names a provably dead pid on *this* host.
-
-    Owner ids from :func:`default_owner_id` look like
-    ``host:pid:thread``; anything else (custom owners, other hosts,
-    pid-reuse ambiguity) conservatively returns False and leaves
-    reclaim to the staleness timeout.
-    """
-    if not owner:
-        return False
-    parts = owner.rsplit(":", 2)
-    if len(parts) != 3:
-        return False
-    host, pid_text, _thread = parts
-    if host != socket.gethostname() or not pid_text.isdigit():
-        return False
-    pid = int(pid_text)
-    if pid == os.getpid():
-        return False  # our own process — alive by definition
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:
-        return False  # alive, owned by another user
-    return False
-
-
-class ShardBackend(ExecutionBackend):
-    """One worker of a multi-host sweep.
-
-    Exactly one of the two modes is active:
-
-    - **static** — ``shard_index``/``shard_count`` given: this worker
-      runs the cells :func:`assign_shard` maps to its index.  No shared
-      state, no coordination; every worker must be launched with the
-      same grid and a distinct index.
-    - **lease** — ``lease_dir`` given: workers race to claim cells
-      through a shared :class:`LeaseStore`; faster hosts simply claim
-      more cells, and cells leased by a worker that died are reclaimed
-      after ``lease_timeout`` seconds.
-
-    Rows are yielded as executed (grid order in static mode; claim order
-    in lease mode), each destined for this worker's *own* shard JSONL;
-    ``repro.sweep.merge`` rebuilds the canonical single-host stream.
-    """
-
-    name = "shard"
-    exhaustive = False
-
-    def __init__(
-        self,
-        *,
-        shard_index: Optional[int] = None,
-        shard_count: Optional[int] = None,
-        lease_dir: Optional[PathLike] = None,
-        lease_timeout: float = 300.0,
-        poll_interval: Optional[float] = None,
-        owner: Optional[str] = None,
-        max_retries: int = 0,
-    ) -> None:
-        super().__init__(max_retries=max_retries)
-        static = shard_index is not None or shard_count is not None
-        if static == (lease_dir is not None):
-            raise ValueError(
-                "shard backend needs exactly one mode: shard_index/shard_count "
-                "(static) or lease_dir (dynamic)"
-            )
-        if static:
-            if shard_index is None or shard_count is None:
-                raise ValueError("static mode needs both shard_index and shard_count")
-            if not 0 <= shard_index < shard_count:
-                raise ValueError(
-                    f"shard_index must be in [0, {shard_count}), got {shard_index}"
-                )
-            self.shard_index: Optional[int] = int(shard_index)
-            self.shard_count: Optional[int] = int(shard_count)
-            self.lease_dir: Optional[Path] = None
-        else:
-            if lease_timeout <= 0:
-                raise ValueError(f"lease timeout must be > 0, got {lease_timeout}")
-            self.shard_index = None
-            self.shard_count = None
-            self.lease_dir = Path(lease_dir)  # type: ignore[arg-type]
-            # Cell completion lives in the shared lease dir, not just in
-            # this worker's file, so a local "re-run everything" request
-            # cannot be honoured (the operator clears the lease dir),
-            # and rows must be streamed to a file before cells are
-            # marked done for the rest of the fleet.
-            self.supports_no_resume = False
-            self.requires_output_path = True
-        self.lease_timeout = float(lease_timeout)
-        self.owner = owner
-        #: Created on first submit so that merely *constructing* the
-        #: backend (e.g. CLI flag validation under --dry-run) never
-        #: touches the shared lease directory.
-        self.store: Optional[LeaseStore] = None
-        self.poll_interval = (
-            float(poll_interval)
-            if poll_interval is not None
-            else min(1.0, lease_timeout / 5.0)
-        )
-
-    def _ensure_store(self) -> LeaseStore:
-        if self.store is None:
-            self.store = LeaseStore(
-                self.lease_dir,  # type: ignore[arg-type]
-                owner=self.owner if self.owner is not None else default_owner_id(),
-                timeout=self.lease_timeout,
-                namespace=self.grid_id or "",
-            )
-        return self.store
-
-    def note_completed(self, cell_ids: Sequence[str]) -> None:
-        """Re-announce done markers for cells resumed from our own file.
-
-        A worker that crashed between the JSONL append and ``mark_done``
-        resumes the row on restart but would otherwise leave the shared
-        lease unmarked — peers would sit out the full lease timeout and
-        then re-run a cell whose row already exists.  The rows are
-        durable in this worker's stream, so marking them done is the
-        promise the protocol wants; if a peer already reclaimed and is
-        mid-re-run, the duplicate row is identical and merge dedups it.
-        """
-        if self.lease_dir is None or not cell_ids:
-            return
-        store = self._ensure_store()
-        for cell_id in cell_ids:
-            if not store.is_done(cell_id):
-                store.claim(cell_id)  # best effort; done is what matters
-                store.mark_done(cell_id, ok=True)
-
-    def submit(self, payloads: Sequence[dict]) -> Iterator[dict]:
-        if self.lease_dir is None:
-            yield from self._submit_static(payloads)
-        else:
-            self._ensure_store()
-            yield from self._submit_leased(payloads)
-
-    def _submit_static(self, payloads: Sequence[dict]) -> Iterator[dict]:
-        assert self.shard_index is not None and self.shard_count is not None
-        for payload in payloads:
-            if assign_shard(payload["index"], self.shard_count) != self.shard_index:
-                self._stats["skipped"] += 1
-                continue
-            yield self._record(execute_payload(payload, self.max_retries))
-
-    def _submit_leased(self, payloads: Sequence[dict]) -> Iterator[dict]:
-        """Claim-execute-mark loop until every payload is accounted for.
-
-        The done marker is written *after* ``yield`` hands the row to
-        the runner, which appends and flushes it to this worker's shard
-        file first — so a crash between claim and write leaves a lease
-        that goes stale and is reclaimed, never a done cell without a
-        row.  Each worker attempts a given cell at most once per run.
-        """
-        store = self.store
-        assert store is not None
-        outstanding: Dict[str, dict] = {p["cell_id"]: p for p in payloads}
-        while outstanding:
-            progressed = False
-            for cell_id in list(outstanding):
-                payload = outstanding[cell_id]
-                if store.claim(cell_id):
-                    row = self._record(
-                        execute_payload(payload, self.max_retries)
-                    )
-                    yield row  # runner appends + flushes before we resume
-                    store.mark_done(cell_id, ok="error" not in row)
-                    del outstanding[cell_id]
-                    progressed = True
-                elif store.is_done(cell_id):
-                    # Another worker finished it (its row lives in that
-                    # worker's shard file; merge folds them together).
-                    self._stats["skipped"] += 1
-                    del outstanding[cell_id]
-                    progressed = True
-            if outstanding and not progressed:
-                # Everything left is leased by live peers; wait for done
-                # markers or for a lease to go stale.
-                time.sleep(self.poll_interval)
-
-
 def make_backend(
     name: str,
     *,
     workers: int = 1,
     max_retries: int = 0,
-    shard_index: Optional[int] = None,
-    shard_count: Optional[int] = None,
-    lease_dir: Optional[PathLike] = None,
-    lease_timeout: float = 300.0,
-    owner: Optional[str] = None,
 ) -> ExecutionBackend:
     """Build a backend by CLI name (see :data:`BACKEND_NAMES`)."""
     if name == "serial":
         return SerialBackend(max_retries=max_retries)
     if name == "process":
         return ProcessPoolBackend(workers, max_retries=max_retries)
-    if name == "shard":
-        return ShardBackend(
-            shard_index=shard_index,
-            shard_count=shard_count,
-            lease_dir=lease_dir,
-            lease_timeout=lease_timeout,
-            owner=owner,
-            max_retries=max_retries,
-        )
     raise ValueError(f"unknown backend {name!r}; available: {BACKEND_NAMES}")
 
 
@@ -882,15 +284,11 @@ __all__ = [
     "ERROR_ROW_SCHEMA_VERSION",
     "ROW_SCHEMA_VERSION",
     "ExecutionBackend",
-    "LeaseStore",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ShardBackend",
     "assign_shard",
     "build_error_row",
-    "default_owner_id",
     "execute_payload",
-    "grid_fingerprint",
     "make_backend",
     "row_matches_grid",
     "run_cell",

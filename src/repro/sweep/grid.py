@@ -88,7 +88,7 @@ def escape_axis_value(text: str) -> str:
     Cell ids join ``name=value`` pairs with ``/``, so a value containing
     ``/`` or ``=`` (a fraction like ``"1/4"``, a dataset path, a kwargs
     dict) would otherwise produce an *ambiguous* id — aliasing derived
-    per-cell seeds, lease keys and resume dedup.  Only the three
+    per-cell seeds, resume dedup and shard merges.  Only the three
     characters that break parsing are touched (``%`` first, as the
     escape introducer), so every id that never needed escaping is
     byte-identical to the historical format.
@@ -240,7 +240,7 @@ class ScenarioGrid:
             # Collision guard: distinct combos must yield distinct ids.
             # Escaping removes separator ambiguity, but two values can
             # still *render* identically (e.g. the int 1 and the string
-            # "1" on different axes); seeds, leases and resume all key
+            # "1" on different axes); seeds, resume and merge all key
             # on the id, so aliasing would silently drop cells.
             if cell_id in seen:
                 raise ValueError(

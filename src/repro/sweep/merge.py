@@ -1,8 +1,8 @@
 """Folding per-shard sweep files into the canonical single-host stream.
 
-A multi-host sweep leaves one JSONL file per shard worker, each holding
-the rows that worker executed (plus, under lease mode, possibly a few
-duplicates from reclaim races and error rows from failed attempts).
+A sharded sweep leaves one JSONL file per shard worker, each holding
+the rows that worker executed (plus, after resumes and retries, error
+rows from failed attempts and stale rows from an older spec).
 :func:`merge_shard_rows` rebuilds the exact stream a single-host run
 would have produced:
 
@@ -76,8 +76,7 @@ def merge_shard_rows(
 
     The winning rows are held in memory until written — the same
     profile as a single-host ``SweepRunner.run()``, which returns every
-    row as a list (lease-mode shard files arrive in claim order, so a
-    streaming k-way merge is not possible anyway).
+    row as a list.
     """
     expected: Optional[Dict[str, dict]] = None
     order: Optional[Dict[str, int]] = None

@@ -1,17 +1,17 @@
 """Batched execution of scenario grids.
 
-:class:`SweepRunner` executes every cell of a :class:`ScenarioGrid`
-through a pluggable :class:`~repro.sweep.executors.ExecutionBackend`
-(serial, process pool, or one shard of a multi-host run) and streams one
-JSONL row per completed cell.  Three properties make sweeps safe to run
-at scale:
+:class:`SweepRunner` executes the cells of a :class:`ScenarioGrid` — all
+of them, or one static shard's (``shard=(i, M)``) — through a pluggable
+:class:`~repro.sweep.executors.ExecutionBackend` (serial or process
+pool) and streams one JSONL row per completed cell.  Three properties
+make sweeps safe to run at scale:
 
 - **Determinism** — each cell's experiment is fully determined by its
   configuration (which embeds a per-cell seed), so a sweep produces the
-  same rows for any worker count or shard layout.  Exhaustive backends
-  consume results in submission order, so the output file is
-  byte-for-byte identical as well; shard files are folded back into
-  that same canonical stream by ``repro.sweep.merge``.
+  same rows for any worker count or shard layout.  Backends yield
+  results in submission order, so the output file is byte-for-byte
+  identical as well; shard files are folded back into that same
+  canonical stream by ``repro.sweep.merge``.
 - **Streaming** — a row is appended and flushed as soon as its cell
   finishes; an interrupt loses at most the cells in flight.
 - **Resume** — rows already present in the output file are trusted
@@ -32,7 +32,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.io.jsonl import append_jsonl, iter_jsonl, read_jsonl, truncate_partial_tail
+from repro.io.jsonl import (
+    append_jsonl,
+    iter_jsonl,
+    read_jsonl,
+    truncate_partial_tail,
+    writable_jsonl_path,
+)
 from repro.io.results import history_from_dict
 from repro.learning.history import TrainingHistory
 from repro.sweep.executors import (
@@ -41,7 +47,7 @@ from repro.sweep.executors import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    grid_fingerprint,
+    assign_shard,
     row_matches_grid,
     run_cell,
 )
@@ -126,16 +132,14 @@ class SweepRunner:
     backend:
         An :class:`~repro.sweep.executors.ExecutionBackend` instance.
         Defaults to :class:`SerialBackend` (``workers == 1``) or
-        :class:`ProcessPoolBackend` — the historical behaviour.  Pass a
-        :class:`~repro.sweep.executors.ShardBackend` to run one worker
-        of a multi-host sweep (the output file then holds only this
-        shard's rows; see ``repro.sweep.merge``).
+        :class:`ProcessPoolBackend`.
     max_retries:
         How many times a raising cell is re-attempted before an error
         row is emitted in its place.  Only used when ``backend`` is
         built here; an explicit backend carries its own setting.
     output_path:
         Optional JSONL file to stream rows to.  Required for resume.
+        A ``.gz`` name is refused: rows stream uncompressed.
     resume:
         When true (default) and ``output_path`` exists, rows whose cell
         id and configuration match the current grid are reused and their
@@ -143,6 +147,11 @@ class SweepRunner:
     on_cell:
         Optional callback ``(cell, row, reused)`` fired per completed
         cell — the CLI uses it for progress output.
+    shard:
+        Optional ``(i, M)``: run only the cells
+        :func:`~repro.sweep.executors.assign_shard` maps to shard ``i``
+        of ``M``.  The output file then holds only this shard's rows;
+        ``repro.sweep.merge`` folds the shard files into the full grid.
     """
 
     def __init__(
@@ -155,9 +164,12 @@ class SweepRunner:
         output_path: Optional[PathLike] = None,
         resume: bool = True,
         on_cell: Optional[Callable[[SweepCell, dict, bool], None]] = None,
+        shard: Optional[Tuple[int, int]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
+        if shard is not None and not 0 <= shard[0] < shard[1]:
+            raise ValueError(f"shard must be (i, M) with 0 <= i < M, got {shard}")
         self.grid = grid
         self.workers = int(workers)
         if backend is None:
@@ -167,13 +179,29 @@ class SweepRunner:
                 else ProcessPoolBackend(self.workers, max_retries=max_retries)
             )
         self.backend = backend
-        self.output_path = None if output_path is None else Path(output_path)
+        self.output_path = (
+            None if output_path is None else writable_jsonl_path(output_path)
+        )
         self.resume = bool(resume)
         self.on_cell = on_cell
+        self.shard = shard
         #: How many cells the last :meth:`run` actually had to execute
-        #: (grid minus resumed rows); published before the first cell
+        #: (:meth:`cells` minus resumed rows); published before the first cell
         #: runs so progress callbacks can price only the pending work.
         self.pending_count: Optional[int] = None
+
+    def cells(self) -> List[SweepCell]:
+        """The validated cells this runner executes, in grid order.
+
+        The whole grid, or the cells :func:`assign_shard` maps to this
+        runner's shard.  Every grid cell is validated either way, so a
+        shard worker fails fast on a spec error in any shard.
+        """
+        cells = self.grid.validate()
+        if self.shard is None:
+            return cells
+        index, count = self.shard
+        return [cell for cell in cells if assign_shard(cell.index, count) == index]
 
     # -- resume bookkeeping --------------------------------------------------
     def completed_rows(
@@ -185,12 +213,12 @@ class SweepRunner:
         completed; a row from an older spec with the same cell id is
         ignored (its cell re-runs and the fresh row wins on read-back).
         Error rows never count — their cells re-run on resume.
-        ``cells`` optionally supplies the already-expanded grid.
+        ``cells`` optionally supplies :meth:`cells` already computed.
         """
         if not self.resume or self.output_path is None or not self.output_path.exists():
             return {}
         if cells is None:
-            cells = self.grid.cells()
+            cells = self.cells()
         expected = {cell.cell_id: config_to_dict(cell.config) for cell in cells}
         completed: Dict[str, dict] = {}
         for row in read_jsonl(self.output_path):
@@ -200,33 +228,20 @@ class SweepRunner:
 
     # -- execution -----------------------------------------------------------
     def run(self) -> List[dict]:
-        """Run every pending cell; return the rows in grid order.
+        """Run every pending cell; return this runner's rows in grid order.
 
-        With an exhaustive backend (serial / process pool) the list
-        covers every cell.  With a shard backend it covers the cells
-        this worker ran or resumed — merge the shard files for the full
-        grid.
+        The rows cover :meth:`cells`: the whole grid, or this runner's
+        shard — merge the shard files for the full grid.  Cached and
+        fresh rows alike reach ``on_cell`` in grid order, because the
+        backend yields one row per pending cell in submission order.
         """
-        cells = self.grid.validate()  # fail fast before any cell runs
-        if not self.resume and not self.backend.supports_no_resume:
-            raise ValueError(
-                "resume=False is not supported with a lease-dir shard "
-                "backend: done markers in the shared lease directory would "
-                "still suppress re-execution.  Clear the lease directory "
-                "(and the shard files) to restart a lease-mode sweep."
-            )
-        if self.output_path is None and self.backend.requires_output_path:
-            raise ValueError(
-                "a lease-dir shard backend needs an output path: each done "
-                "marker promises the rest of the fleet that the cell's row "
-                "is durable in this worker's shard file"
-            )
+        cells = self.cells()  # fail fast before any cell runs
         completed = self.completed_rows(cells)
         if self.output_path is not None:
             if not self.output_path.exists():
-                # Create the stream eagerly so even a worker that ends
-                # up running zero cells (e.g. an outpaced lease-mode
-                # shard) leaves a mergeable, resumable file behind.
+                # Create the stream eagerly so even a shard that owns no
+                # cell (more shards than cells) leaves a mergeable,
+                # resumable file behind.
                 self.output_path.parent.mkdir(parents=True, exist_ok=True)
                 self.output_path.touch()
             elif self.resume:
@@ -245,7 +260,7 @@ class SweepRunner:
                 len(completed), len(cells),
             )
 
-        payloads = [
+        results = self.backend.submit([
             {
                 "index": cell.index,
                 "cell_id": cell.cell_id,
@@ -253,79 +268,20 @@ class SweepRunner:
                 "config": config_to_dict(cell.config),
             }
             for cell in pending
-        ]
-        # The fingerprint namespaces lease-mode completion markers, so a
-        # reused lease dir never satisfies a revised spec; resumed rows
-        # are already durable in our stream, so a lease-mode backend
-        # re-announces their done markers for the fleet.
-        self.backend.bind_grid(grid_fingerprint(cells))
-        self.backend.note_completed(list(completed))
-        try:
-            results = self.backend.submit(payloads)
-            if self.backend.exhaustive:
-                return self._run_exhaustive(cells, completed, results)
-            return self._run_partial(cells, completed, results)
-        finally:
-            self.backend.close()
-
-    def _run_exhaustive(
-        self,
-        cells: List[SweepCell],
-        completed: Dict[str, dict],
-        results: Iterator[dict],
-    ) -> List[dict]:
-        """Lockstep walk: one backend row per pending cell, in grid order.
-
-        This is the original single-host path — progress callbacks
-        (fresh and cached alike) fire immediately and with monotonic
-        indices; pending results arrive in this same order from the
-        backend, so the streamed file is byte-identical to the
-        pre-backend runner.
-        """
-        rows_by_id = dict(completed)
+        ])
+        rows = []
         for cell in cells:
-            if cell.cell_id in completed:
-                row, reused = completed[cell.cell_id], True
+            reused = cell.cell_id in completed
+            if reused:
+                row = completed[cell.cell_id]
             else:
-                row, reused = next(results), False
+                row = next(results)
                 if self.output_path is not None:
                     append_jsonl(self.output_path, row)
-                rows_by_id[cell.cell_id] = row
             if self.on_cell is not None:
                 self.on_cell(cell, row, reused)
-        return [rows_by_id[cell.cell_id] for cell in cells]
-
-    def _run_partial(
-        self,
-        cells: List[SweepCell],
-        completed: Dict[str, dict],
-        results: Iterator[dict],
-    ) -> List[dict]:
-        """Stream a shard backend's rows as they complete.
-
-        The backend yields only the cells this worker executed (grid
-        order in static mode; claim order under leases), so cached rows
-        are reported up front and executed rows as they arrive.  Each
-        row is appended and flushed *before* the backend resumes — the
-        ordering lease done-markers rely on.
-        """
-        rows_by_id = dict(completed)
-        cell_by_id = {cell.cell_id: cell for cell in cells}
-        if self.on_cell is not None:
-            for cell in cells:
-                if cell.cell_id in completed:
-                    self.on_cell(cell, completed[cell.cell_id], True)
-        for row in results:
-            if self.output_path is not None:
-                append_jsonl(self.output_path, row)
-            rows_by_id[row["cell_id"]] = row
-            if self.on_cell is not None:
-                self.on_cell(cell_by_id[row["cell_id"]], row, False)
-        return [
-            rows_by_id[cell.cell_id]
-            for cell in cells
-            if cell.cell_id in rows_by_id
-        ]
+            rows.append(row)
+        return rows
 
 
 def failed_rows(rows: Iterable[dict]) -> List[dict]:

@@ -12,7 +12,7 @@ def pytest_configure(config):
     # the tests directory without the repo-root ini file.
     config.addinivalue_line(
         "markers",
-        'slow: long-running sweep / end-to-end tests (deselect with -m "not slow")',
+        'slow: the 100k-row bounded-memory analysis test (deselect with -m "not slow")',
     )
 
 

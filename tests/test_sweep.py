@@ -62,6 +62,15 @@ class TestJsonl:
         write_jsonl(path, [{"b": 2}])
         assert read_jsonl(path) == [{"b": 2}]
 
+    def test_writers_refuse_gz_paths(self, tmp_path):
+        # Readers gunzip a .gz path, so plain rows there would be unreadable.
+        path = tmp_path / "out.jsonl.gz"
+        for write in (lambda: append_jsonl(path, {"a": 1}),
+                      lambda: write_jsonl(path, [{"a": 1}])):
+            with pytest.raises(ValueError, match="gzip the finished file"):
+                write()
+        assert not path.exists()
+
     def test_partial_tail_skipped(self, tmp_path):
         path = tmp_path / "out.jsonl"
         path.write_text('{"a": 1}\n{"b": 2')  # interrupted final write
@@ -233,7 +242,6 @@ class TestSweepRunner:
         with pytest.raises(ValueError):
             SweepRunner(tiny_grid(), workers=0)
 
-    @pytest.mark.slow
     def test_same_spec_gives_identical_jsonl(self, tmp_path):
         grid = tiny_grid()
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -246,7 +254,6 @@ class TestSweepRunner:
         assert set(histories) == {c.cell_id for c in grid.cells()}
         assert all(h.rounds == 2 for h in histories.values())
 
-    @pytest.mark.slow
     def test_resume_skips_completed_cells(self, tmp_path):
         grid = tiny_grid()
         path = tmp_path / "sweep.jsonl"
@@ -275,7 +282,6 @@ class TestSweepRunner:
             c.cell_id for c in grid.cells()
         ]
 
-    @pytest.mark.slow
     def test_resume_after_partial_final_line(self, tmp_path):
         """An interrupted write (partial line, no newline) must not glue
         the re-run row onto the partial bytes."""
@@ -294,7 +300,6 @@ class TestSweepRunner:
         # And the repaired file keeps resuming cleanly.
         assert len(SweepRunner(grid, output_path=path).completed_rows()) == len(grid)
 
-    @pytest.mark.slow
     def test_stale_row_with_changed_config_reruns(self, tmp_path):
         grid = tiny_grid()
         path = tmp_path / "sweep.jsonl"
@@ -308,7 +313,6 @@ class TestSweepRunner:
         assert len(runner.completed_rows()) == len(grid) - 1
         assert runner.run() == baseline
 
-    @pytest.mark.slow
     def test_no_resume_restarts_stream_without_duplicates(self, tmp_path):
         grid = tiny_grid()
         path = tmp_path / "sweep.jsonl"
@@ -321,7 +325,6 @@ class TestSweepRunner:
         assert path.read_bytes() == first
         assert len(read_jsonl(path)) == len(grid)
 
-    @pytest.mark.slow
     def test_parallel_matches_serial(self, tmp_path):
         grid = tiny_grid()
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
@@ -330,7 +333,6 @@ class TestSweepRunner:
         assert serial.read_bytes() == parallel.read_bytes()
         assert rows1 == rows2
 
-    @pytest.mark.slow
     def test_three_axis_sweep_parallel_and_resume(self, tmp_path):
         """Acceptance: 2 heterogeneity x 2 attacks x 2 rules, workers=2."""
         grid = ScenarioGrid(
@@ -431,7 +433,6 @@ class TestResumeEdgeCases:
         completed = SweepRunner(grid, output_path=path).completed_rows()
         assert completed[rows[0]["cell_id"]]["summary"]["final_accuracy"] == 0.75
 
-    @pytest.mark.slow
     def test_run_repairs_parseable_partial_tail(self, tmp_path):
         """run() after an interrupt that left a *parseable* partial line:
         the affected cell re-runs and the stream converges byte-for-byte."""
@@ -449,7 +450,6 @@ class TestResumeEdgeCases:
         assert resumed == baseline
         assert path.read_bytes() == original
 
-    @pytest.mark.slow
     def test_run_reruns_stale_schema_rows(self, tmp_path):
         grid = tiny_grid()
         path = tmp_path / "sweep.jsonl"
@@ -546,7 +546,7 @@ class TestCellIdEscaping:
     def test_collision_guard_rejects_identically_rendered_values(self):
         # A list window and a tuple window are distinct axis values
         # (distinct reprs) but render identically in the cell id; seeds,
-        # leases and resume key on the id, so expansion must refuse.
+        # resume and merge key on the id, so expansion must refuse.
         grid = ScenarioGrid(
             tiny_config(scheduler="lossy"),
             {"crash_schedule": [[[1, 0, 3]], [(1, 0, 3)]]},

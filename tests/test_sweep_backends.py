@@ -4,8 +4,6 @@ shard merging (repro.sweep.merge) and the error-row / resume semantics."""
 from __future__ import annotations
 
 import json
-import os
-import time
 from pathlib import Path
 
 import pytest
@@ -16,17 +14,14 @@ from repro.learning.experiment import ExperimentConfig
 from repro.sweep import (
     ERROR_ROW_SCHEMA_VERSION,
     ROW_SCHEMA_VERSION,
-    LeaseStore,
     ProcessPoolBackend,
     ScenarioGrid,
     SerialBackend,
-    ShardBackend,
     SweepRunner,
     assign_shard,
     config_to_dict,
     execute_payload,
     failed_rows,
-    grid_fingerprint,
     iter_rows_to_histories,
     make_backend,
     merge_shard_rows,
@@ -111,20 +106,14 @@ class TestBackendConstruction:
     def test_make_backend_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("process", workers=2), ProcessPoolBackend)
-        shard = make_backend("shard", shard_index=1, shard_count=3)
-        assert isinstance(shard, ShardBackend) and not shard.exhaustive
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("bogus")
+        for name in ("bogus", "shard"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                make_backend(name)
 
-    def test_shard_backend_needs_exactly_one_mode(self):
-        with pytest.raises(ValueError, match="exactly one mode"):
-            ShardBackend()
-        with pytest.raises(ValueError, match="exactly one mode"):
-            ShardBackend(shard_index=0, shard_count=2, lease_dir="/tmp/x")
-        with pytest.raises(ValueError, match="both shard_index and shard_count"):
-            ShardBackend(shard_index=0)
-        with pytest.raises(ValueError, match="shard_index must be in"):
-            ShardBackend(shard_index=2, shard_count=2)
+    def test_runner_shard_validation(self):
+        for shard in ((2, 2), (-1, 2), (0, 0)):
+            with pytest.raises(ValueError, match="shard must be"):
+                SweepRunner(tiny_grid(), shard=shard)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
@@ -148,13 +137,11 @@ class TestByteIdentityAgainstPinnedFixture:
     grew a ``dtype`` field, and once to drop that key again when the
     field was removed.  Every result stayed byte-identical."""
 
-    @pytest.mark.slow
     def test_serial_backend_matches_fixture(self, tmp_path):
         out = tmp_path / "serial.jsonl"
         SweepRunner(tiny_grid(), backend=SerialBackend(), output_path=out).run()
         assert out.read_bytes() == FIXTURE.read_bytes()
 
-    @pytest.mark.slow
     def test_process_pool_backend_matches_fixture(self, tmp_path):
         out = tmp_path / "pool.jsonl"
         SweepRunner(
@@ -162,14 +149,15 @@ class TestByteIdentityAgainstPinnedFixture:
         ).run()
         assert out.read_bytes() == FIXTURE.read_bytes()
 
-    @pytest.mark.slow
     def test_two_static_shards_merge_to_fixture(self, tmp_path):
         grid = tiny_grid()
         shards = []
         for index in range(2):
             out = tmp_path / f"shard{index}.jsonl"
-            backend = ShardBackend(shard_index=index, shard_count=2)
-            rows = SweepRunner(grid, backend=backend, output_path=out).run()
+            # Shard 1 runs on a pool: a shard only filters the cells.
+            rows = SweepRunner(
+                grid, shard=(index, 2), workers=1 + index, output_path=out
+            ).run()
             assert all(
                 assign_shard(row["index"], 2) == index for row in rows
             )
@@ -243,13 +231,10 @@ class TestErrorRows:
         monkeypatch.setattr(
             "repro.sweep.executors.run_cell", self._failing({bad})
         )
-        runner = SweepRunner(grid, max_retries=2)
-        rows = runner.run()
+        rows = SweepRunner(grid, max_retries=2).run()
         failures = failed_rows(rows)
         assert failures[0]["error"]["attempts"] == 3
-        assert runner.backend.stats() == {
-            "executed": len(grid), "failed": 1, "skipped": 0,
-        }
+        assert len(rows) == len(grid) and len(failures) == 1
 
     def test_error_rows_not_trusted_by_resume(self, monkeypatch, tmp_path):
         grid = self._grid()
@@ -286,262 +271,35 @@ class TestErrorRows:
         assert "error" in row and row["cell_id"] == "x"
 
 
-class TestLeaseStore:
-    def test_two_claimants_one_winner(self, tmp_path):
-        a = LeaseStore(tmp_path / "leases", owner="a", timeout=60)
-        b = LeaseStore(tmp_path / "leases", owner="b", timeout=60)
-        assert a.claim("heterogeneity=mild/aggregation=krum") is True
-        assert b.claim("heterogeneity=mild/aggregation=krum") is False
-        assert a.lease_owner("heterogeneity=mild/aggregation=krum") == "a"
-
-    def test_fresh_lease_not_reclaimable(self, tmp_path):
-        a = LeaseStore(tmp_path / "leases", owner="a", timeout=60)
-        b = LeaseStore(tmp_path / "leases", owner="b", timeout=60)
-        assert a.claim("cell") and not b.claim("cell")
-        assert not b.is_stale("cell")
-
-    def test_stale_lease_reclaimed(self, tmp_path):
-        a = LeaseStore(tmp_path / "leases", owner="a", timeout=5)
-        b = LeaseStore(tmp_path / "leases", owner="b", timeout=5)
-        assert a.claim("cell")
-        stale = time.time() - 100
-        os.utime(a.lease_path("cell"), (stale, stale))
-        assert b.is_stale("cell")
-        assert b.claim("cell") is True
-        assert b.lease_owner("cell") == "b"
-
-    def test_future_mtime_lease_still_reclaimed_by_observation(self, tmp_path):
-        # A skewed writer can stamp lease mtimes in the future, making
-        # mtime age negative forever; the local observation clock must
-        # still reclaim within ~timeout of first sighting.
-        a = LeaseStore(tmp_path / "leases", owner="a", timeout=0.05)
-        b = LeaseStore(tmp_path / "leases", owner="b", timeout=0.05)
-        assert a.claim("cell")
-        future = time.time() + 3600
-        os.utime(a.lease_path("cell"), (future, future))
-        assert not b.is_stale("cell")  # first sighting starts the clock
-        time.sleep(0.1)
-        assert b.is_stale("cell")
-        assert b.claim("cell") is True
-
-    def test_dead_local_owner_reclaimed_immediately(self, tmp_path):
-        # A restarted worker must not sit out the timeout waiting for
-        # its own crashed predecessor's lease.
-        import multiprocessing
-        import socket
-
-        proc = multiprocessing.Process(target=lambda: None)
-        proc.start()
-        proc.join()  # pid is now provably dead on this host
-        dead = LeaseStore(
-            tmp_path / "leases",
-            owner=f"{socket.gethostname()}:{proc.pid}:0",
-            timeout=3600,
-        )
-        assert dead.claim("cell")
-        survivor = LeaseStore(tmp_path / "leases", owner="survivor", timeout=3600)
-        assert survivor.claim("cell") is True  # no timeout wait
-        assert survivor.lease_owner("cell") == "survivor"
-
-    def test_done_blocks_and_error_done_reclaims_after_age_gate(self, tmp_path):
-        a = LeaseStore(tmp_path / "leases", owner="a", timeout=60)
-        b = LeaseStore(tmp_path / "leases", owner="b", timeout=60)
-        assert a.claim("cell")
-        a.mark_done("cell", ok=True)
-        assert b.claim("cell") is False  # completed: never re-run
-        assert a.claim("other")
-        a.mark_done("other", ok=False)  # failed: retryable, but...
-        # ...not by peers of the same run — otherwise every live worker
-        # would re-run a deterministically broken cell, multiplying
-        # max_retries by the fleet size.
-        assert b.claim("other") is False
-        # A store created *after* the failure (an operator re-running
-        # the command post-fix) retries immediately, no timeout wait.
-        c = LeaseStore(tmp_path / "leases", owner="c", timeout=60)
-        assert c.claim("other") is True
-        assert not c.is_done("other")  # retry cleared the marker
-        # The aged path also reopens the cell for same-run peers.
-        c.mark_done("other", ok=False)
-        stale = time.time() - 100
-        os.utime(c.done_path("other"), (stale, stale))
-        os.utime(c.lease_path("other"), (stale, stale))
-        assert b.claim("other") is True
-
-    def test_cell_ids_map_to_safe_distinct_files(self, tmp_path):
-        store = LeaseStore(tmp_path / "leases", owner="a", timeout=60)
-        ids = ["a/b=1", "a/b=2", "a_b=1", "long/" * 40 + "tail"]
-        paths = {store.lease_path(cell_id) for cell_id in ids}
-        assert len(paths) == len(ids)  # digest suffix prevents collisions
-        for path in paths:
-            assert path.parent == store.root  # no nested directories
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="timeout"):
-            LeaseStore(tmp_path, owner="a", timeout=0)
-
-    def test_default_owner_ids_distinct_across_threads(self):
-        import threading
-
-        from repro.sweep import default_owner_id
-
-        ids = [default_owner_id()]
-        thread = threading.Thread(target=lambda: ids.append(default_owner_id()))
-        thread.start()
-        thread.join()
-        # Two same-process lease workers (threads) must never treat
-        # each other's live leases as "already ours".
-        assert len(set(ids)) == 2
-
-
 class TestShardExecution:
     def test_static_shards_partition_payloads(self, fast_cells, tmp_path):
+        # Five shards over four cells: the last one owns no cell but
+        # still leaves a mergeable (empty) file behind.
         grid = tiny_grid()
         files = []
-        for index in range(3):
+        for index in range(5):
             out = tmp_path / f"s{index}.jsonl"
-            backend = ShardBackend(shard_index=index, shard_count=3)
-            rows = SweepRunner(grid, backend=backend, output_path=out).run()
-            stats = backend.stats()
-            assert stats["executed"] == len(rows)
-            assert stats["executed"] + stats["skipped"] == len(grid)
+            rows = SweepRunner(grid, shard=(index, 5), output_path=out).run()
+            assert [row["index"] for row in rows] == list(range(index, len(grid), 5))
             files.append(out)
+        assert files[-1].read_bytes() == b""
         merged, report = merge_shard_rows(files, grid=grid)
         assert [row["cell_id"] for row in merged] == [
             c.cell_id for c in grid.cells()
         ]
         assert report.duplicates == 0
 
-    def test_lease_workers_split_cells_without_overlap(self, fast_cells, tmp_path):
-        grid = tiny_grid()
-        lease_dir = tmp_path / "leases"
-        first = SweepRunner(
-            grid,
-            backend=ShardBackend(lease_dir=lease_dir, owner="w0", lease_timeout=60),
-            output_path=tmp_path / "w0.jsonl",
-        ).run()
-        second = SweepRunner(
-            grid,
-            backend=ShardBackend(lease_dir=lease_dir, owner="w1", lease_timeout=60),
-            output_path=tmp_path / "w1.jsonl",
-        ).run()
-        # Sequential workers: the first claims everything, the second
-        # sees only done markers — and still leaves a mergeable file.
-        assert len(first) == len(grid) and second == []
-        assert (tmp_path / "w1.jsonl").exists()
-        rows, report = merge_shard_rows(
-            [tmp_path / "w0.jsonl", tmp_path / "w1.jsonl"], grid=grid
-        )
-        assert len(rows) == len(grid) and report.duplicates == 0
-
-    def test_lease_mode_rejects_no_resume(self, fast_cells, tmp_path):
-        # A local "re-run everything" cannot be honoured when completion
-        # state lives in the shared lease dir: fail loudly, not silently
-        # with an empty output file.
-        runner = SweepRunner(
-            tiny_grid(),
-            backend=ShardBackend(lease_dir=tmp_path / "leases", owner="w"),
-            output_path=tmp_path / "w.jsonl",
-            resume=False,
-        )
-        with pytest.raises(ValueError, match="lease"):
-            runner.run()
-        # Static shards keep the historical no-resume behaviour.
+    def test_shard_no_resume_restarts_its_file(self, fast_cells, tmp_path):
+        # resume=False rewrites the shard's file instead of appending
+        # duplicate rows after the existing ones.
+        out = tmp_path / "s.jsonl"
+        SweepRunner(tiny_grid(), shard=(0, 2), output_path=out).run()
+        first = out.read_bytes()
         rows = SweepRunner(
-            tiny_grid(),
-            backend=ShardBackend(shard_index=0, shard_count=2),
-            output_path=tmp_path / "s.jsonl",
-            resume=False,
+            tiny_grid(), shard=(0, 2), output_path=out, resume=False
         ).run()
-        assert rows
-
-    def test_lease_mode_requires_output_path(self, fast_cells, tmp_path):
-        # Done markers promise the fleet the row is durable somewhere;
-        # without an output file it would be durable nowhere.
-        runner = SweepRunner(
-            tiny_grid(),
-            backend=ShardBackend(lease_dir=tmp_path / "leases", owner="w"),
-        )
-        with pytest.raises(ValueError, match="output path"):
-            runner.run()
-        assert not any((tmp_path / "leases").glob("*.done"))
-
-    def test_spec_change_invalidates_lease_state(self, fast_cells, tmp_path):
-        # Done markers are namespaced by the grid fingerprint: a reused
-        # lease dir must never satisfy a revised spec with old markers.
-        lease_dir = tmp_path / "leases"
-        SweepRunner(
-            tiny_grid(),
-            backend=ShardBackend(lease_dir=lease_dir, owner="w0", lease_timeout=60),
-            output_path=tmp_path / "w0.jsonl",
-        ).run()
-        revised = ScenarioGrid(
-            tiny_config(rounds=2),  # base config changed, same cell ids
-            {"heterogeneity": ["uniform", "extreme"],
-             "aggregation": ["mean", "krum"]},
-        )
-        backend = ShardBackend(lease_dir=lease_dir, owner="w1", lease_timeout=60)
-        rows = SweepRunner(
-            revised, backend=backend, output_path=tmp_path / "w1.jsonl"
-        ).run()
-        assert backend.stats()["executed"] == len(revised)  # nothing skipped
-        assert len(rows) == len(revised)
-
-    def test_resume_reannounces_done_markers(self, fast_cells, tmp_path):
-        # Crash between the JSONL append and mark_done: the row is
-        # durable but the fleet can't see it.  A restarted worker must
-        # restore the marker from its resume set instead of leaving
-        # peers to wait out the lease timeout and re-run the cell.
-        grid = tiny_grid()
-        lease_dir = tmp_path / "leases"
-        out = tmp_path / "w.jsonl"
-        SweepRunner(
-            grid,
-            backend=ShardBackend(lease_dir=lease_dir, owner="w0", lease_timeout=60),
-            output_path=out,
-        ).run()
-        victim = grid.cells()[0].cell_id
-        store = LeaseStore(
-            lease_dir, owner="x", timeout=60,
-            namespace=grid_fingerprint(grid.cells()),
-        )
-        store.done_path(victim).unlink()  # the marker the crash lost
-
-        backend = ShardBackend(lease_dir=lease_dir, owner="w0b", lease_timeout=60)
-        SweepRunner(grid, backend=backend, output_path=out).run()
-        assert backend.stats()["executed"] == 0  # nothing re-ran
-        assert store.done_ok(victim) is True  # marker restored
-
-    def test_runner_calls_backend_close(self, fast_cells):
-        closed = []
-
-        class Recording(SerialBackend):
-            def close(self):
-                closed.append(True)
-
-        SweepRunner(tiny_grid(), backend=Recording()).run()
-        assert closed == [True]
-
-    def test_crashed_worker_cells_are_reclaimed(self, fast_cells, tmp_path):
-        grid = tiny_grid()
-        lease_dir = tmp_path / "leases"
-        victim = grid.cells()[0].cell_id
-        # A dead worker left a lease (no done marker) long ago.
-        dead = LeaseStore(
-            lease_dir, owner="dead", timeout=1,
-            namespace=grid_fingerprint(grid.cells()),
-        )
-        assert dead.claim(victim)
-        stale = time.time() - 100
-        os.utime(dead.lease_path(victim), (stale, stale))
-
-        backend = ShardBackend(
-            lease_dir=lease_dir, owner="alive", lease_timeout=1, poll_interval=0.01
-        )
-        rows = SweepRunner(
-            grid, backend=backend, output_path=tmp_path / "alive.jsonl"
-        ).run()
-        assert len(rows) == len(grid)  # the stale cell was reclaimed too
-        assert dead.lease_owner(victim) == "alive"
+        assert [row["index"] for row in rows] == [0, 2]
+        assert out.read_bytes() == first
 
 
 def _fabricated_rows(grid):
@@ -691,6 +449,11 @@ class TestCliBackends:
         },
         "axes": {"aggregation": ["mean", "krum"]},
     }
+    #: Four cells, so a shard of two runs two of them.
+    FOUR_CELLS = {
+        "axes": {"heterogeneity": ["uniform", "extreme"],
+                 "aggregation": ["mean", "krum"]},
+    }
 
     def _write_spec(self, tmp_path, extra=None):
         spec = json.loads(json.dumps(self.SPEC))
@@ -715,13 +478,21 @@ class TestCliBackends:
         spec = str(self._write_spec(tmp_path))
         assert main(["sweep", "run", spec, "--dry-run", "--shard", "9/2"]) == 2
         assert "--shard index" in capsys.readouterr().err
-        # ...and a valid one stays side-effect free: no lease dir yet.
-        lease_dir = tmp_path / "leases"
-        code = main(["sweep", "run", spec, "--dry-run",
-                     "--lease-dir", str(lease_dir),
+        # ...and a valid one stays side-effect free: no output file yet.
+        code = main(["sweep", "run", spec, "--dry-run", "--shard", "0/2",
                      "--output", str(tmp_path / "w.jsonl")])
         assert code == 0
-        assert not lease_dir.exists()
+        assert not (tmp_path / "w.jsonl").exists()
+
+    def test_dry_run_lists_only_the_shards_cells(
+        self, fast_cells, capsys, tmp_path
+    ):
+        spec = str(self._write_spec(tmp_path, extra=self.FOUR_CELLS))
+        assert main(["sweep", "run", spec, "--dry-run", "--shard", "1/2"]) == 0
+        listed = [line.split("]")[0].strip(" [")
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  [")]
+        assert listed == ["1", "3"]
 
     def test_sweep_run_subcommand(self, fast_cells, capsys, tmp_path):
         out_path = tmp_path / "rows.jsonl"
@@ -742,14 +513,15 @@ class TestCliBackends:
     def test_shard_flags_run_and_merge_byte_identical(
         self, fast_cells, capsys, tmp_path
     ):
-        spec = self._write_spec(tmp_path)
+        spec = self._write_spec(tmp_path, extra=self.FOUR_CELLS)
         single = tmp_path / "single.jsonl"
         assert main(["sweep", "run", str(spec), "--output", str(single),
                      "--quiet"]) == 0
         for index in range(2):
+            # Shard 1 runs its two cells on a process pool.
             code = main([
-                "sweep", "run", str(spec), "--backend", "shard",
-                "--shard", f"{index}/2", "--quiet",
+                "sweep", "run", str(spec), "--shard", f"{index}/2",
+                "--workers", str(1 + index), "--quiet",
                 "--output", str(tmp_path / f"shard{index}.jsonl"),
             ])
             assert code == 0
@@ -759,43 +531,62 @@ class TestCliBackends:
                      "--output", str(merged), "--spec", str(spec)])
         assert code == 0
         assert merged.read_bytes() == single.read_bytes()
-        assert "merged 2 cell(s)" in capsys.readouterr().out
-
-    def test_lease_dir_flag(self, fast_cells, capsys, tmp_path):
-        spec = self._write_spec(tmp_path)
-        code = main([
-            "sweep", "run", str(spec), "--lease-dir", str(tmp_path / "leases"),
-            "--lease-timeout", "60", "--quiet",
-            "--output", str(tmp_path / "w0.jsonl"),
-        ])
-        assert code == 0
-        assert len(read_jsonl(tmp_path / "w0.jsonl")) == 2
+        assert "merged 4 cell(s)" in capsys.readouterr().out
 
     def test_shard_flag_validation(self, fast_cells, capsys, tmp_path):
         spec = str(self._write_spec(tmp_path))
-        assert main(["sweep", "run", spec, "--backend", "serial",
-                     "--shard", "0/2"]) == 2
-        assert "require --backend shard" in capsys.readouterr().err
         assert main(["sweep", "run", spec, "--shard", "nope"]) == 2
         assert "i/M" in capsys.readouterr().err
-        assert main(["sweep", "run", spec, "--backend", "shard"]) == 2
-        assert "needs --shard" in capsys.readouterr().err
-        assert main(["sweep", "run", spec, "--shard", "0/2",
-                     "--lease-dir", str(tmp_path)]) == 2
-        assert "exclusive" in capsys.readouterr().err
-        # Per-host pools are not a thing for shard workers: say so
-        # instead of silently running serially.
-        assert main(["sweep", "run", spec, "--shard", "0/2",
-                     "--workers", "4"]) == 2
-        assert "launch more shard workers" in capsys.readouterr().err
-        # An explicit serial backend with a pool request is the same
-        # kind of silent-serial trap.
+        # An explicit serial backend with a pool request would silently
+        # run serially: say so instead.
         assert main(["sweep", "run", spec, "--backend", "serial",
                      "--workers", "4"]) == 2
         assert "process backend" in capsys.readouterr().err
-        # ...and so is a lease knob without lease mode.
-        assert main(["sweep", "run", spec, "--lease-timeout", "60"]) == 2
-        assert "--lease-dir" in capsys.readouterr().err
+
+    def test_removed_spellings_fail_loudly(self, fast_cells, capsys, tmp_path):
+        spec = str(self._write_spec(tmp_path))
+        for argv, fragment in (
+            (["sweep", "run", spec, "--backend", "shard", "--shard", "0/2"],
+             "invalid choice: 'shard'"),
+            (["sweep", "run", spec, "--lease-dir", str(tmp_path / "leases")],
+             "unrecognized arguments: --lease-dir"),
+            (["sweep", "run", spec, "--lease-timeout", "60"],
+             "unrecognized arguments: --lease-timeout"),
+            (["sweep", "status", "--lease-dir", str(tmp_path / "leases")],
+             "unrecognized arguments: --lease-dir"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert fragment in capsys.readouterr().err
+        assert main(["sweep", "status"]) == 2
+        assert "sweep spec not found: status" in capsys.readouterr().err
+        for execution, fragment in (
+            ({"lease_timeout": 60}, "unknown execution keys: ['lease_timeout']"),
+            ({"backend": "shard"}, '"backend" must be one of'),
+        ):
+            spec = self._write_spec(tmp_path, extra={"execution": execution})
+            assert main(["sweep", "run", str(spec)]) == 2
+            assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "leases").exists()
+
+    def test_gz_outputs_refused_before_any_write(
+        self, fast_cells, capsys, tmp_path
+    ):
+        # Readers gunzip every .gz path, so plain rows under that name
+        # could be neither resumed nor analysed.
+        spec = str(self._write_spec(tmp_path))
+        rows_gz = tmp_path / "rows.jsonl.gz"
+        assert main(["sweep", "run", spec, "--output", str(rows_gz)]) == 2
+        assert "gzip the finished file" in capsys.readouterr().err
+        assert not rows_gz.exists()
+        rows = tmp_path / "rows.jsonl"
+        assert main(["sweep", "run", spec, "--output", str(rows),
+                     "--quiet"]) == 0
+        merged_gz = tmp_path / "merged.jsonl.gz"
+        assert main(["sweep", "merge", str(rows), "--output", str(merged_gz)]) == 2
+        assert "gzip the finished file" in capsys.readouterr().err
+        assert not merged_gz.exists()
 
     def test_spec_defaults_yield_to_explicit_flags(
         self, fast_cells, capsys, tmp_path
@@ -825,27 +616,17 @@ class TestCliBackends:
         for execution, fragment in (
             ({"workers": "4"}, '"workers" must be an integer'),
             ({"max_retries": True}, '"max_retries" must be an integer'),
-            ({"lease_timeout": "soon"}, '"lease_timeout" must be a number'),
             ({"backend": "bogus"}, '"backend" must be one of'),
         ):
             spec = self._write_spec(tmp_path, extra={"execution": execution})
             assert main(["sweep", "run", str(spec)]) == 2
             assert fragment in capsys.readouterr().err
 
-    def test_cli_lease_without_output_fails_loudly(
-        self, fast_cells, capsys, tmp_path
-    ):
-        spec = self._write_spec(tmp_path)
-        code = main(["sweep", "run", str(spec),
-                     "--lease-dir", str(tmp_path / "leases")])
-        assert code == 2
-        assert "output path" in capsys.readouterr().err
-
     def test_shard_flags_override_spec_backend_default(
         self, fast_cells, capsys, tmp_path
     ):
-        # The same spec serves every worker: a spec-level single-host
-        # backend default must not block host-specific --shard flags.
+        # The same spec serves every worker: a spec-level backend
+        # default runs the cells of a host-specific --shard.
         spec = self._write_spec(
             tmp_path, extra={"execution": {"backend": "process", "workers": 2}}
         )
@@ -856,24 +637,15 @@ class TestCliBackends:
         assert "other shards" in capsys.readouterr().out
         assert len(read_jsonl(out_path)) == 1
 
-    def test_no_resume_with_lease_dir_fails_loudly(
-        self, fast_cells, capsys, tmp_path
-    ):
-        spec = self._write_spec(tmp_path)
-        code = main(["sweep", "run", str(spec), "--lease-dir",
-                     str(tmp_path / "leases"), "--no-resume"])
-        assert code == 2
-        assert "lease" in capsys.readouterr().err
-
-    def test_shard_progress_shows_rate_without_eta(
+    def test_shard_progress_shows_rate_and_eta(
         self, fast_cells, capsys, tmp_path
     ):
         spec = self._write_spec(tmp_path)
         code = main(["sweep", "run", str(spec), "--shard", "0/2"])
         assert code == 0
         out = capsys.readouterr().out
-        # A shard worker cannot know its share up front: rate only.
-        assert "cells/s" in out and "eta" not in out
+        # A shard knows its cells up front, so it prices the ETA too.
+        assert "cells/s" in out and "eta" in out
 
     def test_failed_cells_reported_and_exit_nonzero(
         self, monkeypatch, capsys, tmp_path

@@ -17,14 +17,13 @@ Five contracts of the sparse-topology refactor:
 5. **Learning / sweep integration** — gossip exchange runs on sparse
    graphs, full agreement refuses infeasible ones, partitions
    apply/heal, and the ``topology`` axis round-trips through configs,
-   grids and lease bookkeeping.
+   grids and shard merges.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -418,139 +417,15 @@ class TestSweepByteIdentity:
 
     def test_shard_merge_byte_identical(self, tmp_path):
         from repro.sweep import SweepRunner, merge_shards
-        from repro.sweep.executors import ShardBackend
 
         single = tmp_path / "single.jsonl"
         SweepRunner(self._grid(), output_path=single).run()
         shards = []
         for index in range(2):
             out = tmp_path / f"shard{index}.jsonl"
-            backend = ShardBackend(shard_index=index, shard_count=2)
-            SweepRunner(self._grid(), backend=backend, output_path=out).run()
+            SweepRunner(self._grid(), shard=(index, 2), output_path=out).run()
             shards.append(out)
         merged = tmp_path / "merged.jsonl"
         report = merge_shards(shards, merged, grid=self._grid())
         assert merged.read_bytes() == single.read_bytes()
         assert not report.missing and not report.failed
-
-
-# ---------------------------------------------------------------------------
-# 5c. lease-dir status scan
-# ---------------------------------------------------------------------------
-
-class TestLeaseStatus:
-    def _write(self, path, payload):
-        path.write_text(json.dumps(payload), encoding="utf-8")
-
-    def test_scan_counts_states(self, tmp_path):
-        from repro.sweep.executors import scan_lease_dir
-
-        self._write(tmp_path / "a.lease", {"owner": "host:1:1", "claimed_unix": 0})
-        self._write(tmp_path / "a.done", {"ok": True, "owner": "host:1:1"})
-        self._write(tmp_path / "b.lease", {"owner": "host:2:2", "claimed_unix": 0})
-        self._write(tmp_path / "c.lease", {"owner": "host:3:3", "claimed_unix": 0})
-        old = 10_000.0
-        os.utime(tmp_path / "c.lease", (old, old))
-        self._write(tmp_path / "d.done", {"ok": False, "owner": "host:4:4"})
-        (tmp_path / "e.lease.tmp").write_text("{", encoding="utf-8")
-
-        status = scan_lease_dir(tmp_path, timeout=300.0)
-        assert status["done_ok"] == 1
-        assert status["done_failed"] == 1
-        assert status["in_progress"] == 2  # b (fresh) + c (stale)
-        assert status["stale"] == 1
-        assert status["keys"] == {
-            "a": "done", "b": "claimed", "c": "stale", "d": "failed"
-        }
-        assert status["owners"]["host:2:2"]["claimed"] == 1
-        assert status["owners"]["host:3:3"]["stale"] == 1
-
-    def test_scan_rejects_missing_dir_and_bad_timeout(self, tmp_path):
-        from repro.sweep.executors import scan_lease_dir
-
-        with pytest.raises(FileNotFoundError):
-            scan_lease_dir(tmp_path / "nope")
-        with pytest.raises(ValueError):
-            scan_lease_dir(tmp_path, timeout=0)
-
-    def test_lease_keys_cover_grid(self):
-        from repro.sweep.executors import _lease_key, grid_fingerprint, \
-            lease_keys_for_cells
-
-        grid = ScenarioGrid(
-            base=tiny_config(exchange="gossip"),
-            axes={"topology": ["complete", "ring"]},
-        )
-        cells = grid.cells()
-        keys = lease_keys_for_cells(cells)
-        namespace = grid_fingerprint(cells)
-        assert keys == {
-            cell.cell_id: _lease_key(cell.cell_id, namespace) for cell in cells
-        }
-        assert len(set(keys.values())) == len(cells)
-
-    def test_cli_status_reports_progress(self, tmp_path, capsys):
-        from repro.cli import main
-
-        self._write(tmp_path / "a.done", {"ok": True, "owner": "w1"})
-        self._write(tmp_path / "b.lease", {"owner": "w2", "claimed_unix": 0})
-        code = main(["sweep", "status", "--lease-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "done: 1" in out and "in progress: 1" in out
-        assert "w1" in out and "w2" in out
-
-    def test_cli_status_missing_dir(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["sweep", "status", "--lease-dir", str(tmp_path / "nope")])
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err
-
-    def _write_spec(self, path, axes):
-        from repro.sweep.grid import config_to_dict
-
-        base = config_to_dict(tiny_config(exchange="gossip"))
-        self._write(path, {"base": base, "axes": axes})
-
-    def test_cli_status_foreign_spec_named(self, tmp_path, capsys):
-        """A spec whose fingerprint matches no lease says so, loudly.
-
-        Lease keys are namespaced by the grid fingerprint, so pointing
-        ``status`` at the wrong spec used to report every cell as
-        unclaimed and every lease as from "a different spec" — reading
-        like a sweep that never started.  The mismatch is now named.
-        """
-        from repro.cli import main
-        from repro.sweep.executors import lease_keys_for_cells
-        from repro.sweep.grid import ScenarioGrid
-
-        lease_dir = tmp_path / "leases"
-        lease_dir.mkdir()
-        ran_spec = tmp_path / "ran.json"
-        self._write_spec(ran_spec, {"topology": ["complete", "ring"]})
-        grid = ScenarioGrid.from_spec(
-            json.loads(ran_spec.read_text(encoding="utf-8"))
-        )
-        for key in lease_keys_for_cells(list(grid.validate())).values():
-            self._write(lease_dir / f"{key}.done", {"ok": True, "owner": "w1"})
-
-        # The matching spec reports exact progress: all cells done.
-        code = main(["sweep", "status", "--lease-dir", str(lease_dir),
-                     "--spec", str(ran_spec)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "unclaimed: 0" in out and "total: 2" in out
-        assert "foreign spec" not in out
-
-        # A foreign spec (different axes -> different fingerprint) is
-        # diagnosed instead of rendering misleading unclaimed counts.
-        other_spec = tmp_path / "other.json"
-        self._write_spec(other_spec, {"seed": [0, 1, 2]})
-        code = main(["sweep", "status", "--lease-dir", str(lease_dir),
-                     "--spec", str(other_spec)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "foreign spec" in out
-        assert "unclaimed:" not in out
-        assert "total: 3" in out
