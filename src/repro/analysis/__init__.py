@@ -40,17 +40,14 @@ from repro.analysis.streaming import (
     analyze_sweep_rows,
 )
 from repro.analysis.figures import (
-    FIGURE_BACKENDS,
     FigureArtifact,
     build_charts,
-    matplotlib_available,
     render_figures,
     write_figures,
 )
 from repro.analysis.report import render_html_report, write_html_report
 
 __all__ = [
-    "FIGURE_BACKENDS",
     "FigureArtifact",
     "GroupStats",
     "StreamingMoments",
@@ -65,7 +62,6 @@ __all__ = [
     "delivery_trace_summary",
     "format_percent",
     "histories_to_records",
-    "matplotlib_available",
     "moving_average",
     "relative_gap",
     "render_figures",

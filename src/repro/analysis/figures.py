@@ -9,17 +9,9 @@ worst-delivery / late-message maps) that make bursty MMPP-style regimes
 visible — per-round worst-case delivery shows bursts that cumulative
 ``deliv%`` averages away.
 
-Two rendering backends share the same chart descriptions:
-
-- ``svg`` — a dependency-free, deterministic SVG writer (always
-  available; byte-identical output for identical input, which the
-  determinism tests pin);
-- ``mpl`` — matplotlib with the headless ``Agg`` canvas, when matplotlib
-  is importable (PNG output; CI installs it, the base container may
-  not).
-
-``backend="auto"`` prefers matplotlib and falls back to the SVG writer,
-so figure rendering never becomes an import error.
+Charts are described independently of their drawing and rendered by a
+dependency-free SVG writer whose output is byte-identical for identical
+input, which the determinism tests and CI pin.
 
 Charts follow a fixed-order colourblind-validated categorical palette
 (assigned by series identity, never cycled: past eight series the rest
@@ -31,7 +23,6 @@ share a plot.
 from __future__ import annotations
 
 import base64
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,31 +63,24 @@ MAX_SERIES = len(PALETTE)
 #: Heatmap rows beyond this fold into the chart note.
 MAX_HEATMAP_ROWS = 24
 
-FIGURE_BACKENDS = ("auto", "svg", "mpl")
-
 
 @dataclass(frozen=True)
 class FigureArtifact:
-    """One rendered figure: bytes plus enough metadata to embed it."""
+    """One rendered figure: SVG bytes plus enough metadata to embed it."""
 
     name: str
     title: str
-    mime: str  # "image/svg+xml" or "image/png"
     data: bytes
-
-    @property
-    def extension(self) -> str:
-        return "svg" if self.mime == "image/svg+xml" else "png"
 
     def data_uri(self) -> str:
         """Self-contained ``data:`` URI (inline-HTML embedding)."""
         payload = base64.b64encode(self.data).decode("ascii")
-        return f"data:{self.mime};base64,{payload}"
+        return f"data:image/svg+xml;base64,{payload}"
 
 
 @dataclass
 class LineChart:
-    """Backend-independent description of a line chart."""
+    """A line chart, described independently of its SVG rendering."""
 
     name: str
     title: str
@@ -111,7 +95,7 @@ class LineChart:
 
 @dataclass
 class Heatmap:
-    """Backend-independent description of a heatmap."""
+    """A heatmap, described independently of its SVG rendering."""
 
     name: str
     title: str
@@ -128,15 +112,6 @@ class Heatmap:
 
 
 Chart = Union[LineChart, Heatmap]
-
-
-def matplotlib_available() -> bool:
-    """Is the optional matplotlib backend importable?"""
-    try:
-        import matplotlib  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 # -- chart construction from a SweepAnalysis ---------------------------------
@@ -305,7 +280,7 @@ def build_charts(analysis: SweepAnalysis) -> List[Chart]:
     return [chart for chart in charts if chart is not None]
 
 
-# -- deterministic SVG backend ----------------------------------------------
+# -- deterministic SVG rendering --------------------------------------------
 
 def _fmt(value: float) -> str:
     """Fixed-precision coordinate formatting (deterministic bytes)."""
@@ -557,97 +532,18 @@ def render_chart_svg(chart: Chart) -> str:
     return render_heatmap_svg(chart)
 
 
-# -- optional matplotlib backend ---------------------------------------------
-
-def _render_chart_mpl(chart: Chart) -> bytes:
-    """PNG bytes via matplotlib's headless Agg canvas."""
-    import matplotlib
-
-    matplotlib.use("Agg", force=True)
-    import matplotlib.pyplot as plt
-
-    fig, ax = plt.subplots(figsize=(7.6, 3.8), dpi=110)
-    fig.patch.set_facecolor(SURFACE_COLOR)
-    ax.set_facecolor(SURFACE_COLOR)
-    if isinstance(chart, LineChart):
-        for position, (label, points) in enumerate(chart.series):
-            xs = [x for x, _ in points]
-            ys = [y for _, y in points]
-            ax.plot(
-                xs, ys, label=label, color=PALETTE[position], linewidth=2,
-                marker="o" if len(points) <= 24 else None, markersize=4,
-            )
-        if chart.x_tick_labels is not None:
-            ax.set_xticks(range(len(chart.x_tick_labels)))
-            ax.set_xticklabels(chart.x_tick_labels)
-        if len(chart.series) >= 2:
-            ax.legend(loc="center left", bbox_to_anchor=(1.02, 0.5),
-                      frameon=False, fontsize=8)
-        ax.grid(color=GRID_COLOR, linewidth=0.8)
-        ax.set_axisbelow(True)
-    else:
-        from matplotlib.colors import LinearSegmentedColormap
-
-        colormap = LinearSegmentedColormap.from_list(
-            "repro_seq", list(SEQUENTIAL_STOPS)
-        )
-        colormap.set_bad(MISSING_COLOR)
-        import numpy as np
-
-        data = np.array(chart.matrix, dtype=float)
-        image = ax.imshow(
-            data, aspect="auto", cmap=colormap, vmin=chart.vmin,
-            vmax=chart.vmax, interpolation="nearest",
-        )
-        ax.set_yticks(range(len(chart.row_labels)))
-        ax.set_yticklabels(chart.row_labels, fontsize=8)
-        bar = fig.colorbar(image, ax=ax)
-        if chart.percent:
-            bar.ax.set_ylabel("delivery", fontsize=8)
-    ax.set_title(chart.title, fontsize=11, color=TEXT_PRIMARY)
-    ax.set_xlabel(chart.xlabel, fontsize=9, color=TEXT_SECONDARY)
-    ax.set_ylabel(chart.ylabel, fontsize=9, color=TEXT_SECONDARY)
-    if chart.note:
-        fig.text(0.01, 0.01, chart.note, fontsize=7, color=TEXT_SECONDARY)
-    buffer = io.BytesIO()
-    fig.savefig(buffer, format="png", bbox_inches="tight")
-    plt.close(fig)
-    return buffer.getvalue()
-
-
 # -- entry points ------------------------------------------------------------
 
-def render_figures(
-    analysis: SweepAnalysis, *, backend: str = "auto"
-) -> List[FigureArtifact]:
-    """Render every available chart for an analysis.
-
-    ``backend``: ``"svg"`` (builtin, deterministic), ``"mpl"``
-    (matplotlib/Agg PNG; raises if matplotlib is missing) or ``"auto"``
-    (matplotlib when importable, SVG otherwise).
-    """
-    if backend not in FIGURE_BACKENDS:
-        raise ValueError(
-            f"unknown figure backend {backend!r}; available: {FIGURE_BACKENDS}"
+def render_figures(analysis: SweepAnalysis) -> List[FigureArtifact]:
+    """Render every available chart for an analysis as SVG."""
+    return [
+        FigureArtifact(
+            name=chart.name,
+            title=chart.title,
+            data=render_chart_svg(chart).encode("utf-8"),
         )
-    if backend == "auto":
-        backend = "mpl" if matplotlib_available() else "svg"
-    if backend == "mpl" and not matplotlib_available():
-        raise ValueError(
-            "figure backend 'mpl' needs matplotlib installed; use 'svg' "
-            "(builtin) or 'auto'"
-        )
-    artifacts: List[FigureArtifact] = []
-    for chart in build_charts(analysis):
-        if backend == "mpl":
-            data, mime = _render_chart_mpl(chart), "image/png"
-        else:
-            data, mime = render_chart_svg(chart).encode("utf-8"), "image/svg+xml"
-        artifacts.append(
-            FigureArtifact(name=chart.name, title=chart.title, mime=mime,
-                           data=data)
-        )
-    return artifacts
+        for chart in build_charts(analysis)
+    ]
 
 
 def write_figures(
@@ -658,14 +554,13 @@ def write_figures(
     target.mkdir(parents=True, exist_ok=True)
     paths: List[Path] = []
     for artifact in artifacts:
-        path = target / f"{artifact.name}.{artifact.extension}"
+        path = target / f"{artifact.name}.svg"
         path.write_bytes(artifact.data)
         paths.append(path)
     return paths
 
 
 __all__ = [
-    "FIGURE_BACKENDS",
     "FigureArtifact",
     "Heatmap",
     "LineChart",
@@ -677,7 +572,6 @@ __all__ = [
     "delivery_heatmap_chart",
     "final_accuracy_chart",
     "late_heatmap_chart",
-    "matplotlib_available",
     "render_chart_svg",
     "render_figures",
     "render_heatmap_svg",

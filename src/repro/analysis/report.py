@@ -149,9 +149,9 @@ def render_html_report(
 ) -> str:
     """One self-contained HTML page for an analysed sweep.
 
-    ``figures`` are embedded inline as base64 data URIs (any mix of the
-    SVG and matplotlib backends); ``source`` names the row file in the
-    header.  The output references nothing external and contains no
+    ``figures`` (from :func:`~repro.analysis.figures.render_figures`)
+    are embedded inline as base64 SVG data URIs; ``source`` names the
+    row file in the header.  The output references nothing external and contains no
     scripts, and is byte-identical for identical input.
     """
     meta_bits = [

@@ -501,11 +501,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # HTML report; table/json output skips rendering unless asked.
     figures = []
     if args.figures is not None or args.format == "html":
-        try:
-            figures = render_figures(analysis, backend=args.figure_backend)
-        except ValueError as exc:
-            print(f"analyze failed: {exc}", file=sys.stderr)
-            return 2
+        figures = render_figures(analysis)
     if args.figures is not None:
         paths = write_figures(figures, args.figures)
         for path in paths:
@@ -661,12 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument(
         "--figures", type=str, default=None, metavar="DIR",
-        help="also write one figure file per chart into this directory",
-    )
-    analyze_parser.add_argument(
-        "--figure-backend", choices=("auto", "svg", "mpl"), default="auto",
-        help="figure renderer: builtin deterministic SVG, matplotlib/Agg "
-             "PNG, or auto (matplotlib when installed, SVG otherwise)",
+        help="also write one SVG file per chart into this directory",
     )
     analyze_parser.add_argument(
         "--no-classify", action="store_true",

@@ -21,7 +21,6 @@ import pytest
 from repro.analysis.figures import (
     FigureArtifact,
     build_charts,
-    matplotlib_available,
     render_chart_svg,
     render_figures,
     sequential_color,
@@ -399,11 +398,10 @@ class TestFigures:
             assert float(root.get("width")) > 0
 
     def test_render_figures_svg_artifacts(self):
-        artifacts = render_figures(analysis_with_figures(), backend="svg")
+        artifacts = render_figures(analysis_with_figures())
         assert len(artifacts) == 4
         for artifact in artifacts:
             assert isinstance(artifact, FigureArtifact)
-            assert artifact.mime == "image/svg+xml"
             assert len(artifact.data) > 200
             assert artifact.data_uri().startswith(
                 "data:image/svg+xml;base64,"
@@ -430,19 +428,8 @@ class TestFigures:
         svg = render_chart_svg(chart)
         assert "+3 more group(s)" in svg
 
-    def test_backend_validation(self):
-        analysis = analysis_with_figures()
-        with pytest.raises(ValueError, match="unknown figure backend"):
-            render_figures(analysis, backend="gnuplot")
-        if not matplotlib_available():
-            with pytest.raises(ValueError, match="matplotlib"):
-                render_figures(analysis, backend="mpl")
-        else:  # pragma: no cover - container has no matplotlib
-            artifacts = render_figures(analysis, backend="mpl")
-            assert all(a.mime == "image/png" for a in artifacts)
-
     def test_write_figures(self, tmp_path):
-        artifacts = render_figures(analysis_with_figures(), backend="svg")
+        artifacts = render_figures(analysis_with_figures())
         paths = write_figures(artifacts, tmp_path / "figs")
         assert len(paths) == 4
         for path in paths:
@@ -463,7 +450,7 @@ class TestFigures:
 class TestHtmlReport:
     def test_self_contained_and_deterministic(self):
         analysis = analysis_with_figures()
-        figures = render_figures(analysis, backend="svg")
+        figures = render_figures(analysis)
         html = render_html_report(analysis, figures, source="rows.jsonl")
         assert html == render_html_report(analysis, figures,
                                           source="rows.jsonl")
@@ -538,7 +525,6 @@ class TestAnalyzeCli:
         code = main([
             "analyze", str(path), "--format", "html",
             "--output", str(report), "--figures", str(figs),
-            "--figure-backend", "svg",
         ])
         assert code == 0
         html = report.read_text()

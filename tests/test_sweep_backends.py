@@ -554,6 +554,8 @@ class TestCliBackends:
              "unrecognized arguments: --lease-timeout"),
             (["sweep", "status", "--lease-dir", str(tmp_path / "leases")],
              "unrecognized arguments: --lease-dir"),
+            (["analyze", str(tmp_path / "rows.jsonl"), "--figure-backend", "svg"],
+             "unrecognized arguments: --figure-backend"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
