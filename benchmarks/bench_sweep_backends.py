@@ -1,11 +1,11 @@
-"""SWEEP-BACKENDS — cells/sec per execution backend + merge byte-identity.
+"""SWEEP-BACKENDS — cells/sec per way of executing a sweep + byte-identity.
 
 Not a figure of the paper; the smoke benchmark for
-:mod:`repro.sweep.executors`.  It drives one small grid through every
-execution backend — serial and process pool — and through a static
-2-shard split (both shards run here, then merged), and reports cells/sec
-per case, so CI can track the dispatch overhead of the backend layer.
-Every case's output is asserted byte-identical to the serial stream
+:mod:`repro.sweep.executors`.  It drives one small grid in-process
+(``workers=1``), on a two-process pool (``workers=2``) and through a
+static 2-shard split (both shards run here, then merged), and reports
+cells/sec per case, so CI can track the pool's dispatch overhead.
+Every case's output is asserted byte-identical to the in-process stream
 (after ``repro.sweep.merge`` for the sharded run) — the invariant the
 sharded path rests on.
 
@@ -36,13 +36,7 @@ except ImportError:  # pragma: no cover - direct script execution
     from _harness import build_info, print_report, scaled
 
 from repro.learning.experiment import ExperimentConfig
-from repro.sweep import (
-    ProcessPoolBackend,
-    ScenarioGrid,
-    SerialBackend,
-    SweepRunner,
-    merge_shards,
-)
+from repro.sweep import ScenarioGrid, SweepRunner, merge_shards
 
 
 def _grid(smoke: bool) -> ScenarioGrid:
@@ -84,15 +78,13 @@ def run_trajectory(smoke: bool = False) -> Dict[str, object]:
     try:
         def serial() -> bytes:
             out = workdir / "serial.jsonl"
-            SweepRunner(grid, backend=SerialBackend(), output_path=out).run()
+            SweepRunner(grid, workers=1, output_path=out).run()
             return out.read_bytes()
 
         def pool() -> bytes:
             out = workdir / "pool.jsonl"
             out.unlink(missing_ok=True)
-            SweepRunner(
-                grid, backend=ProcessPoolBackend(2), output_path=out
-            ).run()
+            SweepRunner(grid, workers=2, output_path=out).run()
             return out.read_bytes()
 
         def static_shards() -> bytes:
@@ -107,7 +99,7 @@ def run_trajectory(smoke: bool = False) -> Dict[str, object]:
             return merged.read_bytes()
 
         # Warm-up: imports, BLAS init, dataset cache for the serial case.
-        SweepRunner(_grid(True), backend=SerialBackend()).run()
+        SweepRunner(_grid(True), workers=1).run()
 
         outputs: Dict[str, bytes] = {}
 
@@ -134,7 +126,7 @@ def run_trajectory(smoke: bool = False) -> Dict[str, object]:
 
 
 def render_report(payload: Dict[str, object]) -> str:
-    lines = [f"{'backend':<24} {'cells':>6} {'seconds':>8} {'cells/s':>8} {'bytes':>8}"]
+    lines = [f"{'case':<24} {'cells':>6} {'seconds':>8} {'cells/s':>8} {'bytes':>8}"]
     for row in payload["cases"]:
         lines.append(
             f"{row['label']:<24} {row['cells']:>6} {row['seconds']:>8.2f} "
@@ -144,7 +136,7 @@ def render_report(payload: Dict[str, object]) -> str:
 
 
 def check_sanity(payload: Dict[str, object]) -> None:
-    """Every backend produced the same bytes and made progress."""
+    """Every case produced the same bytes and made progress."""
     assert payload["cases"][0]["label"] == "serial"
     for row in payload["cases"]:
         assert row["cells_per_sec"] > 0, f"{row['label']} made no progress"
@@ -165,7 +157,7 @@ def test_sweep_backends_throughput():
     payload = run_trajectory(smoke=False)
     print_report(
         "SWEEP-BACKENDS",
-        "cells/sec per execution backend (serial baseline, byte-identity checked)",
+        "cells/sec per execution case (serial baseline, byte-identity checked)",
         render_report(payload),
     )
     write_artifact(payload, "BENCH_sweep_backends.json")
@@ -188,7 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload = run_trajectory(smoke=args.smoke)
     print_report(
         "SWEEP-BACKENDS",
-        "cells/sec per execution backend (serial baseline, byte-identity checked)",
+        "cells/sec per execution case (serial baseline, byte-identity checked)",
         render_report(payload),
     )
     write_artifact(payload, args.output)

@@ -59,7 +59,6 @@ from repro.io.results import metric_from_json, save_histories
 from repro.learning.experiment import ExperimentConfig, run_experiment
 from repro.learning.history import TrainingHistory
 from repro.network.topology import TOPOLOGY_NAMES
-from repro.sweep.executors import BACKEND_NAMES
 
 
 def _json_object(text: str) -> dict:
@@ -217,7 +216,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 #: Keys the optional ``"execution"`` spec section may set (CLI flags
 #: override them; host-specific choices like --shard stay CLI-only).
-EXECUTION_SPEC_KEYS = ("backend", "workers", "max_retries")
+EXECUTION_SPEC_KEYS = ("workers", "max_retries")
 
 
 def _load_sweep_spec(path_str: str):
@@ -243,24 +242,13 @@ def _load_sweep_spec(path_str: str):
                 f"unknown execution keys: {unknown}; "
                 f"valid: {sorted(EXECUTION_SPEC_KEYS)}"
             )
-        for key, kind, label in (
-            ("backend", str, "a backend name"),
-            ("workers", int, "an integer"),
-            ("max_retries", int, "an integer"),
-        ):
+        for key in EXECUTION_SPEC_KEYS:
             value = execution.get(key)
             # bool is an int subclass but never a sane count.
             if value is not None and (
-                not isinstance(value, kind) or isinstance(value, bool)
+                not isinstance(value, int) or isinstance(value, bool)
             ):
-                return f'execution "{key}" must be {label}, got {value!r}'
-        if execution.get("backend") is not None and (
-            execution["backend"] not in BACKEND_NAMES
-        ):
-            return (
-                f'execution "backend" must be one of {list(BACKEND_NAMES)}, '
-                f'got {execution["backend"]!r}'
-            )
+                return f'execution "{key}" must be an integer, got {value!r}'
         # A JSON null means "unset": drop it so downstream defaulting
         # (`execution.get(key, default)`) sees the key as absent.
         execution = {k: v for k, v in execution.items() if v is not None}
@@ -281,40 +269,6 @@ def _parse_shard(text: str):
     if not 0 <= index < count:
         raise ValueError(f"--shard index must be in [0, {count}), got {index}")
     return index, count
-
-
-def _build_backend(args: argparse.Namespace, execution: dict):
-    """Resolve CLI flags + the spec's execution section into a backend.
-
-    Returns ``(backend, workers)``; raises ``ValueError`` on conflicting
-    settings.
-    """
-    from repro.sweep import make_backend
-
-    workers = args.workers if args.workers is not None else execution.get("workers", 1)
-    max_retries = (
-        args.max_retries
-        if args.max_retries is not None
-        else execution.get("max_retries", 0)
-    )
-    if args.backend is not None:
-        name = args.backend
-    elif execution.get("backend") is not None:
-        name = execution["backend"]
-    else:
-        name = "serial" if workers == 1 else "process"
-    if name == "serial" and workers > 1:
-        if args.workers is not None:
-            raise ValueError(
-                f"--workers {workers} needs the process backend, but the "
-                f"backend resolved to 'serial'; drop the serial override "
-                f"or use --backend process"
-            )
-        # Only the spec's workers default conflicts: an explicit serial
-        # choice simply ignores it.
-        workers = 1
-    backend = make_backend(name, workers=workers, max_retries=max_retries)
-    return backend, workers
 
 
 def _format_eta(seconds: float) -> str:
@@ -368,12 +322,13 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         # Vet the flags before the dry-run early return, so a --dry-run
         # pre-flight of a launch script catches a bad --shard or output
         # path instead of green-lighting it.  Construction touches no
-        # file.
-        backend, workers = _build_backend(args, execution)
+        # file.  Flags override the spec's execution section.
         runner = SweepRunner(
             grid,
-            workers=workers,
-            backend=backend,
+            workers=(args.workers if args.workers is not None
+                     else execution.get("workers", 1)),
+            max_retries=(args.max_retries if args.max_retries is not None
+                         else execution.get("max_retries", 0)),
             output_path=args.output,
             resume=not args.no_resume,
             on_cell=progress,
@@ -410,7 +365,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     failures = failed_rows(rows)
     if failures:
         print(f"\n{len(failures)} cell(s) FAILED after "
-              f"{backend.max_retries + 1} attempt(s) each; error rows were "
+              f"{runner.max_retries + 1} attempt(s) each; error rows were "
               f"streamed in their place.  Re-run the same command to retry "
               f"just the failed cells.")
         for row in failures:
@@ -594,9 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="stream result rows to this JSONL file (enables resume)")
     sweep_run.add_argument("--workers", type=int, default=None,
                            help="worker processes (default 1 = run in-process)")
-    sweep_run.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                           help="execution backend (default: serial, or process "
-                                "when --workers > 1)")
     sweep_run.add_argument("--shard", type=str, default=None, metavar="I/M",
                            help="run only shard I of M: the cells assigned "
                                 "round-robin by grid index (combines with "

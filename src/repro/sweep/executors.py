@@ -1,20 +1,15 @@
-"""Pluggable execution backends for scenario sweeps.
+"""Cell execution for scenario sweeps.
 
 :class:`~repro.sweep.runner.SweepRunner` owns the *policy* of a sweep —
 expansion, shard selection, resume bookkeeping, streaming, ordering —
-and delegates the *mechanics* of running cells to an
-:class:`ExecutionBackend`:
-
-- :class:`SerialBackend` — in-process, one cell at a time;
-- :class:`ProcessPoolBackend` — a ``multiprocessing`` pool consuming
-  results in submission order.
-
-Every backend yields exactly one **row** (the JSONL dict of
-:func:`run_cell`) per submitted payload, in submission order — the
-contract the byte-identity guarantee rests on.  A static shard is not a
-backend: :func:`assign_shard` decides which cells a shard's runner
-submits, and ``repro.sweep.merge`` folds the per-shard files back into
-the canonical single-host stream.
+and hands the *mechanics* of running cells to :func:`execute_payloads`:
+in-process for one worker, on a ``multiprocessing`` pool otherwise.
+Either way it yields exactly one **row** (the JSONL dict of
+:func:`run_cell`) per payload, in submission order — the contract the
+byte-identity guarantee rests on.  A static shard only filters cells:
+:func:`assign_shard` decides which cells a shard's runner submits, and
+``repro.sweep.merge`` folds the per-shard files back into the canonical
+single-host stream.
 
 A cell that raises does not abort the sweep: :func:`execute_payload`
 retries it up to ``max_retries`` times and then emits a schema-versioned
@@ -52,9 +47,6 @@ ERROR_ROW_SCHEMA_VERSION = 1
 
 #: How many trailing traceback lines an error row keeps.
 TRACEBACK_TAIL_LINES = 10
-
-#: Backend names accepted by :func:`make_backend` and the CLI.
-BACKEND_NAMES = ("serial", "process")
 
 
 def run_cell(payload: dict) -> dict:
@@ -168,12 +160,11 @@ def build_error_row(payload: dict, exc: BaseException, attempts: int) -> dict:
 def execute_payload(payload: dict, max_retries: int = 0) -> dict:
     """Run one cell, retrying on failure; never raises.
 
-    Success returns :func:`run_cell`'s row unchanged (byte-identical to
-    the pre-backend runner).  After ``max_retries`` failed re-attempts
-    the cell's exception is converted into an error row, so one bad cell
-    cannot kill a worker pool hours into a sweep.  Module-level so
-    ``functools.partial(execute_payload, max_retries=...)`` pickles into
-    pool workers.
+    Success returns :func:`run_cell`'s row unchanged.  After
+    ``max_retries`` failed re-attempts the cell's exception is converted
+    into an error row, so one bad cell cannot kill a worker pool hours
+    into a sweep.  Module-level so ``functools.partial(execute_payload,
+    max_retries=...)`` pickles into pool workers.
     """
     last: Optional[BaseException] = None
     attempts = max_retries + 1
@@ -190,65 +181,24 @@ def execute_payload(payload: dict, max_retries: int = 0) -> dict:
     return build_error_row(payload, last, attempts)
 
 
-class ExecutionBackend:
-    """Protocol every sweep execution backend implements.
+def execute_payloads(
+    payloads: Sequence[dict], *, workers: int, max_retries: int
+) -> Iterator[dict]:
+    """Run cells through :func:`execute_payload`; one row per payload.
 
-    ``submit(payloads)`` returns an iterator that yields exactly one row
-    per payload, in submission order: the runner walks its cells in
-    lockstep with it, which is what makes the streamed file
-    byte-identical for every backend and worker count.
+    ``workers == 1`` runs them in-process, one at a time.  Otherwise a
+    ``multiprocessing`` pool of up to ``workers`` processes runs them and
+    ``imap`` hands the rows back in submission order, so the streamed
+    output is byte-identical for any worker count.
     """
-
-    #: Human-readable backend name (CLI ``--backend`` value).
-    name = "?"
-
-    def __init__(self, *, max_retries: int = 0) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.max_retries = int(max_retries)
-
-    def submit(self, payloads: Sequence[dict]) -> Iterator[dict]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class SerialBackend(ExecutionBackend):
-    """Run every cell in-process, one at a time."""
-
-    name = "serial"
-
-    def submit(self, payloads: Sequence[dict]) -> Iterator[dict]:
+    if workers == 1 or len(payloads) <= 1:
+        # A single cell is not worth a pool; identical rows either way.
         for payload in payloads:
-            yield execute_payload(payload, self.max_retries)
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Run cells on a ``multiprocessing`` pool, consuming results in
-    submission order (``imap``), so the streamed output is byte-identical
-    to the serial backend for any worker count."""
-
-    name = "process"
-
-    def __init__(self, workers: int, *, max_retries: int = 0) -> None:
-        super().__init__(max_retries=max_retries)
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.workers = int(workers)
-
-    def submit(self, payloads: Sequence[dict]) -> Iterator[dict]:
-        if len(payloads) <= 1:
-            # Not worth a pool; identical rows either way.
-            for payload in payloads:
-                yield execute_payload(payload, self.max_retries)
-            return
-        run = partial(execute_payload, max_retries=self.max_retries)
-        # imap preserves submission order, so the streamed JSONL matches
-        # the serial execution byte for byte even when cells finish out
-        # of order.
-        with multiprocessing.Pool(processes=min(self.workers, len(payloads))) as pool:
-            yield from pool.imap(run, payloads)
+            yield execute_payload(payload, max_retries)
+        return
+    run = partial(execute_payload, max_retries=max_retries)
+    with multiprocessing.Pool(processes=min(workers, len(payloads))) as pool:
+        yield from pool.imap(run, payloads)
 
 
 # -- static sharding ---------------------------------------------------------
@@ -265,31 +215,13 @@ def assign_shard(index: int, shard_count: int) -> int:
     return index % shard_count
 
 
-def make_backend(
-    name: str,
-    *,
-    workers: int = 1,
-    max_retries: int = 0,
-) -> ExecutionBackend:
-    """Build a backend by CLI name (see :data:`BACKEND_NAMES`)."""
-    if name == "serial":
-        return SerialBackend(max_retries=max_retries)
-    if name == "process":
-        return ProcessPoolBackend(workers, max_retries=max_retries)
-    raise ValueError(f"unknown backend {name!r}; available: {BACKEND_NAMES}")
-
-
 __all__ = [
-    "BACKEND_NAMES",
     "ERROR_ROW_SCHEMA_VERSION",
     "ROW_SCHEMA_VERSION",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
     "assign_shard",
     "build_error_row",
     "execute_payload",
-    "make_backend",
+    "execute_payloads",
     "row_matches_grid",
     "run_cell",
 ]

@@ -1,17 +1,17 @@
 """Batched execution of scenario grids.
 
 :class:`SweepRunner` executes the cells of a :class:`ScenarioGrid` — all
-of them, or one static shard's (``shard=(i, M)``) — through a pluggable
-:class:`~repro.sweep.executors.ExecutionBackend` (serial or process
-pool) and streams one JSONL row per completed cell.  Three properties
-make sweeps safe to run at scale:
+of them, or one static shard's (``shard=(i, M)``) — in-process or on a
+process pool (:func:`~repro.sweep.executors.execute_payloads`) and
+streams one JSONL row per completed cell.  Three properties make sweeps
+safe to run at scale:
 
 - **Determinism** — each cell's experiment is fully determined by its
   configuration (which embeds a per-cell seed), so a sweep produces the
-  same rows for any worker count or shard layout.  Backends yield
-  results in submission order, so the output file is byte-for-byte
-  identical as well; shard files are folded back into that same
-  canonical stream by ``repro.sweep.merge``.
+  same rows for any worker count or shard layout.  Rows come back in
+  submission order, so the output file is byte-for-byte identical as
+  well; shard files are folded back into that same canonical stream by
+  ``repro.sweep.merge``.
 - **Streaming** — a row is appended and flushed as soon as its cell
   finishes; an interrupt loses at most the cells in flight.
 - **Resume** — rows already present in the output file are trusted
@@ -44,10 +44,8 @@ from repro.learning.history import TrainingHistory
 from repro.sweep.executors import (
     ERROR_ROW_SCHEMA_VERSION,
     ROW_SCHEMA_VERSION,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
     assign_shard,
+    execute_payloads,
     row_matches_grid,
     run_cell,
 )
@@ -118,7 +116,7 @@ def rows_to_histories(
 
 
 class SweepRunner:
-    """Executes a scenario grid with pluggable execution and resume.
+    """Executes a scenario grid with streaming and resume.
 
     Parameters
     ----------
@@ -128,15 +126,9 @@ class SweepRunner:
         1 (default) runs cells in-process; larger values use a
         ``multiprocessing`` pool of that size.  Either way results are
         consumed in cell order, so the streamed output is identical.
-        Ignored when ``backend`` is given explicitly.
-    backend:
-        An :class:`~repro.sweep.executors.ExecutionBackend` instance.
-        Defaults to :class:`SerialBackend` (``workers == 1``) or
-        :class:`ProcessPoolBackend`.
     max_retries:
         How many times a raising cell is re-attempted before an error
-        row is emitted in its place.  Only used when ``backend`` is
-        built here; an explicit backend carries its own setting.
+        row is emitted in its place.
     output_path:
         Optional JSONL file to stream rows to.  Required for resume.
         A ``.gz`` name is refused: rows stream uncompressed.
@@ -159,7 +151,6 @@ class SweepRunner:
         grid: ScenarioGrid,
         *,
         workers: int = 1,
-        backend: Optional[ExecutionBackend] = None,
         max_retries: int = 0,
         output_path: Optional[PathLike] = None,
         resume: bool = True,
@@ -168,17 +159,13 @@ class SweepRunner:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if shard is not None and not 0 <= shard[0] < shard[1]:
             raise ValueError(f"shard must be (i, M) with 0 <= i < M, got {shard}")
         self.grid = grid
         self.workers = int(workers)
-        if backend is None:
-            backend = (
-                SerialBackend(max_retries=max_retries)
-                if self.workers == 1
-                else ProcessPoolBackend(self.workers, max_retries=max_retries)
-            )
-        self.backend = backend
+        self.max_retries = int(max_retries)
         self.output_path = (
             None if output_path is None else writable_jsonl_path(output_path)
         )
@@ -232,8 +219,9 @@ class SweepRunner:
 
         The rows cover :meth:`cells`: the whole grid, or this runner's
         shard — merge the shard files for the full grid.  Cached and
-        fresh rows alike reach ``on_cell`` in grid order, because the
-        backend yields one row per pending cell in submission order.
+        fresh rows alike reach ``on_cell`` in grid order, because
+        :func:`~repro.sweep.executors.execute_payloads` yields one row per
+        pending cell in submission order.
         """
         cells = self.cells()  # fail fast before any cell runs
         completed = self.completed_rows(cells)
@@ -260,15 +248,19 @@ class SweepRunner:
                 len(completed), len(cells),
             )
 
-        results = self.backend.submit([
-            {
-                "index": cell.index,
-                "cell_id": cell.cell_id,
-                "axes": cell.axes,
-                "config": config_to_dict(cell.config),
-            }
-            for cell in pending
-        ])
+        results = execute_payloads(
+            [
+                {
+                    "index": cell.index,
+                    "cell_id": cell.cell_id,
+                    "axes": cell.axes,
+                    "config": config_to_dict(cell.config),
+                }
+                for cell in pending
+            ],
+            workers=self.workers,
+            max_retries=self.max_retries,
+        )
         rows = []
         for cell in cells:
             reused = cell.cell_id in completed

@@ -1,5 +1,5 @@
-"""Tests for the pluggable sweep execution backends (repro.sweep.executors),
-shard merging (repro.sweep.merge) and the error-row / resume semantics."""
+"""Tests for sweep cell execution (repro.sweep.executors), shard merging
+(repro.sweep.merge) and the error-row / resume semantics."""
 
 from __future__ import annotations
 
@@ -14,16 +14,13 @@ from repro.learning.experiment import ExperimentConfig
 from repro.sweep import (
     ERROR_ROW_SCHEMA_VERSION,
     ROW_SCHEMA_VERSION,
-    ProcessPoolBackend,
     ScenarioGrid,
-    SerialBackend,
     SweepRunner,
     assign_shard,
     config_to_dict,
     execute_payload,
     failed_rows,
     iter_rows_to_histories,
-    make_backend,
     merge_shard_rows,
     merge_shards,
     rows_to_histories,
@@ -70,7 +67,7 @@ def fake_run_cell(payload: dict) -> dict:
 
 @pytest.fixture
 def fast_cells(monkeypatch):
-    """Patch the cell executor so backend tests run without experiments."""
+    """Patch the cell executor so execution tests run without experiments."""
     monkeypatch.setattr("repro.sweep.executors.run_cell", fake_run_cell)
 
 
@@ -103,13 +100,6 @@ class TestAssignShard:
 
 
 class TestBackendConstruction:
-    def test_make_backend_names(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process", workers=2), ProcessPoolBackend)
-        for name in ("bogus", "shard"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                make_backend(name)
-
     def test_runner_shard_validation(self):
         for shard in ((2, 2), (-1, 2), (0, 0)):
             with pytest.raises(ValueError, match="shard must be"):
@@ -117,20 +107,13 @@ class TestBackendConstruction:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
-            ProcessPoolBackend(0)
+            SweepRunner(tiny_grid(), workers=0)
         with pytest.raises(ValueError, match="max_retries"):
-            SerialBackend(max_retries=-1)
-
-    def test_runner_backend_defaults(self):
-        assert isinstance(SweepRunner(tiny_grid()).backend, SerialBackend)
-        assert isinstance(
-            SweepRunner(tiny_grid(), workers=2).backend, ProcessPoolBackend
-        )
-        assert SweepRunner(tiny_grid(), max_retries=3).backend.max_retries == 3
+            SweepRunner(tiny_grid(), max_retries=-1)
 
 
 class TestByteIdentityAgainstPinnedFixture:
-    """Every backend must reproduce the pinned serial JSONL stream
+    """Every worker count must reproduce the pinned serial JSONL stream
     exactly.  The fixture was generated at the pre-backend code revision.
     Its rows were rewritten twice, each time only in the ``config``
     block: once to add ``"dtype": "float64"`` when ``ExperimentConfig``
@@ -139,14 +122,12 @@ class TestByteIdentityAgainstPinnedFixture:
 
     def test_serial_backend_matches_fixture(self, tmp_path):
         out = tmp_path / "serial.jsonl"
-        SweepRunner(tiny_grid(), backend=SerialBackend(), output_path=out).run()
+        SweepRunner(tiny_grid(), workers=1, output_path=out).run()
         assert out.read_bytes() == FIXTURE.read_bytes()
 
     def test_process_pool_backend_matches_fixture(self, tmp_path):
         out = tmp_path / "pool.jsonl"
-        SweepRunner(
-            tiny_grid(), backend=ProcessPoolBackend(2), output_path=out
-        ).run()
+        SweepRunner(tiny_grid(), workers=2, output_path=out).run()
         assert out.read_bytes() == FIXTURE.read_bytes()
 
     def test_two_static_shards_merge_to_fixture(self, tmp_path):
@@ -537,17 +518,14 @@ class TestCliBackends:
         spec = str(self._write_spec(tmp_path))
         assert main(["sweep", "run", spec, "--shard", "nope"]) == 2
         assert "i/M" in capsys.readouterr().err
-        # An explicit serial backend with a pool request would silently
-        # run serially: say so instead.
-        assert main(["sweep", "run", spec, "--backend", "serial",
-                     "--workers", "4"]) == 2
-        assert "process backend" in capsys.readouterr().err
 
     def test_removed_spellings_fail_loudly(self, fast_cells, capsys, tmp_path):
         spec = str(self._write_spec(tmp_path))
         for argv, fragment in (
             (["sweep", "run", spec, "--backend", "shard", "--shard", "0/2"],
-             "invalid choice: 'shard'"),
+             "unrecognized arguments: --backend"),
+            (["sweep", "run", spec, "--backend", "serial"],
+             "unrecognized arguments: --backend"),
             (["sweep", "run", spec, "--lease-dir", str(tmp_path / "leases")],
              "unrecognized arguments: --lease-dir"),
             (["sweep", "run", spec, "--lease-timeout", "60"],
@@ -565,7 +543,8 @@ class TestCliBackends:
         assert "sweep spec not found: status" in capsys.readouterr().err
         for execution, fragment in (
             ({"lease_timeout": 60}, "unknown execution keys: ['lease_timeout']"),
-            ({"backend": "shard"}, '"backend" must be one of'),
+            ({"backend": "shard"}, "unknown execution keys: ['backend']"),
+            ({"backend": "serial"}, "unknown execution keys: ['backend']"),
         ):
             spec = self._write_spec(tmp_path, extra={"execution": execution})
             assert main(["sweep", "run", str(spec)]) == 2
@@ -594,20 +573,20 @@ class TestCliBackends:
         self, fast_cells, capsys, tmp_path
     ):
         # A spec-level workers default must not block an explicit
-        # serial run, and JSON null execution values mean "unset".
+        # in-process run, and JSON null execution values mean "unset".
         spec = self._write_spec(
             tmp_path, extra={"execution": {"workers": 4}}
         )
-        assert main(["sweep", "run", str(spec), "--backend", "serial",
+        assert main(["sweep", "run", str(spec), "--workers", "1",
                      "--quiet"]) == 0
         null_spec = self._write_spec(
-            tmp_path, extra={"execution": {"workers": None, "backend": None}}
+            tmp_path, extra={"execution": {"workers": None, "max_retries": None}}
         )
         assert main(["sweep", "run", str(null_spec), "--quiet"]) == 0
 
     def test_execution_spec_section(self, fast_cells, capsys, tmp_path):
         spec = self._write_spec(
-            tmp_path, extra={"execution": {"max_retries": 2, "backend": "serial"}}
+            tmp_path, extra={"execution": {"max_retries": 2, "workers": 1}}
         )
         assert main(["sweep", "run", str(spec), "--quiet"]) == 0
         bad = self._write_spec(tmp_path, extra={"execution": {"bogus": 1}})
@@ -618,7 +597,6 @@ class TestCliBackends:
         for execution, fragment in (
             ({"workers": "4"}, '"workers" must be an integer'),
             ({"max_retries": True}, '"max_retries" must be an integer'),
-            ({"backend": "bogus"}, '"backend" must be one of'),
         ):
             spec = self._write_spec(tmp_path, extra={"execution": execution})
             assert main(["sweep", "run", str(spec)]) == 2
@@ -627,10 +605,10 @@ class TestCliBackends:
     def test_shard_flags_override_spec_backend_default(
         self, fast_cells, capsys, tmp_path
     ):
-        # The same spec serves every worker: a spec-level backend
+        # The same spec serves every worker: a spec-level workers
         # default runs the cells of a host-specific --shard.
         spec = self._write_spec(
-            tmp_path, extra={"execution": {"backend": "process", "workers": 2}}
+            tmp_path, extra={"execution": {"workers": 2}}
         )
         out_path = tmp_path / "shard0.jsonl"
         code = main(["sweep", "run", str(spec), "--shard", "0/2",
