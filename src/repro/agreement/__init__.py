@@ -42,7 +42,6 @@ from repro.agreement.metrics import (
     approximation_ratio,
     covering_ball_of_sgeo,
     geometric_median_candidates,
-    honest_diameter_trace,
     true_geometric_median,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "approximation_ratio",
     "covering_ball_of_sgeo",
     "geometric_median_candidates",
-    "honest_diameter_trace",
     "make_algorithm",
     "true_geometric_median",
 ]

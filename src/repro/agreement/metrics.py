@@ -18,7 +18,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.linalg.covering_ball import Ball, minimum_covering_ball
-from repro.linalg.distances import diameter
 from repro.linalg.geometric_median import geometric_median
 from repro.linalg.subset_kernels import subset_geometric_medians
 from repro.linalg.subsets import subset_family
@@ -103,11 +102,6 @@ def approximation_ratio(
     return dist / ball.radius
 
 
-def honest_diameter_trace(per_round_matrices: List[np.ndarray]) -> List[float]:
-    """Diameter of the honest vectors after each round (for convergence plots)."""
-    return [diameter(mat) for mat in per_round_matrices]
-
-
 def contraction_factors(diameters: List[float], *, eps: float = 1e-15) -> List[float]:
     """Round-over-round contraction ratios of a diameter trace.
 
@@ -123,10 +117,3 @@ def contraction_factors(diameters: List[float], *, eps: float = 1e-15) -> List[f
         else:
             factors.append(cur / prev)
     return factors
-
-
-def epsilon_agreement_reached(final_vectors: np.ndarray, epsilon: float) -> bool:
-    """Whether all vectors are pairwise closer than ``epsilon`` (ε-agreement)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return diameter(final_vectors) < epsilon

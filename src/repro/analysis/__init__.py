@@ -21,7 +21,6 @@ from repro.analysis.traces import (
     TraceSummary,
     classify_trace,
     moving_average,
-    relative_gap,
     summarize_history,
 )
 from repro.analysis.reporting import (
@@ -45,7 +44,7 @@ from repro.analysis.figures import (
     render_figures,
     write_figures,
 )
-from repro.analysis.report import render_html_report, write_html_report
+from repro.analysis.report import render_html_report
 
 __all__ = [
     "FigureArtifact",
@@ -63,11 +62,9 @@ __all__ = [
     "format_percent",
     "histories_to_records",
     "moving_average",
-    "relative_gap",
     "render_figures",
     "render_html_report",
     "summarize_history",
     "sweep_summary_table",
     "write_figures",
-    "write_html_report",
 ]

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import html
 import math
-from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.analysis.figures import FigureArtifact
 from repro.analysis.streaming import GroupStats, SweepAnalysis
-
-PathLike = Union[str, Path]
 
 _STYLE = """
 body { font-family: Helvetica, Arial, sans-serif; margin: 2rem auto;
@@ -202,22 +199,4 @@ def render_html_report(
     return "\n".join(lines)
 
 
-def write_html_report(
-    analysis: SweepAnalysis,
-    figures: Sequence[FigureArtifact],
-    path: PathLike,
-    *,
-    title: str = "Sweep report",
-    source: Optional[str] = None,
-) -> Path:
-    """Render and write the report; returns the written path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        render_html_report(analysis, figures, title=title, source=source),
-        encoding="utf-8",
-    )
-    return target
-
-
-__all__ = ["render_html_report", "write_html_report"]
+__all__ = ["render_html_report"]

@@ -245,10 +245,6 @@ class SweepAnalysis:
     def has_delivery(self) -> bool:
         return any(group.delivery for group in self.groups.values())
 
-    @property
-    def has_trace(self) -> bool:
-        return any(group.round_delivery.rounds for group in self.groups.values())
-
     def group_label(self, key: GroupKey) -> str:
         return "/".join(
             f"{name}={value}" for name, value in zip(self.group_by, key)

@@ -34,12 +34,6 @@ def moving_average(values: Sequence[float], window: int = 5) -> List[float]:
     return out.tolist()
 
 
-def relative_gap(a: float, b: float) -> float:
-    """Relative difference ``(a - b) / max(|a|, |b|, eps)`` in [-1, 1]-ish."""
-    denom = max(abs(a), abs(b), 1e-12)
-    return (a - b) / denom
-
-
 @dataclass(frozen=True)
 class TraceSummary:
     """Summary statistics of one accuracy trace."""

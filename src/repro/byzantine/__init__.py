@@ -33,7 +33,7 @@ from repro.byzantine.timing import (
     SelectiveDelayAttack,
     WithholdThenRushAttack,
 )
-from repro.byzantine.registry import available_attacks, make_attack, register_attack
+from repro.byzantine.registry import available_attacks, make_attack
 
 __all__ = [
     "AdaptiveDelayAttack",
@@ -54,5 +54,4 @@ __all__ = [
     "available_attacks",
     "flip_labels",
     "make_attack",
-    "register_attack",
 ]

@@ -17,17 +17,18 @@ from repro.byzantine.timing import (
     WithholdThenRushAttack,
 )
 
-_REGISTRY: Dict[str, Type[GradientAttack]] = {}
-
-
-def register_attack(name: str, cls: Type[GradientAttack], *, overwrite: bool = False) -> None:
-    """Register an attack class under ``name``."""
-    key = name.strip().lower()
-    if not key:
-        raise ValueError("attack name must be non-empty")
-    if not overwrite and key in _REGISTRY:
-        raise ValueError(f"attack {key!r} is already registered")
-    _REGISTRY[key] = cls
+_REGISTRY: Dict[str, Type[GradientAttack]] = {
+    "sign-flip": SignFlipAttack,
+    "crash": CrashAttack,
+    "gaussian-noise": GaussianNoiseAttack,
+    "random-vector": RandomVectorAttack,
+    "magnitude": MagnitudeAttack,
+    "opposite-mean": OppositeOfMeanAttack,
+    "label-flip": LabelFlipAttack,
+    "withhold-rush": WithholdThenRushAttack,
+    "selective-delay": SelectiveDelayAttack,
+    "adaptive-delay": AdaptiveDelayAttack,
+}
 
 
 def available_attacks() -> list[str]:
@@ -41,18 +42,3 @@ def make_attack(name: str, **kwargs) -> GradientAttack:
     if key not in _REGISTRY:
         raise KeyError(f"unknown attack {name!r}; available: {available_attacks()}")
     return _REGISTRY[key](**kwargs)
-
-
-for _name, _cls in [
-    ("sign-flip", SignFlipAttack),
-    ("crash", CrashAttack),
-    ("gaussian-noise", GaussianNoiseAttack),
-    ("random-vector", RandomVectorAttack),
-    ("magnitude", MagnitudeAttack),
-    ("opposite-mean", OppositeOfMeanAttack),
-    ("label-flip", LabelFlipAttack),
-    ("withhold-rush", WithholdThenRushAttack),
-    ("selective-delay", SelectiveDelayAttack),
-    ("adaptive-delay", AdaptiveDelayAttack),
-]:
-    register_attack(_name, _cls)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,11 +33,3 @@ class BatchSampler:
         idx = self._rng.choice(n, size=min(self.batch_size, n) if not replace else self.batch_size,
                                replace=replace)
         return self.dataset.images[idx], self.dataset.labels[idx]
-
-    def epoch(self, *, shuffle: bool = True) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Iterate over the dataset once in batches (for evaluation loops)."""
-        n = len(self.dataset)
-        order = self._rng.permutation(n) if shuffle else np.arange(n)
-        for start in range(0, n, self.batch_size):
-            idx = order[start : start + self.batch_size]
-            yield self.dataset.images[idx], self.dataset.labels[idx]

@@ -44,7 +44,7 @@ from repro.linalg.geometric_median import (
 from repro.linalg.hyperbox import Hyperbox, bounding_hyperbox, trimmed_hyperbox
 from repro.linalg.sparsity import SparsityProfile, dedup_subsets, detect_structure
 from repro.linalg.covering_ball import Ball, minimum_covering_ball, ritter_ball
-from repro.linalg.convex import in_convex_hull, safe_area_vertices, tverberg_point
+from repro.linalg.convex import in_convex_hull, safe_area_vertices
 from repro.linalg.subset_kernels import (
     subset_diameters,
     subset_geometric_medians,
@@ -94,5 +94,4 @@ __all__ = [
     "subset_means",
     "subsets_as_matrix",
     "trimmed_hyperbox",
-    "tverberg_point",
 ]

@@ -59,33 +59,6 @@ def in_convex_hull(point: np.ndarray, vertices: np.ndarray, *, tol: float = 1e-9
     return False
 
 
-def hull_distance(point: np.ndarray, vertices: np.ndarray) -> float:
-    """Euclidean distance from ``point`` to the convex hull of ``vertices``.
-
-    Solved as a tiny non-negative least squares projection via the
-    active-set-free Frank-Wolfe style iteration; exact enough for the
-    diagnostics that use it (counterexample measurements).
-    """
-    verts = ensure_matrix(vertices, name="vertices")
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    m = verts.shape[0]
-    lam = np.full(m, 1.0 / m)
-    for _ in range(512):
-        x = verts.T @ lam
-        grad = verts @ (x - p)  # gradient wrt lambda of 0.5*|V^T lam - p|^2
-        s = np.zeros(m)
-        s[int(np.argmin(grad))] = 1.0
-        direction = s - lam
-        denom = float(np.linalg.norm(verts.T @ direction) ** 2)
-        if denom <= 1e-18:
-            break
-        gamma = float(np.clip(-(x - p) @ (verts.T @ direction) / denom, 0.0, 1.0))
-        if gamma <= 1e-14:
-            break
-        lam = lam + gamma * direction
-    return float(np.linalg.norm(verts.T @ lam - p))
-
-
 def safe_area_vertices(
     vectors: np.ndarray,
     t: int,
@@ -141,19 +114,3 @@ def safe_area_vertices(
         if not any(np.linalg.norm(row - u) <= 1e-9 for u in unique):
             unique.append(row)
     return np.stack(unique, axis=0)
-
-
-def tverberg_point(vectors: np.ndarray, t: int) -> Optional[np.ndarray]:
-    """A representative point of the safe area, if one is found.
-
-    Returns the candidate safe-area point closest to the mean of the
-    inputs, or ``None`` if the candidate search finds nothing (which can
-    legitimately happen when the safe area is a single point not among
-    the candidates).
-    """
-    verts = safe_area_vertices(vectors, t)
-    if verts.shape[0] == 0:
-        return None
-    mean = ensure_matrix(vectors).mean(axis=0)
-    dists = np.linalg.norm(verts - mean[None, :], axis=1)
-    return verts[int(np.argmin(dists))].copy()

@@ -94,14 +94,3 @@ def max_coordinate_spread(vectors: np.ndarray) -> float:
     """
     mat = ensure_matrix(vectors, name="vectors")
     return float(np.max(mat.max(axis=0) - mat.min(axis=0)))
-
-
-def distances_to(vectors: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every row of ``vectors`` to ``point``."""
-    mat = ensure_matrix(vectors, name="vectors")
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape[0] != mat.shape[1]:
-        raise ValueError(
-            f"point dimension {p.shape[0]} does not match vectors dimension {mat.shape[1]}"
-        )
-    return np.linalg.norm(mat - p[None, :], axis=1)

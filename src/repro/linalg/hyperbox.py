@@ -18,7 +18,6 @@ corners; all operations are vectorised over coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -68,12 +67,6 @@ class Hyperbox:
             return 0.0
         return float(self.edge_lengths.max())
 
-    def diagonal_length(self) -> float:
-        """Euclidean length of the main diagonal."""
-        if self.is_empty:
-            return 0.0
-        return float(np.linalg.norm(self.edge_lengths))
-
     def midpoint(self) -> np.ndarray:
         """Centre of the box (Definition 3.6).
 
@@ -83,12 +76,6 @@ class Hyperbox:
         if self.is_empty:
             raise ValueError("midpoint of an empty hyperbox is undefined")
         return (self.lower + self.upper) / 2.0
-
-    def volume(self) -> float:
-        """Product of the edge lengths (0 when empty or degenerate)."""
-        if self.is_empty:
-            return 0.0
-        return float(np.prod(self.edge_lengths))
 
     # -- set operations ----------------------------------------------------
     def contains(self, point: np.ndarray, *, atol: float = 1e-12) -> bool:
@@ -124,19 +111,6 @@ class Hyperbox:
         return Hyperbox(
             lower=np.maximum(self.lower, other.lower),
             upper=np.minimum(self.upper, other.upper),
-        )
-
-    def union_bounding(self, other: "Hyperbox") -> "Hyperbox":
-        """Smallest box containing both boxes."""
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch between hyperboxes")
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Hyperbox(
-            lower=np.minimum(self.lower, other.lower),
-            upper=np.maximum(self.upper, other.upper),
         )
 
     def expand(self, margin: float) -> "Hyperbox":
@@ -210,11 +184,3 @@ def trimmed_hyperbox(vectors: np.ndarray, trim: int) -> Hyperbox:
         )
     ordered = np.sort(mat, axis=0)
     return Hyperbox(lower=ordered[trim], upper=ordered[m - trim - 1])
-
-
-def intersect_all(boxes: Iterable[Hyperbox]) -> Optional[Hyperbox]:
-    """Intersection of an iterable of hyperboxes (None for an empty iterable)."""
-    result: Optional[Hyperbox] = None
-    for box in boxes:
-        result = box if result is None else result.intersect(box)
-    return result

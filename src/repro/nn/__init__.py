@@ -16,7 +16,7 @@ the pieces the experiments need:
   CIFAR-like task (:mod:`repro.nn.architectures`).
 """
 
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from repro.nn.losses import softmax, softmax_cross_entropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
@@ -26,7 +26,6 @@ from repro.nn.metrics import accuracy
 __all__ = [
     "Conv2D",
     "Dense",
-    "Dropout",
     "Flatten",
     "Layer",
     "MaxPool2D",

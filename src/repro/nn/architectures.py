@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.model import Sequential
 from repro.utils.rng import as_generator
@@ -85,18 +83,3 @@ def build_cifarnet(
     layers.append(ReLU())
     layers.append(Dense(int(dense_width), num_classes, rng=rng))
     return Sequential(layers, name="cifarnet")
-
-
-def model_for_dataset(dataset_name: str, image_shape: Tuple[int, ...], num_classes: int, *, seed=0) -> Sequential:
-    """Pick the paper's architecture for a dataset by name.
-
-    ``"mnist"``-like names map to the MLP over flattened inputs;
-    ``"cifar"``-like names map to CifarNet.
-    """
-    lowered = dataset_name.lower()
-    if "cifar" in lowered:
-        if len(image_shape) != 3:
-            raise ValueError("CifarNet requires (h, w, c) images")
-        return build_cifarnet(tuple(int(s) for s in image_shape), num_classes, seed=seed)
-    input_dim = int(np.prod(image_shape))
-    return build_mlp(input_dim, num_classes=num_classes, seed=seed)

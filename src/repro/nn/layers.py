@@ -125,31 +125,6 @@ class Flatten(Layer):
         return grad_output.reshape(self._shape)
 
 
-class Dropout(Layer):
-    """Inverted dropout; a no-op at evaluation time."""
-
-    def __init__(self, rate: float = 0.5, *, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"rate must be in [0, 1), got {rate}")
-        self.rate = float(rate)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
 # ---------------------------------------------------------------------------
 # Convolution via im2col
 # ---------------------------------------------------------------------------

@@ -14,14 +14,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if y.size == 0:
         raise ValueError("cannot compute accuracy on empty arrays")
     return float((preds == y).mean())
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """``(num_classes, num_classes)`` confusion matrix (rows = true class)."""
-    preds = np.asarray(predictions).reshape(-1)
-    y = np.asarray(labels).reshape(-1)
-    if preds.shape != y.shape:
-        raise ValueError("shape mismatch between predictions and labels")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (y, preds), 1)
-    return matrix

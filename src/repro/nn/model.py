@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers import Layer
-from repro.nn.losses import softmax, softmax_cross_entropy
+from repro.nn.losses import softmax_cross_entropy
 
 
 class Sequential:
@@ -100,10 +100,6 @@ class Sequential:
         logits = self.forward(images, training=False)
         return np.argmax(logits, axis=1)
 
-    def predict_proba(self, images: np.ndarray) -> np.ndarray:
-        """Predicted class probabilities for a batch."""
-        return softmax(self.forward(images, training=False))
-
     def evaluate_accuracy(
         self, images: np.ndarray, labels: np.ndarray, *, batch_size: int = 256
     ) -> float:
@@ -117,15 +113,3 @@ class Sequential:
             preds = self.predict(images[start:stop])
             correct += int((preds == y[start:stop]).sum())
         return correct / y.shape[0]
-
-    def clone_architecture(self) -> "Sequential":
-        """A structurally identical model with freshly initialised parameters.
-
-        Used by the decentralized loop where each client holds its own
-        model instance; parameters are then synchronised explicitly via
-        ``set_flat_parameters``.
-        """
-        import copy
-
-        clone = copy.deepcopy(self)
-        return clone

@@ -8,7 +8,6 @@ without import cycles.
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.validation import (
     ensure_matrix,
-    ensure_vector,
     require,
     validate_byzantine_bound,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "ensure_matrix",
-    "ensure_vector",
     "require",
     "validate_byzantine_bound",
     "get_logger",

@@ -32,8 +32,3 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     if name.startswith(f"{_ROOT_NAME}."):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def set_verbosity(verbose: bool) -> None:
-    """Toggle INFO-level progress messages for the whole library."""
-    get_logger().setLevel(logging.INFO if verbose else logging.WARNING)

@@ -7,7 +7,7 @@ in one place keeps the numerical code free of defensive clutter.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -16,20 +16,6 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`ValueError` with ``message`` when ``condition`` is false."""
     if not condition:
         raise ValueError(message)
-
-
-def ensure_vector(value: "np.typing.ArrayLike", *, name: str = "vector") -> np.ndarray:
-    """Convert ``value`` to a 1-D float64 array, validating the shape."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def ensure_matrix(
@@ -89,13 +75,3 @@ def validate_byzantine_bound(n: int, t: int, *, resilience_divisor: int = 3) -> 
             f"Byzantine resilience violated: need t < n/{resilience_divisor} "
             f"but got n={n}, t={t}"
         )
-
-
-def validate_same_dimension(vectors: Sequence[np.ndarray], *, name: str = "vectors") -> int:
-    """Check that all vectors share the same dimension and return it."""
-    if len(vectors) == 0:
-        raise ValueError(f"{name} must be non-empty")
-    dims = {int(np.asarray(v).reshape(-1).shape[0]) for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"{name} have inconsistent dimensions: {sorted(dims)}")
-    return dims.pop()

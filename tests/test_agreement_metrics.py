@@ -7,9 +7,7 @@ from repro.agreement.metrics import (
     approximation_ratio,
     contraction_factors,
     covering_ball_of_sgeo,
-    epsilon_agreement_reached,
     geometric_median_candidates,
-    honest_diameter_trace,
     true_geometric_median,
 )
 from repro.linalg.geometric_median import weiszfeld_reference
@@ -89,24 +87,9 @@ class TestApproximationRatio:
 
 
 class TestConvergenceDiagnostics:
-    def test_honest_diameter_trace(self, rng):
-        mats = [rng.normal(size=(5, 3)) * scale for scale in (1.0, 0.5, 0.1)]
-        trace = honest_diameter_trace(mats)
-        assert len(trace) == 3
-        assert trace[0] > trace[-1]
-
     def test_contraction_factors(self):
         factors = contraction_factors([8.0, 4.0, 1.0])
         assert factors == [pytest.approx(0.5), pytest.approx(0.25)]
 
     def test_contraction_factor_zero_prev(self):
         assert contraction_factors([0.0, 0.0]) == [0.0]
-
-    def test_epsilon_agreement(self):
-        vectors = np.array([[0.0, 0.0], [0.05, 0.0]])
-        assert epsilon_agreement_reached(vectors, 0.1)
-        assert not epsilon_agreement_reached(vectors, 0.01)
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            epsilon_agreement_reached(np.zeros((2, 2)), 0.0)

@@ -7,7 +7,6 @@ from repro.analysis.reporting import comparison_table, histories_to_records
 from repro.analysis.traces import (
     classify_trace,
     moving_average,
-    relative_gap,
     summarize_history,
 )
 from repro.learning.history import RoundRecord, TrainingHistory
@@ -44,15 +43,6 @@ class TestMovingAverage:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             moving_average([0.1], window=0)
-
-
-class TestRelativeGap:
-    def test_sign(self):
-        assert relative_gap(0.8, 0.4) > 0
-        assert relative_gap(0.4, 0.8) < 0
-
-    def test_zero_denominator_guard(self):
-        assert relative_gap(0.0, 0.0) == 0.0
 
 
 class TestClassifyTrace:

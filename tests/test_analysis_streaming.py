@@ -307,7 +307,6 @@ class TestAnalyzeSweepRows:
         ]
         analysis = analyze_sweep_rows(rows, group_by=["a"])
         group = analysis.groups[("x",)]
-        assert analysis.has_trace
         assert group.accuracy_curve.series("mean") == pytest.approx([0.1, 0.3])
         # Trace rounds re-based on the first entry: columns 0 and 1.
         assert group.round_delivery.series("min") == pytest.approx([1.0, 0.5])

@@ -135,11 +135,6 @@ class TestBatchSampler:
         images, labels = sampler.sample()
         assert images.shape[0] == 16
 
-    def test_epoch_covers_dataset(self, tiny_dataset):
-        sampler = BatchSampler(tiny_dataset, batch_size=32, seed=0)
-        seen = sum(batch[0].shape[0] for batch in sampler.epoch())
-        assert seen == len(tiny_dataset)
-
     def test_invalid_batch_size(self, tiny_dataset):
         with pytest.raises(ValueError):
             BatchSampler(tiny_dataset, batch_size=0)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.linalg.convex import (
-    hull_distance,
     in_convex_hull,
     safe_area_vertices,
-    tverberg_point,
 )
 
 
@@ -39,20 +37,6 @@ class TestInConvexHull:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             in_convex_hull(np.zeros(3), np.zeros((4, 2)))
-
-
-class TestHullDistance:
-    def test_zero_for_inside_point(self):
-        verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        assert hull_distance(np.array([0.5, 0.5]), verts) == pytest.approx(0.0, abs=1e-6)
-
-    def test_distance_to_segment(self):
-        verts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert hull_distance(np.array([1.0, 1.0]), verts) == pytest.approx(1.0, rel=1e-4)
-
-    def test_distance_to_single_point(self):
-        verts = np.array([[1.0, 1.0]])
-        assert hull_distance(np.array([4.0, 5.0]), verts) == pytest.approx(5.0, rel=1e-6)
 
 
 class TestSafeArea:
@@ -93,15 +77,3 @@ class TestSafeArea:
             safe_area_vertices(np.zeros((3, 2)), t=-1)
         with pytest.raises(ValueError):
             safe_area_vertices(np.zeros((3, 2)), t=3)
-
-
-class TestTverbergPoint:
-    def test_returns_point_inside_all_hulls(self, rng):
-        vectors = rng.normal(size=(6, 2))
-        point = tverberg_point(vectors, t=0)
-        assert point is not None
-        assert in_convex_hull(point, vectors)
-
-    def test_returns_none_when_no_candidate(self):
-        vectors = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
-        assert tverberg_point(vectors, t=2) is None

@@ -5,7 +5,6 @@ import pytest
 
 from repro.linalg.distances import (
     diameter,
-    distances_to,
     max_coordinate_spread,
     pairwise_distances,
     pairwise_sq_distances,
@@ -104,14 +103,3 @@ class TestMaxCoordinateSpread:
     def test_at_least_diameter_over_sqrt_d(self, gaussian_cloud):
         d = gaussian_cloud.shape[1]
         assert max_coordinate_spread(gaussian_cloud) >= diameter(gaussian_cloud) / np.sqrt(d) - 1e-12
-
-
-class TestDistancesTo:
-    def test_values(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        out = distances_to(pts, np.array([0.0, 0.0]))
-        np.testing.assert_allclose(out, [0.0, 5.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            distances_to(np.zeros((3, 2)), np.zeros(3))

@@ -6,7 +6,6 @@ import pytest
 from repro.linalg.hyperbox import (
     Hyperbox,
     bounding_hyperbox,
-    intersect_all,
     trimmed_hyperbox,
 )
 
@@ -27,17 +26,9 @@ class TestHyperboxBasics:
         box = Hyperbox(lower=[0.0, 0.0], upper=[2.0, 5.0])
         assert box.max_edge_length() == pytest.approx(5.0)
 
-    def test_diagonal_length(self, unit_box):
-        assert unit_box.diagonal_length() == pytest.approx(np.sqrt(3.0))
-
-    def test_volume(self):
-        box = Hyperbox(lower=[0.0, 0.0], upper=[2.0, 3.0])
-        assert box.volume() == pytest.approx(6.0)
-
     def test_degenerate_box(self):
         box = Hyperbox(lower=[1.0, 1.0], upper=[1.0, 1.0])
         assert not box.is_empty
-        assert box.volume() == 0.0
         np.testing.assert_allclose(box.midpoint(), [1.0, 1.0])
 
     def test_shape_mismatch_rejected(self):
@@ -52,7 +43,6 @@ class TestHyperboxBasics:
         box = Hyperbox(lower=[1.0], upper=[0.0])
         assert box.is_empty
         assert box.max_edge_length() == 0.0
-        assert box.volume() == 0.0
         with pytest.raises(ValueError):
             box.midpoint()
 
@@ -104,12 +94,6 @@ class TestSetOperations:
         np.testing.assert_allclose(x.lower, y.lower)
         np.testing.assert_allclose(x.upper, y.upper)
 
-    def test_union_bounding(self):
-        a = Hyperbox(lower=[0.0], upper=[1.0])
-        b = Hyperbox(lower=[2.0], upper=[3.0])
-        u = a.union_bounding(b)
-        np.testing.assert_allclose([u.lower[0], u.upper[0]], [0.0, 3.0])
-
     def test_expand(self, unit_box):
         bigger = unit_box.expand(1.0)
         assert bigger.contains_box(unit_box)
@@ -134,19 +118,6 @@ class TestSetOperations:
         box = Hyperbox(lower=np.zeros(20), upper=np.ones(20))
         with pytest.raises(ValueError):
             box.corners()
-
-    def test_intersect_all(self):
-        boxes = [
-            Hyperbox(lower=[0.0], upper=[3.0]),
-            Hyperbox(lower=[1.0], upper=[4.0]),
-            Hyperbox(lower=[2.0], upper=[5.0]),
-        ]
-        inter = intersect_all(boxes)
-        np.testing.assert_allclose([inter.lower[0], inter.upper[0]], [2.0, 3.0])
-
-    def test_intersect_all_empty_iterable(self):
-        assert intersect_all([]) is None
-
 
 class TestBoundingHyperbox:
     def test_contains_all_points(self, gaussian_cloud):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 
 
 def numerical_gradient(fn, x, eps=1e-6):
@@ -107,36 +107,6 @@ class TestFlatten:
         back = layer.backward(out)
         assert back.shape == x.shape
         np.testing.assert_allclose(back, x)
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = rng.normal(size=(3, 5))
-        np.testing.assert_allclose(layer.forward(x, training=False), x)
-
-    def test_training_zeroes_some_units(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = np.ones((10, 100))
-        out = layer.forward(x, training=True)
-        assert (out == 0.0).sum() > 0
-
-    def test_inverted_scaling_preserves_expectation(self, rng):
-        layer = Dropout(0.3, rng=rng)
-        x = np.ones((50, 200))
-        out = layer.forward(x, training=True)
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_backward_uses_same_mask(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = np.ones((4, 10))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(out))
-        np.testing.assert_allclose(grad, out)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestConv2D:

@@ -1,8 +1,6 @@
 """Tests for repro.utils.logging."""
 
-import logging
-
-from repro.utils.logging import get_logger, set_verbosity
+from repro.utils.logging import get_logger
 
 
 class TestLogging:
@@ -14,9 +12,3 @@ class TestLogging:
 
     def test_already_namespaced_not_doubled(self):
         assert get_logger("repro.linalg").name == "repro.linalg"
-
-    def test_set_verbosity_toggles_level(self):
-        set_verbosity(True)
-        assert get_logger().level == logging.INFO
-        set_verbosity(False)
-        assert get_logger().level == logging.WARNING

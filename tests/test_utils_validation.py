@@ -5,10 +5,8 @@ import pytest
 
 from repro.utils.validation import (
     ensure_matrix,
-    ensure_vector,
     require,
     validate_byzantine_bound,
-    validate_same_dimension,
 )
 
 
@@ -19,32 +17,6 @@ class TestRequire:
     def test_raises_on_false(self):
         with pytest.raises(ValueError, match="broken"):
             require(False, "broken")
-
-
-class TestEnsureVector:
-    def test_list_converted(self):
-        out = ensure_vector([1, 2, 3])
-        assert out.dtype == np.float64
-        assert out.shape == (3,)
-
-    def test_scalar_becomes_length_one(self):
-        assert ensure_vector(5.0).shape == (1,)
-
-    def test_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            ensure_vector(np.zeros((2, 2)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ensure_vector(np.array([]))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            ensure_vector([1.0, np.nan])
-
-    def test_inf_rejected(self):
-        with pytest.raises(ValueError):
-            ensure_vector([np.inf, 0.0])
 
 
 class TestEnsureMatrix:
@@ -112,16 +84,3 @@ class TestValidateByzantineBound:
     def test_invalid_divisor(self):
         with pytest.raises(ValueError):
             validate_byzantine_bound(10, 1, resilience_divisor=0)
-
-
-class TestValidateSameDimension:
-    def test_consistent(self):
-        assert validate_same_dimension([np.zeros(3), np.ones(3)]) == 3
-
-    def test_inconsistent(self):
-        with pytest.raises(ValueError):
-            validate_same_dimension([np.zeros(3), np.zeros(4)])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            validate_same_dimension([])
