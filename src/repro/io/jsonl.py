@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import json
 import math
+import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, List, Union
 
@@ -108,23 +109,30 @@ def iter_jsonl(path: PathLike, *, skip_partial_tail: bool = True) -> Iterator[di
     newline-terminated lines always raise ``ValueError``.
 
     Files ending in ``.gz`` are decompressed transparently, so archived
-    sweeps can be analysed without unpacking.
+    sweeps can be analysed without unpacking.  One that is not gzip
+    data, or is truncated or corrupt, raises ``ValueError`` naming the
+    file.
     """
     source = Path(path)
     with _open_text(source) as handle:
-        for lineno, line in enumerate(handle):
-            if skip_partial_tail and not line.endswith("\n"):
-                return  # unterminated tail: an interrupted writer's bytes
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                parsed = json.loads(stripped)
-            except json.JSONDecodeError:
-                raise ValueError(f"{source}:{lineno + 1}: invalid JSONL line")
-            if not isinstance(parsed, dict):
-                raise ValueError(f"{source}:{lineno + 1}: JSONL row is not an object")
-            yield parsed
+        try:
+            for lineno, line in enumerate(handle):
+                if skip_partial_tail and not line.endswith("\n"):
+                    return  # unterminated tail: an interrupted writer's bytes
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                try:
+                    parsed = json.loads(stripped)
+                except json.JSONDecodeError:
+                    raise ValueError(f"{source}:{lineno + 1}: invalid JSONL line")
+                if not isinstance(parsed, dict):
+                    raise ValueError(
+                        f"{source}:{lineno + 1}: JSONL row is not an object"
+                    )
+                yield parsed
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise ValueError(f"{source}: unreadable gzip file ({exc})") from None
 
 
 def read_jsonl(path: PathLike, *, skip_partial_tail: bool = True) -> List[dict]:

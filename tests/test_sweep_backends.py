@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 from pathlib import Path
 
@@ -568,6 +569,33 @@ class TestCliBackends:
         assert main(["sweep", "merge", str(rows), "--output", str(merged_gz)]) == 2
         assert "gzip the finished file" in capsys.readouterr().err
         assert not merged_gz.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "merge"])
+    @pytest.mark.parametrize("damage", ["plain-text", "truncated"])
+    def test_unreadable_gz_inputs_fail_with_one_line(
+        self, fast_cells, capsys, tmp_path, command, damage
+    ):
+        # Readers gunzip every .gz path: plain rows under that name, or
+        # a cut-off archive, must be reported, not crash the command.
+        rows = tmp_path / "rows.jsonl"
+        assert main(["sweep", "run", str(self._write_spec(tmp_path)),
+                     "--output", str(rows), "--quiet"]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "rows.jsonl.gz"
+        if damage == "plain-text":
+            bad.write_bytes(rows.read_bytes())
+        else:
+            archive = gzip.compress(rows.read_bytes())
+            bad.write_bytes(archive[: len(archive) // 2])
+        merged = tmp_path / "merged.jsonl"
+        argv = {
+            "analyze": ["analyze", str(bad)],
+            "merge": ["sweep", "merge", str(bad), "--output", str(merged)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bad}: unreadable gzip file" in err
+        assert not merged.exists()
 
     def test_spec_defaults_yield_to_explicit_flags(
         self, fast_cells, capsys, tmp_path
