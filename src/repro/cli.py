@@ -153,7 +153,11 @@ def _build_config(args: argparse.Namespace, aggregation: str) -> ExperimentConfi
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _build_config(args, args.aggregation)
+    try:
+        config = _build_config(args, args.aggregation)
+    except ValueError as exc:
+        print(f"invalid experiment config: {exc}", file=sys.stderr)
+        return 2
     history = run_experiment(config)
     if config.topology != "complete":
         from repro.network.topology import make_topology
@@ -203,10 +207,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    histories: Dict[str, TrainingHistory] = {}
-    for rule in args.rules:
-        config = _build_config(args, rule)
-        histories[rule] = run_experiment(config)
+    try:
+        configs = {rule: _build_config(args, rule) for rule in args.rules}
+    except ValueError as exc:
+        print(f"invalid experiment config: {exc}", file=sys.stderr)
+        return 2
+    histories: Dict[str, TrainingHistory] = {
+        rule: run_experiment(config) for rule, config in configs.items()
+    }
     print(comparison_table(histories))
     if args.save:
         path = save_histories(histories, args.save)

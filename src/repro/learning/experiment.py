@@ -15,10 +15,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.aggregation.registry import make_rule
+from repro.aggregation.registry import available_rules, make_rule
 from repro.agreement.base import make_algorithm
 from repro.byzantine.label_flip import LabelFlipAttack, flip_labels
-from repro.byzantine.registry import make_attack
+from repro.byzantine.registry import available_attacks, make_attack
 from repro.data.datasets import (
     Dataset,
     make_synthetic_cifar10,
@@ -109,6 +109,14 @@ class ExperimentConfig:
         require(self.setting in ("centralized", "decentralized"),
                 f"unknown setting {self.setting!r}")
         require(self.dataset in ("mnist", "cifar10"), f"unknown dataset {self.dataset!r}")
+        # Names resolve as make_rule / make_attack resolve them, so a typo
+        # fails here, in every entry point, before any data is built.
+        require(str(self.aggregation).strip().lower() in available_rules(),
+                f"unknown aggregation {self.aggregation!r}; "
+                f"available: {available_rules()}")
+        require(self.attack is None
+                or str(self.attack).strip().lower() in available_attacks(),
+                f"unknown attack {self.attack!r}; available: {available_attacks()}")
         Heterogeneity(self.heterogeneity)  # validates
         require(self.num_clients >= 2, "need at least 2 clients")
         require(0 <= self.num_byzantine < self.num_clients,

@@ -264,33 +264,6 @@ class ScenarioGrid:
             )
         return cells
 
-    def validate(self) -> List[SweepCell]:
-        """Expand the grid and fail fast on anything a cell run would hit.
-
-        :meth:`cells` already applies :class:`ExperimentConfig`'s own
-        field validation; this additionally resolves the aggregation /
-        attack names against their registries, so a typo'd rule name
-        surfaces before the sweep starts instead of crashing some cell
-        hours in.  Returns the validated cells.
-        """
-        from repro.aggregation.registry import available_rules
-        from repro.byzantine.registry import available_attacks
-
-        cells = self.cells()
-        for cell in cells:
-            config = cell.config
-            if config.aggregation not in available_rules():
-                raise ValueError(
-                    f"cell {cell.cell_id!r}: unknown aggregation "
-                    f"{config.aggregation!r}; available: {available_rules()}"
-                )
-            if config.attack is not None and config.attack not in available_attacks():
-                raise ValueError(
-                    f"cell {cell.cell_id!r}: unknown attack {config.attack!r}; "
-                    f"available: {available_attacks()}"
-                )
-        return cells
-
     # -- (de)serialisation ---------------------------------------------------
     def to_spec(self) -> dict:
         """JSON-safe specification (inverse of :meth:`from_spec`)."""

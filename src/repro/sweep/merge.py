@@ -81,7 +81,7 @@ def merge_shard_rows(
     expected: Optional[Dict[str, dict]] = None
     order: Optional[Dict[str, int]] = None
     if grid is not None:
-        cells = grid.validate()
+        cells = grid.cells()
         expected = {cell.cell_id: config_to_dict(cell.config) for cell in cells}
         order = {cell.cell_id: cell.index for cell in cells}
 

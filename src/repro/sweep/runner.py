@@ -181,10 +181,11 @@ class SweepRunner:
         """The validated cells this runner executes, in grid order.
 
         The whole grid, or the cells :func:`assign_shard` maps to this
-        runner's shard.  Every grid cell is validated either way, so a
-        shard worker fails fast on a spec error in any shard.
+        runner's shard.  Expanding the grid validates every cell's
+        configuration either way, so a shard worker fails fast on a spec
+        error in any shard.
         """
-        cells = self.grid.validate()
+        cells = self.grid.cells()
         if self.shard is None:
             return cells
         index, count = self.shard

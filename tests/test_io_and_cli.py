@@ -101,6 +101,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean" in out and "box-geom" in out and "verdict" in out
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["run", "--node-trace"], "synchronous scheduler"),
+        (["run", "--scheduler", "partial"], "needs delay >= 1"),
+        (["run", "--scheduler", "lossy", "--delay", "2"],
+         "delay is only meaningful"),
+        (["run", "--aggregation", "bogus"], "unknown aggregation 'bogus'"),
+        (["run", "--attack", "bogus"], "unknown attack 'bogus'"),
+        (["compare", "--rules", "mean", "bogus"], "unknown aggregation 'bogus'"),
+        (["compare", "--scheduler", "partial"], "needs delay >= 1"),
+    ])
+    def test_invalid_config_exits_2_before_training(self, capsys, argv, fragment):
+        code = main(argv + ["--rounds", "1", "--clients", "4", "--samples", "40",
+                            "--batch-size", "8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing was trained
+        assert captured.err.startswith("invalid experiment config: ")
+        assert captured.err.count("\n") == 1 and fragment in captured.err
+
+    def test_rule_and_attack_names_resolve_like_the_registries(self, capsys):
+        code = main([
+            "run", "--aggregation", "BOX-GEOM", "--attack", " Sign-Flip ",
+            "--rounds", "1", "--clients", "4", "--samples", "40",
+            "--batch-size", "8",
+        ])
+        assert code == 0
+        assert "final accuracy" in capsys.readouterr().out
+
     def test_theory_command(self, capsys):
         code = main(["theory", "--rounds", "3", "--trials", "3", "--dimension", "4"])
         assert code == 0

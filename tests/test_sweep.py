@@ -206,19 +206,21 @@ class TestScenarioGrid:
             config_from_dict({"mlp_hidden": 8})
 
     def test_validate_catches_unknown_names_early(self):
+        # ExperimentConfig resolves rule and attack names, so expanding
+        # the grid rejects a typo before any cell runs.
         grid = ScenarioGrid(tiny_config(), {"aggregation": ["mean", "bogus-rule"]})
         with pytest.raises(ValueError, match="unknown aggregation 'bogus-rule'"):
-            grid.validate()
+            grid.cells()
         grid = ScenarioGrid(tiny_config(), {"attack": ["sign-flip", "bogus-attack"]})
         with pytest.raises(ValueError, match="unknown attack 'bogus-attack'"):
-            grid.validate()
-        assert len(tiny_grid().validate()) == 4
+            grid.cells()
+        assert len(tiny_grid().cells()) == 4
 
     def test_validate_catches_invalid_cell_config(self):
         # Valid field name, invalid value: caught at expansion time.
         grid = ScenarioGrid(tiny_config(), {"num_byzantine": [1, 5]})
         with pytest.raises(ValueError, match="num_byzantine"):
-            grid.validate()
+            grid.cells()
 
     def test_spec_round_trip(self):
         grid = tiny_grid()
