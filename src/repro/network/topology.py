@@ -222,15 +222,16 @@ class Topology:
 
 
 # -- generators ---------------------------------------------------------------
+# Each generator returns the ``(n, n)`` boolean mask with a True diagonal.
 
-def _generate_complete(n: int, rng: np.random.Generator) -> nx.Graph:
-    return nx.complete_graph(n)
+def _generate_complete(n: int, rng: np.random.Generator) -> np.ndarray:
+    return np.ones((n, n), dtype=bool)
 
 
-def _generate_ring(n: int, rng: np.random.Generator) -> nx.Graph:
+def _generate_ring(n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 3:
         raise ValueError(f"topology 'ring' needs n >= 3 nodes, got {n}")
-    return nx.cycle_graph(n)
+    return _torus_mask(1, n)
 
 
 def _near_square_factors(n: int) -> Tuple[int, int]:
@@ -240,10 +241,26 @@ def _near_square_factors(n: int) -> Tuple[int, int]:
     return rows, n // rows
 
 
+def _torus_mask(rows: int, cols: int) -> np.ndarray:
+    """Periodic ``rows x cols`` grid, node ``r * cols + c``.
+
+    A side of length 1 adds no links along it and a side of length 2 one
+    link, so a 1 x n torus is the n-cycle.
+    """
+    n = rows * cols
+    nodes = np.arange(n)
+    r, c = np.divmod(nodes, cols)
+    mask = np.eye(n, dtype=bool)
+    for down, right in ((1, 0), (0, 1)):
+        other = (r + down) % rows * cols + (c + right) % cols
+        mask[nodes, other] = mask[other, nodes] = True
+    return mask
+
+
 def _generate_torus(
     n: int, rng: np.random.Generator, *, rows: Optional[int] = None,
     cols: Optional[int] = None,
-) -> nx.Graph:
+) -> np.ndarray:
     if rows is None and cols is None:
         rows, cols = _near_square_factors(n)
     elif rows is None:
@@ -257,13 +274,12 @@ def _generate_torus(
         )
     if min(rows, cols) == 1 and max(rows, cols) < 3:
         raise ValueError(f"topology 'torus' needs at least 3 nodes per ring, got {n}")
-    grid = nx.grid_2d_graph(rows, cols, periodic=True)
-    return nx.relabel_nodes(grid, {(r, c): r * cols + c for r, c in grid.nodes})
+    return _torus_mask(rows, cols)
 
 
 def _generate_random_regular(
     n: int, rng: np.random.Generator, *, degree: int = 4
-) -> nx.Graph:
+) -> np.ndarray:
     degree = int(degree)
     if degree < 1 or degree >= n:
         raise ValueError(
@@ -276,19 +292,23 @@ def _generate_random_regular(
         )
     # networkx takes an integer seed; derive it from our generator so one
     # (name, n, seed, kwargs) tuple always yields the same graph.
-    return nx.random_regular_graph(degree, n, seed=int(rng.integers(0, 2**31 - 1)))
+    graph = nx.random_regular_graph(degree, n, seed=int(rng.integers(0, 2**31 - 1)))
+    mask = np.eye(n, dtype=bool)
+    for u, v in graph.edges:
+        mask[u, v] = mask[v, u] = True
+    return mask
 
 
 def _generate_clusters(
     n: int, rng: np.random.Generator, *, clusters: int = 2, bridges: int = 1
-) -> nx.Graph:
+) -> np.ndarray:
     """Geographic clusters: dense groups bridged into a ring of clusters.
 
     Nodes are split into ``clusters`` contiguous, near-equal groups, each
     internally complete; consecutive clusters (cyclically) are joined by
     ``bridges`` seeded random cross edges.  ``bridges=0`` deliberately
     builds a *disconnected* graph (it fails validation) — useful for
-    exercising the diagnostics and for partition scenarios.
+    exercising the diagnostics.
     """
     clusters, bridges = int(clusters), int(bridges)
     if not 1 <= clusters <= n:
@@ -298,20 +318,16 @@ def _generate_clusters(
     if bridges < 0:
         raise ValueError(f"topology 'clusters' needs bridges >= 0, got {bridges}")
     bounds = np.linspace(0, n, clusters + 1).astype(int)
-    groups = [list(range(bounds[i], bounds[i + 1])) for i in range(clusters)]
-    graph: nx.Graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for group in groups:
-        graph.add_edges_from(nx.complete_graph(group).edges)
+    group = np.repeat(np.arange(clusters), np.diff(bounds))
+    mask = group[:, None] == group[None, :]
     if clusters > 1 and bridges:
         for i in range(clusters if clusters > 2 else 1):
-            left, right = groups[i], groups[(i + 1) % clusters]
+            j = (i + 1) % clusters
             for _ in range(bridges):
-                graph.add_edge(
-                    int(left[int(rng.integers(len(left)))]),
-                    int(right[int(rng.integers(len(right)))]),
-                )
-    return graph
+                u = bounds[i] + int(rng.integers(bounds[i + 1] - bounds[i]))
+                v = bounds[j] + int(rng.integers(bounds[j + 1] - bounds[j]))
+                mask[u, v] = mask[v, u] = True
+    return mask
 
 
 _GENERATORS = {
@@ -360,10 +376,10 @@ def make_topology(name: str, n: int, *, seed: int = 0, **kwargs) -> "Topology":
         raise ValueError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
     try:
-        graph = _GENERATORS[key](n, rng, **kwargs)
+        mask = _GENERATORS[key](n, rng, **kwargs)
     except TypeError as exc:
         raise ValueError(f"bad topology kwargs for {key!r}: {exc}") from None
-    topology = Topology.from_graph(key, graph, n)
+    topology = Topology(key, mask)
     validate_topology(topology, n)
     return topology
 

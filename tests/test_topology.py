@@ -95,6 +95,24 @@ class TestGenerators:
         with pytest.raises(ValueError, match="rows\\*cols == n"):
             make_topology("torus", 12, rows=5)
 
+    # Edge lists the networkx generators produced before the numpy port.
+    @pytest.mark.parametrize("name,kwargs,edges", [
+        ("torus", {"rows": 3, "cols": 4}, [
+            (0, 1), (0, 3), (0, 4), (0, 8), (1, 2), (1, 5), (1, 9), (2, 3),
+            (2, 6), (2, 10), (3, 7), (3, 11), (4, 5), (4, 7), (4, 8), (5, 6),
+            (5, 9), (6, 7), (6, 10), (7, 11), (8, 9), (8, 11), (9, 10),
+            (10, 11),
+        ]),
+        ("clusters", {"clusters": 3, "bridges": 1}, [
+            (0, 1), (0, 2), (0, 6), (1, 2), (2, 4), (3, 4), (3, 5), (4, 5),
+            (4, 6), (6, 7), (6, 8), (7, 8),
+        ]),
+    ])
+    def test_pinned_edges(self, name, kwargs, edges):
+        n = 1 + max(v for _, v in edges)
+        mask = make_topology(name, n, seed=0, **kwargs).mask
+        assert [tuple(e) for e in np.argwhere(np.triu(mask, 1)).tolist()] == edges
+
     def test_ring_needs_three_nodes(self):
         with pytest.raises(ValueError, match="n >= 3"):
             make_topology("ring", 2)
