@@ -290,13 +290,28 @@ def _generate_random_regular(
             f"topology 'random-regular' needs n*degree even, got n={n} degree={degree}; "
             f"use degree={degree + 1} or an even n"
         )
-    # networkx takes an integer seed; derive it from our generator so one
-    # (name, n, seed, kwargs) tuple always yields the same graph.
-    graph = nx.random_regular_graph(degree, n, seed=int(rng.integers(0, 2**31 - 1)))
-    mask = np.eye(n, dtype=bool)
-    for u, v in graph.edges:
-        mask[u, v] = mask[v, u] = True
-    return mask
+    # Steger-Wormald pairing (the algorithm networkx uses): pair the open
+    # stubs at random, keep every pair that adds a new edge (the first of
+    # repeated pairs), re-pair the rest.  Restart only when no new edge
+    # is possible among the open stubs; restarting on any self-loop or
+    # repeated edge would almost never finish at the dense degrees the
+    # n - t quorum needs.
+    while True:
+        mask = np.eye(n, dtype=bool)
+        stubs = np.repeat(np.arange(n), degree)
+        while stubs.size:
+            pairs = np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1)
+            u, v = pairs[:, 0], pairs[:, 1]
+            keep = np.zeros(len(pairs), dtype=bool)
+            keep[np.unique(u * n + v, return_index=True)[1]] = True
+            keep &= ~mask[u, v]
+            mask[u[keep], v[keep]] = mask[v[keep], u[keep]] = True
+            stubs = pairs[~keep].ravel()
+            open_nodes = np.unique(stubs)
+            if stubs.size and mask[np.ix_(open_nodes, open_nodes)].all():
+                break
+        else:
+            return mask
 
 
 def _generate_clusters(

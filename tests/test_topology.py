@@ -88,6 +88,17 @@ class TestGenerators:
         }
         assert len(masks) > 1
 
+    # (8, 6) and (10, 8) are the degrees the n - t quorum needs at t = 1.
+    @pytest.mark.parametrize("n,degree", [(8, 6), (10, 8), (12, 4), (64, 4), (1024, 4)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_regular_is_regular(self, n, degree, seed):
+        mask = make_topology("random-regular", n, seed=seed, degree=degree).mask
+        assert np.array_equal(mask, mask.T)
+        assert mask.diagonal().all()
+        assert (mask.sum(axis=1) - 1 == degree).all()
+        again = make_topology("random-regular", n, seed=seed, degree=degree).mask
+        assert np.array_equal(mask, again)
+
     def test_torus_dimensions(self):
         topo = make_topology("torus", 12, rows=3, cols=4)
         # Interior torus nodes have exactly 4 neighbours.
