@@ -36,7 +36,6 @@ from repro.network.delivery import (
 from repro.network.topology import (
     TOPOLOGY_NAMES,
     Topology,
-    complete_topology,
     make_topology,
     resolve_topology_name,
     validate_topology,
@@ -50,7 +49,6 @@ __all__ = [
     "TOPOLOGY_NAMES",
     "Topology",
     "collect_plans",
-    "complete_topology",
     "enforce_quorum",
     "full_broadcast_plan",
     "make_topology",

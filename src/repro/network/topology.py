@@ -21,40 +21,13 @@ graph a first-class axis instead:
   starves whole components), and quorum feasibility against the
   Byzantine tolerance ``t`` (full agreement needs every node to *be
   able* to receive ``n - t`` messages, i.e. closed degree ``>= n - t``).
-
-The legacy :mod:`networkx` helpers (:func:`complete_topology`,
-:func:`neighbours`) remain for callers that work on graphs directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-
-
-def complete_topology(n: int) -> nx.Graph:
-    """Complete graph over ``n`` nodes with self-loops added.
-
-    Self-loops encode that every node "delivers" its own broadcast to
-    itself, which the agreement algorithms rely on (a node's own vector
-    is always part of its received set).
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    graph = nx.complete_graph(n)
-    graph.add_edges_from((i, i) for i in range(n))
-    return graph
-
-
-def neighbours(graph: nx.Graph, node: int) -> list[int]:
-    """Sorted list of nodes that receive ``node``'s broadcasts (incl. itself)."""
-    if node not in graph:
-        raise ValueError(f"node {node} is not part of the topology")
-    out = set(graph.neighbors(node))
-    out.add(node)
-    return sorted(out)
 
 
 class Topology:
@@ -99,27 +72,6 @@ class Topology:
         self.is_complete = bool(mask.all())
         self._degrees: Optional[np.ndarray] = None
         self._neighbours: Dict[int, np.ndarray] = {}
-
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def from_graph(cls, name: str, graph: nx.Graph, n: int) -> "Topology":
-        """Build from a :mod:`networkx` graph over nodes ``0..n-1``.
-
-        Self-loops are implied (the diagonal is forced ``True``), so
-        generators need not add them.
-        """
-        nodes = set(graph.nodes)
-        expected = set(range(n))
-        if nodes != expected:
-            raise ValueError(
-                f"topology nodes {sorted(nodes)} do not match expected {sorted(expected)}"
-            )
-        mask = np.zeros((n, n), dtype=bool)
-        for u, v in graph.edges:
-            mask[u, v] = True
-            mask[v, u] = True
-        np.fill_diagonal(mask, True)
-        return cls(name, mask)
 
     # -- structure ------------------------------------------------------------
     @property
@@ -290,7 +242,7 @@ def _generate_random_regular(
             f"topology 'random-regular' needs n*degree even, got n={n} degree={degree}; "
             f"use degree={degree + 1} or an even n"
         )
-    # Steger-Wormald pairing (the algorithm networkx uses): pair the open
+    # Steger-Wormald pairing (Steger and Wormald, 1999): pair the open
     # stubs at random, keep every pair that adds a new edge (the first of
     # repeated pairs), re-pair the rest.  Restart only when no new edge
     # is possible among the open stubs; restarting on any self-loop or
@@ -401,23 +353,11 @@ def make_topology(name: str, n: int, *, seed: int = 0, **kwargs) -> "Topology":
 
 # -- validation ---------------------------------------------------------------
 
-def _as_topology(graph: Union[Topology, nx.Graph], n: int) -> Topology:
-    if isinstance(graph, Topology):
-        if graph.n != n:
-            raise ValueError(
-                f"topology is over n={graph.n} nodes but n={n} was expected"
-            )
-        return graph
-    return Topology.from_graph("graph", graph, n)
-
-
-def validate_topology(
-    graph: Union[Topology, nx.Graph], n: int, *, t: Optional[int] = None
-) -> None:
+def validate_topology(topology: Topology, n: int, *, t: Optional[int] = None) -> None:
     """Structural diagnostics for a topology, with actionable errors.
 
-    Always checked: the node set covers exactly ``0..n-1`` and the graph
-    is **connected** — a disconnected topology silently partitions the
+    Always checked: the topology is over ``n`` nodes and the graph is
+    **connected** — a disconnected topology silently partitions the
     protocol (each component converges on its own, which looks like a
     successful run while being a different experiment entirely).
 
@@ -428,7 +368,8 @@ def validate_topology(
     neighbourhood averaging (``exchange='gossip'``), which only needs
     connectivity.
     """
-    topology = _as_topology(graph, n)
+    if topology.n != n:
+        raise ValueError(f"topology is over n={topology.n} nodes but n={n} was expected")
     components = topology.connected_components()
     if len(components) > 1:
         preview = ", ".join(str(c[:6]) for c in components[:3])

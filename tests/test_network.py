@@ -6,28 +6,26 @@ import pytest
 from repro.engine import SynchronousScheduler
 from repro.network.delivery import RoundResult, full_broadcast_plan
 from repro.network.reliable_broadcast import BroadcastPlan, ReliableBroadcast
-from repro.network.topology import complete_topology, neighbours, validate_topology
+from repro.network.topology import make_topology, validate_topology
 
 
 class TestTopology:
     def test_complete_graph_size(self):
-        graph = complete_topology(5)
-        validate_topology(graph, 5)
-        assert set(neighbours(graph, 0)) == {0, 1, 2, 3, 4}
+        topology = make_topology("complete", 5)
+        validate_topology(topology, 5)
+        assert topology.neighbours(0).tolist() == [0, 1, 2, 3, 4]
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            complete_topology(0)
+            make_topology("complete", 0)
 
     def test_validate_mismatch(self):
-        graph = complete_topology(4)
         with pytest.raises(ValueError):
-            validate_topology(graph, 5)
+            validate_topology(make_topology("complete", 4), 5)
 
     def test_neighbours_unknown_node(self):
-        graph = complete_topology(3)
         with pytest.raises(ValueError):
-            neighbours(graph, 7)
+            make_topology("complete", 3).neighbours(7)
 
 
 class TestReliableBroadcast:

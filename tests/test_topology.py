@@ -106,7 +106,8 @@ class TestGenerators:
         with pytest.raises(ValueError, match="rows\\*cols == n"):
             make_topology("torus", 12, rows=5)
 
-    # Edge lists the networkx generators produced before the numpy port.
+    # Edge lists pinned from the graph-library generators the numpy
+    # masks replaced.
     @pytest.mark.parametrize("name,kwargs,edges", [
         ("torus", {"rows": 3, "cols": 4}, [
             (0, 1), (0, 3), (0, 4), (0, 8), (1, 2), (1, 5), (1, 9), (2, 3),
