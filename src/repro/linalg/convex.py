@@ -8,55 +8,41 @@ approximation ratio of Theorem 4.1 can be demonstrated executably.
 
 Membership in a convex hull is decided by a small linear program
 (scipy ``linprog``), which works in any dimension and for degenerate
-hulls, unlike Qhull-based approaches.
+hulls, unlike Qhull-based approaches.  scipy is imported only when that
+test runs, so the rest of the package needs only numpy.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.utils.validation import ensure_matrix
 
 
-def in_convex_hull(point: np.ndarray, vertices: np.ndarray, *, tol: float = 1e-9) -> bool:
+def in_convex_hull(point: np.ndarray, vertices: np.ndarray) -> bool:
     """Whether ``point`` is a convex combination of the rows of ``vertices``.
 
     Solves the feasibility LP ``find lambda >= 0, sum lambda = 1,
     V^T lambda = point``; robust to degenerate (lower-dimensional) hulls.
     """
+    from scipy.optimize import linprog
+
     verts = ensure_matrix(vertices, name="vertices")
     p = np.asarray(point, dtype=np.float64).reshape(-1)
     if p.shape[0] != verts.shape[1]:
         raise ValueError("point dimension does not match vertices dimension")
     m = verts.shape[0]
-    a_eq = np.vstack([verts.T, np.ones((1, m))])
-    b_eq = np.concatenate([p, [1.0]])
     res = linprog(
         c=np.zeros(m),
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_eq=np.vstack([verts.T, np.ones((1, m))]),
+        b_eq=np.concatenate([p, [1.0]]),
         bounds=[(0.0, 1.0)] * m,
         method="highs",
     )
-    if res.status == 0:
-        return True
-    if res.status == 2:  # infeasible
-        # Retry with a tolerance band: accept points within `tol` of the hull.
-        res2 = linprog(
-            c=np.zeros(m + 1),
-            A_ub=None,
-            b_ub=None,
-            A_eq=np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))]),
-            b_eq=b_eq,
-            bounds=[(0.0, 1.0)] * m + [(0.0, 0.0)],
-            method="highs",
-        )
-        return bool(res2.status == 0)
-    return False
+    return res.status == 0
 
 
 def safe_area_vertices(

@@ -1,9 +1,11 @@
 """Tests for the public API surface (repro, repro.core re-exports)."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 import repro
 import repro.core as core
@@ -23,6 +25,28 @@ class TestTopLevel:
         ):
             module = importlib.import_module(name)
             assert module is not None
+
+    def test_every_module_imports_without_networkx_or_scipy(self):
+        # numpy is the only install requirement: scipy is imported only
+        # when the safe-area rule's hull test runs, networkx never.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = "\n".join([
+            "import importlib, pkgutil, sys",
+            f"sys.path.insert(0, {src!r})",
+            "sys.modules['networkx'] = sys.modules['scipy'] = None",
+            "import repro",
+            "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]",
+            "for name in names:",
+            "    importlib.import_module(name)",
+            "from repro.aggregation import make_rule",
+            "make_rule('safe-area', n=4, t=1)",
+            "print(len(names))",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) > 50
 
     def test_subpackage_all_exports_exist(self):
         for name in (
