@@ -1,10 +1,23 @@
-"""Legacy setuptools shim.
+"""Package metadata: ``pip install .`` or ``pip install -e ".[test]"``.
 
-The project is configured through ``pyproject.toml``; this file only
-exists so ``pip install -e .`` works on environments whose setuptools
-predates PEP 660 editable installs (no ``wheel`` package available).
+The package needs only numpy.  The ``test`` extra adds the test runner,
+its plugins and scipy, whose LP solver the safe-area rule uses (scipy
+is imported only when that rule tests hull membership).  The version is
+read from ``src/repro/_version.py``, its one definition.
 """
 
-from setuptools import setup
+import runpy
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_VERSION_FILE = Path(__file__).resolve().parent / "src" / "repro" / "_version.py"
+
+setup(
+    name="repro",
+    version=runpy.run_path(str(_VERSION_FILE))["__version__"],
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"]},
+)

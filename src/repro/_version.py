@@ -1,3 +1,3 @@
-"""Package version (kept in sync with pyproject.toml)."""
+"""Package version; ``setup.py`` reads it from here."""
 
 __version__ = "1.0.0"
