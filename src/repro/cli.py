@@ -56,7 +56,11 @@ from repro.analysis.reporting import (
 from repro.byzantine.registry import available_attacks
 from repro.engine import SCHEDULER_NAMES
 from repro.io.results import metric_from_json, save_histories
-from repro.learning.experiment import ExperimentConfig, run_experiment
+from repro.learning.experiment import (
+    ExperimentConfig,
+    experiment_topology,
+    run_experiment,
+)
 from repro.learning.history import TrainingHistory
 from repro.network.topology import TOPOLOGY_NAMES
 
@@ -159,16 +163,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid experiment config: {exc}", file=sys.stderr)
         return 2
     history = run_experiment(config)
-    if config.topology != "complete":
-        from repro.network.topology import make_topology
-        from repro.utils.rng import stable_component_seed
-
-        shape = make_topology(
-            config.topology,
-            config.num_clients,
-            seed=stable_component_seed(config.seed, "topology", config.topology),
-            **config.topology_kwargs,
-        ).summary()
+    topology = experiment_topology(config)
+    if topology is not None:
+        shape = topology.summary()
         print(
             f"topology: {shape['name']} with {shape['edges']} edges, "
             f"degree {shape['min_degree']}..{shape['max_degree']}, "

@@ -180,6 +180,19 @@ class ExperimentConfig:
         for window in self.crash_schedule:
             require(len(window) == 3,
                     f"crash window must be (node, start, stop), got {window!r}")
+        # Build the topology, the rule and the attack once, so bad kwargs
+        # fail here too, before any data is built.
+        experiment_topology(self)
+        try:
+            make_rule(self.aggregation, n=self.num_clients, t=self.tolerance,
+                      **_rule_kwargs(self))
+        except TypeError as exc:
+            raise ValueError(f"bad aggregation_kwargs for {self.aggregation!r}: {exc}") from None
+        if self.attack is not None:
+            try:
+                make_attack(self.attack, **self.attack_kwargs)
+            except TypeError as exc:
+                raise ValueError(f"bad attack_kwargs for {self.attack!r}: {exc}") from None
 
     @property
     def tolerance(self) -> int:
@@ -333,6 +346,24 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
     )
 
 
+def experiment_topology(config: ExperimentConfig) -> Optional[Topology]:
+    """The decentralized exchange's topology, or ``None`` for ``complete``.
+
+    Complete stays ``None`` (not a materialised complete Topology) so
+    the default engine path is bitwise-untouched.  The generator seed is
+    its own component stream: changing the topology axis never perturbs
+    the data/model/attack/scheduler streams.
+    """
+    if config.topology == "complete":
+        return None
+    return make_topology(
+        config.topology,
+        config.num_clients,
+        seed=stable_component_seed(config.seed, "topology", config.topology),
+        **config.topology_kwargs,
+    )
+
+
 def _make_engine(
     config: ExperimentConfig, n: int, byzantine: Tuple[int, ...], *, star: bool = False
 ) -> RoundEngine:
@@ -345,18 +376,6 @@ def _make_engine(
     ``star`` builds the engine for the centralized client -> server
     exchange, where honest senders unicast to the server link.
     """
-    topology: Optional[Topology] = None
-    if config.topology != "complete":
-        # Complete stays None (not a materialised complete Topology) so
-        # the default engine path is bitwise-untouched.  The generator
-        # seed is its own component stream: changing the topology axis
-        # never perturbs the data/model/attack/scheduler streams.
-        topology = make_topology(
-            config.topology,
-            n,
-            seed=stable_component_seed(config.seed, "topology", config.topology),
-            **config.topology_kwargs,
-        )
     return make_scheduler(
         config.scheduler,
         n,
@@ -370,7 +389,7 @@ def _make_engine(
         seed=stable_component_seed(config.seed, "scheduler", config.scheduler),
         require_full_broadcast=not star,
         node_trace=config.node_trace,
-        topology=topology,
+        topology=experiment_topology(config),
     )
 
 

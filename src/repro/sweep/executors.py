@@ -26,7 +26,7 @@ from functools import partial
 from typing import Dict, Iterator, Optional, Sequence
 
 from repro.io.results import history_to_dict
-from repro.learning.experiment import run_experiment
+from repro.learning.experiment import experiment_topology, run_experiment
 from repro.sweep.grid import config_from_dict
 from repro.utils.logging import get_logger
 
@@ -82,21 +82,14 @@ def run_cell(payload: dict) -> dict:
         from repro.analysis.reporting import node_stats_summary
 
         summary["node"] = node_stats_summary(history.node_stats)
-    if config.topology != "complete":
+    topology = experiment_topology(config)
+    if topology is not None:
         # Sparse-topology cells carry the graph's shape next to the
         # delivery stats (and, with node_trace on, the per-node delivery
         # counters normalised by each node's closed degree).  Complete
         # cells elide the key entirely — row byte-identity again.
         from repro.analysis.reporting import topology_delivery_summary
-        from repro.network.topology import make_topology
-        from repro.utils.rng import stable_component_seed
 
-        topology = make_topology(
-            config.topology,
-            config.num_clients,
-            seed=stable_component_seed(config.seed, "topology", config.topology),
-            **config.topology_kwargs,
-        )
         summary["topology"] = topology_delivery_summary(
             topology, history.node_stats
         )

@@ -110,6 +110,8 @@ class TestCli:
         (["run", "--attack", "bogus"], "unknown attack 'bogus'"),
         (["compare", "--rules", "mean", "bogus"], "unknown aggregation 'bogus'"),
         (["compare", "--scheduler", "partial"], "needs delay >= 1"),
+        (["run", "--setting", "decentralized", "--topology", "random-regular",
+          "--topology-kwargs", '{"degree": 100}'], "needs 1 <= degree < n"),
     ])
     def test_invalid_config_exits_2_before_training(self, capsys, argv, fragment):
         code = main(argv + ["--rounds", "1", "--clients", "4", "--samples", "40",

@@ -276,17 +276,15 @@ class TestRunExperimentDispatch:
     @pytest.mark.parametrize("setting", ["centralized", "decentralized"])
     def test_one_rule_vocabulary_in_both_settings(self, setting):
         # One registry and one kwargs vocabulary: the rule's own
-        # constructor arguments work in both settings, nothing else does,
-        # and every rule name runs in both.
+        # constructor arguments work in both settings, nothing else does
+        # (the config rejects them), and every rule name runs in both.
         history = run_experiment(
             small_config(setting=setting, rounds=1, aggregation_kwargs={"max_iter": 50})
         )
         assert len(history.records) == 1
-        with pytest.raises(TypeError):
-            run_experiment(
-                small_config(
-                    setting=setting, rounds=1, aggregation_kwargs={"weiszfeld_max_iter": 50}
-                )
+        with pytest.raises(ValueError, match="bad aggregation_kwargs"):
+            small_config(
+                setting=setting, rounds=1, aggregation_kwargs={"weiszfeld_max_iter": 50}
             )
         history = run_experiment(
             small_config(setting=setting, aggregation="krum", num_clients=7, rounds=1)

@@ -222,6 +222,28 @@ class TestScenarioGrid:
         with pytest.raises(ValueError, match="num_byzantine"):
             grid.cells()
 
+    @pytest.mark.parametrize("base,axes", [
+        ({}, {"aggregation_kwargs": [{}, {"bogus": 1}]}),
+        ({}, {"aggregation_kwargs": [{"max_subsets": 0}]}),
+        ({}, {"attack_kwargs": [{"bogus": 2}]}),
+        ({"setting": "decentralized", "topology": "random-regular",
+          "exchange": "gossip", "num_clients": 6, "num_samples": 60},
+         {"topology_kwargs": [{"degree": 100}]}),
+    ])
+    def test_bad_kwargs_fail_at_expansion(self, tmp_path, capsys, base, axes):
+        # The config builds its topology, rule and attack, so a bad
+        # kwargs value exits 2 before any cell runs or any row is written.
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"base": {**config_to_dict(tiny_config()), **base}, "axes": axes}
+        ))
+        out = tmp_path / "rows.jsonl"
+        assert main(["sweep", "run", str(spec), "--output", str(out), "--quiet"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_spec_round_trip(self):
         grid = tiny_grid()
         spec = json.loads(json.dumps(grid.to_spec()))
