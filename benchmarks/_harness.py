@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import platform
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 

@@ -12,9 +12,6 @@ Three ablations called out in DESIGN.md:
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from _harness import centralized_config, decentralized_config, print_report, scaled, summary_table
 
 from repro.learning.experiment import run_experiment

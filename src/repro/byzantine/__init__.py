@@ -27,7 +27,7 @@ from repro.byzantine.random_noise import GaussianNoiseAttack, RandomVectorAttack
 from repro.byzantine.magnitude import MagnitudeAttack
 from repro.byzantine.omniscient import OppositeOfMeanAttack
 from repro.byzantine.label_flip import LabelFlipAttack, flip_labels
-from repro.byzantine.partition import PartitionAttack, TopologyPartition, partition_cut
+from repro.byzantine.partition import PartitionAttack
 from repro.byzantine.timing import (
     AdaptiveDelayAttack,
     SelectiveDelayAttack,
@@ -45,8 +45,6 @@ __all__ = [
     "MagnitudeAttack",
     "OppositeOfMeanAttack",
     "PartitionAttack",
-    "TopologyPartition",
-    "partition_cut",
     "RandomVectorAttack",
     "SelectiveDelayAttack",
     "SignFlipAttack",

@@ -76,11 +76,6 @@ class WaitCondition:
                 f"wait timeout_rounds must be positive, got {self.timeout_rounds}"
             )
 
-    @property
-    def explicit(self) -> bool:
-        """Whether the condition names a message target at all."""
-        return self.count is not None or self.quorum
-
 
 class RoundEngine(abc.ABC):
     """Scheduler-pluggable round executor for ``n`` nodes.
@@ -147,27 +142,6 @@ class RoundEngine(abc.ABC):
         self.node_stats: Dict[str, np.ndarray] = {}
         #: Per-round per-node delta rows (populated when ``node_trace``).
         self.node_traces: List[Dict[str, object]] = []
-        self.topology: Optional[Topology] = None
-        self._topology_mask: Optional[np.ndarray] = None
-        self.set_topology(topology)
-        self.wait = WaitCondition()
-        #: Monotone count of rounds this engine has executed, across
-        #: exchanges.  Crash schedules are expressed against this clock,
-        #: so a window covers wall-clock training rounds even when the
-        #: per-exchange ``round_index`` restarts at 0 every iteration.
-        self.rounds_executed = 0
-
-    # -- configuration --------------------------------------------------------
-    def set_topology(self, topology: Optional[Topology]) -> None:
-        """Install (or clear, with ``None``) the communication topology.
-
-        May be called mid-run — this is the partition/heal primitive
-        (:class:`repro.byzantine.partition.TopologyPartition` cuts edges
-        by installing ``topology.without_edges(...)`` and heals by
-        re-installing the original).  A complete topology resolves to no
-        mask at all, keeping the default path bitwise-identical to an
-        engine that never heard of topologies.
-        """
         if topology is not None:
             if not isinstance(topology, Topology):
                 raise TypeError(
@@ -178,10 +152,19 @@ class RoundEngine(abc.ABC):
                     f"topology is over n={topology.n} nodes but the engine has n={self.n}"
                 )
         self.topology = topology
-        self._topology_mask = (
+        # A complete topology resolves to no mask at all, keeping the
+        # default path bitwise-identical to an engine without a topology.
+        self._topology_mask: Optional[np.ndarray] = (
             None if topology is None or topology.is_complete else topology.mask
         )
+        self.wait = WaitCondition()
+        #: Monotone count of rounds this engine has executed, across
+        #: exchanges.  Crash schedules are expressed against this clock,
+        #: so a window covers wall-clock training rounds even when the
+        #: per-exchange ``round_index`` restarts at 0 every iteration.
+        self.rounds_executed = 0
 
+    # -- configuration --------------------------------------------------------
     def require_quorum(self, quorum: int, *, policy: str = "raise") -> None:
         """Require every honest node to deliver at least ``quorum`` messages.
 

@@ -18,7 +18,7 @@ selective delay under schedulers with a nonzero horizon).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 

@@ -20,7 +20,7 @@ point picks the strategy based on input size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -113,44 +113,6 @@ class Hyperbox:
             upper=np.minimum(self.upper, other.upper),
         )
 
-    def expand(self, margin: float) -> "Hyperbox":
-        """Box grown by ``margin`` on every side (useful in tests)."""
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
-        return Hyperbox(lower=self.lower - margin, upper=self.upper + margin)
-
-    def clip(self, point: np.ndarray) -> np.ndarray:
-        """Project ``point`` onto the box (nearest point inside it)."""
-        if self.is_empty:
-            raise ValueError("cannot clip onto an empty hyperbox")
-        p = np.asarray(point, dtype=np.float64).reshape(-1)
-        if p.shape[0] != self.dimension:
-            raise ValueError("point dimension mismatch")
-        return np.clip(p, self.lower, self.upper)
-
-    def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """Draw ``count`` uniform points inside the box, shape ``(count, d)``."""
-        if self.is_empty:
-            raise ValueError("cannot sample from an empty hyperbox")
-        if count < 1:
-            raise ValueError("count must be positive")
-        u = rng.random((count, self.dimension))
-        return self.lower[None, :] + u * (self.upper - self.lower)[None, :]
-
-    def corners(self, *, max_dimension: int = 16) -> np.ndarray:
-        """All 2^d corners of the box (guarded against dimension blow-up)."""
-        if self.is_empty:
-            raise ValueError("an empty hyperbox has no corners")
-        d = self.dimension
-        if d > max_dimension:
-            raise ValueError(
-                f"refusing to enumerate 2^{d} corners; increase max_dimension explicitly"
-            )
-        grid = np.array(
-            np.meshgrid(*[(self.lower[k], self.upper[k]) for k in range(d)], indexing="ij")
-        )
-        return grid.reshape(d, -1).T
-
 
 def bounding_hyperbox(vectors: np.ndarray) -> Hyperbox:
     """Smallest axis-parallel hyperbox containing all rows of ``vectors``."""

@@ -11,7 +11,7 @@ graph a first-class axis instead:
   ``s``'s broadcast reach ``r``?", which is exactly the shape the batch
   message plane's per-sender delivery masks use — the engines intersect
   it with their drop/crash/delay masks (see
-  :meth:`repro.engine.base.RoundEngine.set_topology`).
+  :class:`repro.engine.base.RoundEngine`).
 - :func:`make_topology` — a registry of seeded, deterministic named
   generators (:data:`TOPOLOGY_NAMES`): ``complete``, ``ring``,
   ``torus``, ``random-regular`` (the "expander" family) and ``clusters``
@@ -25,7 +25,7 @@ graph a first-class axis instead:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class Topology:
     ----------
     name:
         The generator name this topology was built from (``"complete"``,
-        ``"ring"``, ...; derived names like ``"ring+cut"`` mark edge
-        removals).
+        ``"ring"``, ...).
     n:
         Number of nodes (ids ``0..n-1``).
     mask:
@@ -107,11 +106,6 @@ class Topology:
             self._neighbours[node] = cached
         return cached
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """Sorted list of undirected non-self edges ``(u, v)`` with ``u < v``."""
-        u, v = np.nonzero(np.triu(self.mask, k=1))
-        return list(zip(u.tolist(), v.tolist()))
-
     def connected_components(self) -> List[List[int]]:
         """Connected components as sorted node lists (largest first)."""
         unseen = set(range(self.n))
@@ -131,27 +125,6 @@ class Topology:
     @property
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
-
-    # -- derivation -----------------------------------------------------------
-    def without_edges(self, edges: Iterable[Sequence[int]]) -> "Topology":
-        """Copy with the given undirected edges removed (self-loops kept).
-
-        This is the partition primitive: removing every edge that
-        crosses two groups splits the communication graph; *healing*
-        simply re-installs the original topology object (see
-        :class:`repro.byzantine.partition.TopologyPartition`).
-        """
-        mask = self.mask.copy()
-        for edge in edges:
-            u, v = (int(x) for x in edge)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise ValueError("self-delivery cannot be removed from a topology")
-            mask[u, v] = False
-            mask[v, u] = False
-        name = self.name if self.name.endswith("+cut") else f"{self.name}+cut"
-        return Topology(name, mask)
 
     def summary(self) -> Dict[str, object]:
         """Compact JSON-safe reading for sweep rows and reports."""

@@ -5,7 +5,7 @@ subpackage (geometry, aggregation, agreement, learning) can rely on them
 without import cycles.
 """
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
+from repro.utils.rng import as_generator
 from repro.utils.validation import (
     ensure_matrix,
     require,
@@ -14,9 +14,7 @@ from repro.utils.validation import (
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "RngFactory",
     "as_generator",
-    "spawn_generators",
     "ensure_matrix",
     "require",
     "validate_byzantine_bound",

@@ -4,12 +4,13 @@ Every stochastic component in the library (datasets, clients, attacks,
 Weiszfeld perturbations, sampling of ``S_geo``) takes either a seed or a
 :class:`numpy.random.Generator`.  Centralising the conversion logic here
 keeps experiments reproducible: a single integer seed fans out into an
-independent stream per client / per component via ``spawn_generators``.
+independent stream per client / per component via
+``stable_component_seed``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,67 +33,12 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_generators(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent generators from one seed.
-
-    The split uses :class:`numpy.random.SeedSequence` spawning, so the
-    streams do not overlap regardless of how many draws each consumer
-    makes.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive a fresh seed sequence from the generator's bit stream so
-        # the children remain reproducible given the parent state.
-        root = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
-    elif isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
-
-
-class RngFactory:
-    """Named, reproducible random generator factory.
-
-    An experiment creates one factory from its master seed and asks for
-    generators by component name (``"client-3"``, ``"attack"`` ...).  The
-    same (seed, name) pair always yields the same stream, which makes it
-    possible to re-run a single component of an experiment in isolation.
-    """
-
-    def __init__(self, seed: SeedLike = 0) -> None:
-        if isinstance(seed, np.random.Generator):
-            entropy: Sequence[int] = seed.integers(0, 2**63 - 1, size=4).tolist()
-        elif isinstance(seed, np.random.SeedSequence):
-            entropy = list(np.atleast_1d(seed.entropy)) if seed.entropy is not None else [0]
-        elif seed is None:
-            entropy = list(np.random.SeedSequence().entropy or [0])  # pragma: no cover
-        else:
-            entropy = [int(seed)]
-        self._entropy = [int(e) for e in entropy]
-
-    def generator(self, name: str) -> np.random.Generator:
-        """Return the generator associated with ``name``."""
-        tokens = [abs(hash(part)) % (2**32) for part in _name_tokens(name)]
-        seq = np.random.SeedSequence(self._entropy + tokens)
-        return np.random.default_rng(seq)
-
-    def generators(self, names: Iterable[str]) -> dict[str, np.random.Generator]:
-        """Return a generator per name, keyed by name."""
-        return {name: self.generator(name) for name in names}
-
-
-def _name_tokens(name: str) -> list[str]:
-    return [tok for tok in str(name).split("/") if tok]
-
-
 def stable_component_seed(master_seed: Optional[int], *components: object) -> int:
     """Derive a stable 32-bit seed from a master seed and component labels.
 
-    Unlike :class:`RngFactory`, this does not depend on Python's per-run
-    string hashing: the labels are folded via a small explicit FNV-1a
-    style mix, so the result is stable across interpreter invocations.
+    The labels are folded via a small explicit FNV-1a style mix, not
+    Python's per-run string hashing, so the result is stable across
+    interpreter invocations.
     """
     acc = np.uint64(1469598103934665603)
     prime = np.uint64(1099511628211)

@@ -19,7 +19,7 @@ def require(condition: bool, message: str) -> None:
 
 
 def ensure_matrix(
-    value: "np.typing.ArrayLike | Iterable[np.typing.ArrayLike]",
+    value: np.typing.ArrayLike | Iterable[np.typing.ArrayLike],
     *,
     name: str = "vectors",
     min_rows: int = 1,

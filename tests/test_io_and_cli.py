@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.byzantine.sign_flip import SignFlipAttack
-from repro.data.datasets import make_synthetic_mnist
 from repro.learning.client import Client
 from repro.learning.history import RoundRecord, TrainingHistory
 from repro.nn.architectures import build_mlp

@@ -94,30 +94,6 @@ class TestSetOperations:
         np.testing.assert_allclose(x.lower, y.lower)
         np.testing.assert_allclose(x.upper, y.upper)
 
-    def test_expand(self, unit_box):
-        bigger = unit_box.expand(1.0)
-        assert bigger.contains_box(unit_box)
-        with pytest.raises(ValueError):
-            unit_box.expand(-0.1)
-
-    def test_clip(self, unit_box):
-        clipped = unit_box.clip(np.array([2.0, -1.0, 0.5]))
-        np.testing.assert_allclose(clipped, [1.0, 0.0, 0.5])
-
-    def test_sample_inside(self, unit_box, rng):
-        samples = unit_box.sample(rng, 50)
-        assert samples.shape == (50, 3)
-        assert all(unit_box.contains(s) for s in samples)
-
-    def test_corners_count(self, unit_box):
-        corners = unit_box.corners()
-        assert corners.shape == (8, 3)
-        assert all(unit_box.contains(c) for c in corners)
-
-    def test_corners_guard(self):
-        box = Hyperbox(lower=np.zeros(20), upper=np.ones(20))
-        with pytest.raises(ValueError):
-            box.corners()
 
 class TestBoundingHyperbox:
     def test_contains_all_points(self, gaussian_cloud):

@@ -15,7 +15,6 @@ These cover the invariants the paper's correctness arguments rest on:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,7 +23,7 @@ from repro.aggregation.mean import TrimmedMean
 from repro.linalg.covering_ball import minimum_covering_ball
 from repro.linalg.distances import diameter
 from repro.linalg.geometric_median import geometric_median, geometric_median_cost
-from repro.linalg.hyperbox import Hyperbox, bounding_hyperbox, trimmed_hyperbox
+from repro.linalg.hyperbox import bounding_hyperbox, trimmed_hyperbox
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 

@@ -1,6 +1,5 @@
 """Tests for the executable Section 4 constructions (theory package)."""
 
-import numpy as np
 import pytest
 
 from repro.theory.bounds import (

@@ -5,8 +5,7 @@ Five contracts of the sparse-topology refactor:
 1. **Generators** — every named topology is seeded and deterministic,
    with actionable errors for infeasible parameterisations.
 2. **Structure** — :class:`Topology` exposes a frozen symmetric mask
-   with a ``True`` diagonal, sorted closed neighbourhoods, and edge
-   removal (:meth:`Topology.without_edges`) as the partition primitive.
+   with a ``True`` diagonal and sorted closed neighbourhoods.
 3. **Validation** — disconnected graphs and quorum-infeasible degrees
    fail fast with diagnostics that name the fix.
 4. **Delivery** — the engines intersect the topology mask with their
@@ -15,9 +14,8 @@ Five contracts of the sparse-topology refactor:
    topology is bitwise-identical to no topology at all (the ``None``
    default the pinned pre-refactor fixtures exercise).
 5. **Learning / sweep integration** — gossip exchange runs on sparse
-   graphs, full agreement refuses infeasible ones, partitions
-   apply/heal, and the ``topology`` axis round-trips through configs,
-   grids and shard merges.
+   graphs, full agreement refuses infeasible ones, and the ``topology``
+   axis round-trips through configs, grids and shard merges.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.byzantine import TopologyPartition, partition_cut
 from repro.engine import make_scheduler
 from repro.learning.experiment import ExperimentConfig, run_experiment
 from repro.network.topology import (
@@ -166,16 +163,6 @@ class TestTopologyStructure:
         assert make_topology("complete", 5).is_complete
         assert not make_topology("ring", 5).is_complete
 
-    def test_without_edges(self):
-        topo = make_topology("ring", 5)
-        cut = topo.without_edges([(0, 1)])
-        assert cut.name == "ring+cut"
-        assert not cut.mask[0, 1] and not cut.mask[1, 0]
-        assert cut.is_connected  # a ring survives one cut as a path
-        assert topo.mask[0, 1]  # the original is untouched
-        with pytest.raises(ValueError, match="self-delivery"):
-            topo.without_edges([(2, 2)])
-
     def test_connected_components(self):
         mask = np.eye(5, dtype=bool)
         mask[0, 1] = mask[1, 0] = True
@@ -252,11 +239,10 @@ class TestEngineTopology:
         assert record["stats"]["delivered"] == 8 * 3 * 5
 
     def test_set_topology_rejects_mismatched_n(self):
-        engine = make_scheduler("synchronous", 6)
         with pytest.raises(ValueError):
-            engine.set_topology(make_topology("ring", 8))
+            make_scheduler("synchronous", 6, topology=make_topology("ring", 8))
         with pytest.raises(TypeError):
-            engine.set_topology("ring")
+            make_scheduler("synchronous", 6, topology="ring")
 
     def test_make_scheduler_threads_topology(self):
         ring = make_topology("ring", 6)
@@ -314,52 +300,6 @@ class TestLearningIntegration:
         base = history_to_dict(run_experiment(tiny_config()))
         explicit = history_to_dict(run_experiment(tiny_config(topology="complete")))
         assert base == explicit
-
-
-class TestTopologyPartition:
-    def test_partition_cut_lists_crossing_edges(self):
-        topo = make_topology("clusters", 10, clusters=2, bridges=2, seed=3)
-        cut = partition_cut(topo, range(5), range(5, 10))
-        assert cut  # the bridges
-        for u, v in cut:
-            assert (u < 5) != (v < 5)
-
-    def test_apply_and_heal(self):
-        topo = make_topology("clusters", 10, clusters=2, bridges=2, seed=3)
-        engine = make_scheduler("synchronous", 10, topology=topo)
-        partition = TopologyPartition(range(5), range(5, 10))
-        cut = partition.apply(engine)
-        assert partition.active
-        assert not cut.mask[:5, 5:].any()
-        assert engine.topology is cut
-        partition.heal(engine)
-        assert engine.topology is topo
-        assert not partition.active
-        # The cycle is reusable.
-        partition.apply(engine)
-        partition.heal(engine)
-
-    def test_apply_twice_rejected(self):
-        engine = make_scheduler("synchronous", 6)
-        partition = TopologyPartition(range(3), range(3, 6))
-        partition.apply(engine)
-        with pytest.raises(RuntimeError):
-            partition.apply(engine)
-
-    def test_heal_without_apply_rejected(self):
-        engine = make_scheduler("synchronous", 6)
-        with pytest.raises(RuntimeError):
-            TopologyPartition(range(3), range(3, 6)).heal(engine)
-
-    def test_partition_on_complete_default(self):
-        # An engine without an explicit topology partitions against the
-        # implied complete graph.
-        engine = make_scheduler("synchronous", 6)
-        partition = TopologyPartition(range(3), range(3, 6))
-        cut = partition.apply(engine)
-        assert not cut.mask[:3, 3:].any()
-        partition.heal(engine)
-        assert engine.topology is None or engine.topology.is_complete
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import (
-    RngFactory,
-    as_generator,
-    spawn_generators,
-    stable_component_seed,
-)
+from repro.utils.rng import as_generator, stable_component_seed
 
 
 class TestAsGenerator:
@@ -33,54 +27,6 @@ class TestAsGenerator:
         seq = np.random.SeedSequence(7)
         gen = as_generator(seq)
         assert isinstance(gen, np.random.Generator)
-
-
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = spawn_generators(0, 5)
-        assert len(gens) == 5
-
-    def test_zero_count(self):
-        assert spawn_generators(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
-    def test_streams_are_independent(self):
-        gens = spawn_generators(0, 3)
-        draws = [g.random(100) for g in gens]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_reproducible_from_same_seed(self):
-        a = [g.random(10) for g in spawn_generators(9, 2)]
-        b = [g.random(10) for g in spawn_generators(9, 2)]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_spawn_from_generator(self):
-        gens = spawn_generators(np.random.default_rng(3), 2)
-        assert len(gens) == 2
-
-
-class TestRngFactory:
-    def test_same_name_same_stream(self):
-        factory = RngFactory(1)
-        a = factory.generator("client-0").random(4)
-        b = factory.generator("client-0").random(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_names_differ(self):
-        factory = RngFactory(1)
-        a = factory.generator("client-0").random(4)
-        b = factory.generator("client-1").random(4)
-        assert not np.array_equal(a, b)
-
-    def test_generators_mapping(self):
-        factory = RngFactory(5)
-        mapping = factory.generators(["a", "b"])
-        assert set(mapping) == {"a", "b"}
 
 
 class TestStableComponentSeed:
