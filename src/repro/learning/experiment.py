@@ -32,7 +32,12 @@ from repro.learning.centralized import CentralizedTrainer
 from repro.learning.client import Client
 from repro.learning.decentralized import DecentralizedTrainer
 from repro.learning.history import TrainingHistory
-from repro.network.topology import Topology, make_topology, resolve_topology_name
+from repro.network.topology import (
+    Topology,
+    make_topology,
+    resolve_topology_name,
+    validate_topology,
+)
 from repro.nn.architectures import build_cifarnet, build_mlp
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
@@ -181,8 +186,11 @@ class ExperimentConfig:
             require(len(window) == 3,
                     f"crash window must be (node, start, stop), got {window!r}")
         # Build the topology, the rule and the attack once, so bad kwargs
-        # fail here too, before any data is built.
-        experiment_topology(self)
+        # (and a topology too sparse for the agreement quorum) fail here
+        # too, before any data is built.
+        topology = experiment_topology(self)
+        if topology is not None and self.exchange == "agreement":
+            validate_topology(topology, self.num_clients, t=self.tolerance)
         try:
             make_rule(self.aggregation, n=self.num_clients, t=self.tolerance,
                       **_rule_kwargs(self))

@@ -229,10 +229,13 @@ class TestScenarioGrid:
         ({"setting": "decentralized", "topology": "random-regular",
           "exchange": "gossip", "num_clients": 6, "num_samples": 60},
          {"topology_kwargs": [{"degree": 100}]}),
+        ({"setting": "decentralized", "num_clients": 6, "num_samples": 60},
+         {"topology": ["complete", "ring"]}),
     ])
-    def test_bad_kwargs_fail_at_expansion(self, tmp_path, capsys, base, axes):
-        # The config builds its topology, rule and attack, so a bad
-        # kwargs value exits 2 before any cell runs or any row is written.
+    def test_unbuildable_cell_fails_at_expansion(self, tmp_path, capsys, base, axes):
+        # The config builds its topology, rule and attack, so bad kwargs
+        # or a ring too sparse for the agreement quorum exit 2 before any
+        # cell runs or any row is written.
         from repro.cli import main
 
         spec = tmp_path / "spec.json"
