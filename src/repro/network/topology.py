@@ -215,12 +215,12 @@ def _generate_random_regular(
             f"topology 'random-regular' needs n*degree even, got n={n} degree={degree}; "
             f"use degree={degree + 1} or an even n"
         )
-    # Steger-Wormald pairing (Steger and Wormald, 1999): pair the open
-    # stubs at random, keep every pair that adds a new edge (the first of
-    # repeated pairs), re-pair the rest.  Restart only when no new edge
-    # is possible among the open stubs; restarting on any self-loop or
-    # repeated edge would almost never finish at the dense degrees the
-    # n - t quorum needs.
+    # Steger and Wormald's pairing (1999): pair the open stubs at random,
+    # keep every pair that adds a new edge (the first of repeated pairs)
+    # and re-pair the rest.  Restart only when no new edge is possible
+    # among the open stubs; restarting on any self-loop or repeated edge
+    # would almost never finish at the dense degrees the n - t quorum
+    # needs.
     while True:
         mask = np.eye(n, dtype=bool)
         stubs = np.repeat(np.arange(n), degree)
