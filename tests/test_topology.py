@@ -27,8 +27,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.agreement import make_algorithm
 from repro.engine import make_scheduler
-from repro.learning.experiment import ExperimentConfig, run_experiment
+from repro.learning.decentralized import DecentralizedTrainer
+from repro.learning.experiment import ExperimentConfig, build_experiment, run_experiment
 from repro.network.topology import (
     TOPOLOGY_NAMES,
     Topology,
@@ -276,8 +278,19 @@ class TestLearningIntegration:
         assert np.isfinite(history.final_accuracy())
 
     def test_agreement_refuses_infeasible_topology(self):
+        # The config refuses it before any data is built; a trainer built
+        # by hand on a ring engine checks the quorum itself.
         with pytest.raises(ValueError, match="quorum"):
-            run_experiment(tiny_config(topology="ring"))
+            tiny_config(topology="ring")
+        built = build_experiment(tiny_config())
+        engine = make_scheduler(
+            "synchronous", 6, byzantine=(5,), topology=make_topology("ring", 6)
+        )
+        with pytest.raises(ValueError, match="quorum"):
+            DecentralizedTrainer(
+                built.clients, make_algorithm("box-geom", 6, 1), built.test_data,
+                engine=engine,
+            )
 
     def test_agreement_runs_on_dense_topology(self):
         history = run_experiment(
