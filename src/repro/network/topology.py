@@ -215,12 +215,26 @@ def _generate_random_regular(
             f"topology 'random-regular' needs n*degree even, got n={n} degree={degree}; "
             f"use degree={degree + 1} or an even n"
         )
-    # Steger and Wormald's pairing (1999): pair the open stubs at random,
-    # keep every pair that adds a new edge (the first of repeated pairs)
-    # and re-pair the rest.  Restart only when no new edge is possible
-    # among the open stubs; restarting on any self-loop or repeated edge
-    # would almost never finish at the dense degrees the n - t quorum
-    # needs.
+    # The complement of a k-regular graph is (n - 1 - k)-regular.  The
+    # pairing stalls near the complete graph, which is where the n - t
+    # quorum puts the degree (n - 2 at t = 1), so pair the sparser side.
+    sparse = min(degree, n - 1 - degree)
+    mask = _pairing_mask(n, sparse, rng)
+    if sparse < degree:
+        mask = ~mask
+        np.fill_diagonal(mask, True)
+    return mask
+
+
+def _pairing_mask(n: int, degree: int, rng: np.random.Generator) -> np.ndarray:
+    """Steger and Wormald's (1999) random ``degree``-regular mask.
+
+    Pair the open stubs at random, keep every pair that adds a new edge
+    (the first of repeated pairs) and re-pair the rest.  Restart only
+    when no new edge is possible among the open stubs: a pairing that
+    restarts on any self-loop or repeated edge finished in about 2% of
+    attempts already at n = 16, degree 4.
+    """
     while True:
         mask = np.eye(n, dtype=bool)
         stubs = np.repeat(np.arange(n), degree)

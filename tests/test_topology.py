@@ -87,8 +87,12 @@ class TestGenerators:
         }
         assert len(masks) > 1
 
-    # (8, 6) and (10, 8) are the degrees the n - t quorum needs at t = 1.
-    @pytest.mark.parametrize("n,degree", [(8, 6), (10, 8), (12, 4), (64, 4), (1024, 4)])
+    # (8, 6), (10, 8) and (64, 62) are the degrees the n - t quorum needs
+    # at t = 1; the pairing alone stalls at (64, 62), so it runs on the
+    # complement.  (6, 5) is the complete graph.
+    @pytest.mark.parametrize("n,degree", [
+        (6, 5), (8, 6), (10, 8), (12, 4), (64, 4), (64, 62), (1024, 4),
+    ])
     @pytest.mark.parametrize("seed", range(5))
     def test_random_regular_is_regular(self, n, degree, seed):
         mask = make_topology("random-regular", n, seed=seed, degree=degree).mask
