@@ -60,7 +60,6 @@ def test_ablation_subround_schedule(benchmark):
                 built.test_data,
                 optimizer=SGD(config.learning_rate, total_rounds=config.rounds),
                 subround_schedule=lambda _iteration, s=subrounds: s,
-                flatten_inputs=built.flatten_inputs,
                 seed=0,
             )
             history = trainer.train(config.rounds)

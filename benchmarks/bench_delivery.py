@@ -48,7 +48,7 @@ except ImportError:  # pragma: no cover - direct script execution
     sys.path.insert(0, __file__.rsplit("/", 1)[0])
     from _harness import build_info, print_report
 
-from repro.engine import WaitCondition, make_scheduler, run_exchange
+from repro.engine import make_scheduler, run_exchange
 from repro.network.topology import make_topology
 
 SYNC = ("synchronous", {})
@@ -127,19 +127,17 @@ def measure_case(
         **kwargs,
     )
     engine.require_quorum(1, policy="starve")
-    condition = {
-        None: None,
-        "quorum": WaitCondition(quorum=True),
-        "count": WaitCondition(count=n),
-    }[wait]
+    if wait == "quorum":
+        engine.wait_for(quorum=True)
+    elif wait == "count":
+        engine.wait_for(count=n)
     rng = np.random.default_rng(seed)
     initial = {i: rng.normal(size=d) for i in range(n)}
 
     start = time.perf_counter()
     # Copy the kept row: a view would pin every receiver's gathered stack.
     final = run_exchange(
-        engine, initial, rounds, lambda _node, received: received[-1].copy(),
-        wait=condition,
+        engine, initial, rounds, lambda _node, received: received[-1].copy()
     )
     seconds = time.perf_counter() - start
 

@@ -1,4 +1,11 @@
-"""Agreement algorithms by rule name, and the multi-round protocol runner."""
+"""Agreement algorithms by rule name, and the multi-round protocol runner.
+
+:class:`AgreementProtocol` is one consumer of the round engine among
+three: it sets its engine up with
+:func:`~repro.engine.rounds.prepare_exchange` and runs each execution
+through :func:`~repro.engine.rounds.run_exchange`, as the decentralized
+trainer does for its agreement sub-rounds.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +19,7 @@ from repro.aggregation.context import AggregationContext
 from repro.aggregation.registry import make_rule
 from repro.byzantine.base import GradientAttack
 from repro.engine.base import RoundEngine
-from repro.engine.rounds import attack_adversary_plan, run_exchange
-from repro.engine.synchronous import SynchronousScheduler
+from repro.engine.rounds import prepare_exchange, run_exchange
 from repro.linalg.distances import diameter
 from repro.utils.rng import as_generator
 from repro.utils.validation import ensure_matrix, validate_byzantine_bound
@@ -144,11 +150,14 @@ class AgreementProtocol:
     seed:
         Seed for the adversary's random generator.
     engine:
-        Round engine supplying the timing model.  Defaults to a
+        Round engine supplying the timing model, set up by
+        :func:`~repro.engine.rounds.prepare_exchange`.  Defaults to a
         lock-step :class:`~repro.engine.synchronous.SynchronousScheduler`
         (the paper's setting).  Under a lossy or partially synchronous
         engine, nodes starved below the ``n - t`` quorum keep their
-        current vector for the round instead of aborting the run.
+        current vector for the round instead of aborting the run.  A
+        sparse topology on which some node cannot receive that quorum
+        is refused here.
     """
 
     def __init__(
@@ -161,37 +170,13 @@ class AgreementProtocol:
         engine: Optional[RoundEngine] = None,
     ) -> None:
         self.algorithm = algorithm
-        byz = tuple(sorted(int(b) for b in byzantine))
-        if len(byz) > algorithm.t:
-            raise ValueError(
-                f"{len(byz)} Byzantine nodes configured but the algorithm tolerates t={algorithm.t}"
-            )
-        if any(b < 0 or b >= algorithm.n for b in byz):
-            raise ValueError(f"Byzantine ids out of range: {byz}")
-        self.byzantine = byz
+        self.byzantine = tuple(sorted(int(b) for b in byzantine))
         self.attack = attack
         self._rng = as_generator(seed)
-        if engine is None:
-            engine = SynchronousScheduler(algorithm.n, byz)
-        if engine.n != algorithm.n:
-            raise ValueError(
-                f"engine is configured for n={engine.n} but the algorithm needs n={algorithm.n}"
-            )
-        if tuple(sorted(engine.byzantine)) != byz:
-            raise ValueError(
-                f"engine byzantine set {sorted(engine.byzantine)} does not match {byz}"
-            )
-        self.engine = engine
-        # Lock-step delivery cannot legitimately starve a node, so a
-        # shortfall is a protocol violation there; under other timing
-        # models it is the scheduler's doing and the node just stalls.
-        policy = "raise" if isinstance(engine, SynchronousScheduler) else "starve"
-        self.engine.require_quorum(algorithm.minimum_messages(), policy=policy)
-        # Explicit wait condition for event-driven schedulers: a node
-        # processes its sub-round once the n - t quorum has arrived (or
-        # its wait window expires).  An explicit count configured on the
-        # engine beforehand wins over the quorum reading.
-        self.engine.wait_for(quorum=True)
+        self.engine = prepare_exchange(
+            engine, algorithm.n, self.byzantine,
+            t=algorithm.t, quorum=algorithm.minimum_messages(),
+        )
 
     def run(
         self,
@@ -204,33 +189,20 @@ class AgreementProtocol:
         ``(h, d)`` array is also accepted and assigned to the honest ids
         in order.
         """
-        if rounds < 0:
-            raise ValueError("rounds must be non-negative")
-        # Each run is a fresh exchange: drop any message still in
-        # flight from a previous run on a delaying scheduler.
-        self.engine.reset()
         honest_ids = self.engine.honest
         current = self._normalise_inputs(inputs, honest_ids)
         result = AgreementResult(
             initial={i: v.copy() for i, v in current.items()},
             honest_ids=honest_ids,
         )
-        byz_own = self._byzantine_own_vectors(current)
-        adversary_plan = (
-            attack_adversary_plan(
-                lambda _node: self.attack, byz_own, self._rng,
-                horizon=self.engine.horizon, engine=self.engine,
-            )
-            if self.byzantine
-            else None
-        )
-
         run_exchange(
             self.engine,
             current,
             rounds,
             lambda _node, received: self.algorithm.update(received),
-            adversary_plan,
+            attack_for=lambda _node: self.attack,
+            byzantine_vectors=self._byzantine_own_vectors(current),
+            rng=self._rng,
             on_round=lambda _r, _res, vectors: result.per_round.append(
                 {i: v.copy() for i, v in vectors.items()}
             ),

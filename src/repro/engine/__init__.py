@@ -80,59 +80,49 @@ def make_scheduler(
     intersects with its own delivery decisions (``None`` = all-to-all).
     """
     key = str(name).strip().lower()
+    if key not in SCHEDULER_NAMES:
+        raise ValueError(f"unknown scheduler {name!r}; available: {SCHEDULER_NAMES}")
+    crash_schedule = tuple(crash_schedule)
+    if delay and key != "partial":
+        raise ValueError(f"delay is only meaningful for scheduler='partial' (got {key!r})")
+    if (drop_rate or crash_schedule) and key != "lossy":
+        raise ValueError(
+            f"drop_rate/crash_schedule are only meaningful for scheduler='lossy' "
+            f"(got {key!r})"
+        )
+    if (wait_count or wait_timeout or burstiness) and key != "asynchronous":
+        raise ValueError(
+            f"wait_count/wait_timeout/burstiness are only meaningful for "
+            f"scheduler='asynchronous' (got {key!r})"
+        )
     common = dict(
         require_full_broadcast=require_full_broadcast,
         node_trace=node_trace,
         topology=topology,
     )
-    if key != "asynchronous" and (wait_count or wait_timeout or burstiness):
-        raise ValueError(
-            "wait_count/wait_timeout/burstiness are only meaningful for "
-            "scheduler='asynchronous'"
-        )
     if key == "synchronous":
-        if delay or drop_rate or tuple(crash_schedule):
-            raise ValueError(
-                "the synchronous scheduler takes no delay/drop_rate/crash_schedule"
-            )
         return SynchronousScheduler(n, byzantine, **common)
     if key == "partial":
-        if drop_rate or tuple(crash_schedule):
-            raise ValueError(
-                "the partial scheduler models delays; use scheduler='lossy' "
-                "for drop_rate/crash_schedule"
-            )
         if delay < 1:
-            raise ValueError("scheduler='partial' needs a delivery horizon delay >= 1")
+            raise ValueError("scheduler='partial' needs delay >= 1 (its delivery horizon)")
         return PartiallySynchronousScheduler(
             n, byzantine, max_delay=delay, delay_prob=delay_prob, seed=seed,
             **common,
         )
     if key == "lossy":
-        if delay:
-            raise ValueError(
-                "the lossy scheduler models loss/crashes; use scheduler='partial' for delays"
-            )
         return LossyScheduler(
             n, byzantine, drop_rate=drop_rate, crash_schedule=crash_schedule,
             seed=seed, **common,
         )
-    if key == "asynchronous":
-        if delay or drop_rate or tuple(crash_schedule):
-            raise ValueError(
-                "the asynchronous scheduler draws its own delays; it takes no "
-                "delay/drop_rate/crash_schedule"
-            )
-        if wait_timeout <= 0.0:
-            raise ValueError(
-                "scheduler='asynchronous' needs wait_timeout > 0 (there is no "
-                "delivery horizon; the wait window must be explicit)"
-            )
-        return AsynchronousScheduler(
-            n, byzantine, wait_count=wait_count, timeout_rounds=wait_timeout,
-            burstiness=burstiness, seed=seed, **common,
+    if wait_timeout <= 0.0:
+        raise ValueError(
+            "scheduler='asynchronous' needs wait_timeout > 0 (there is no "
+            "delivery horizon; the wait window must be explicit)"
         )
-    raise ValueError(f"unknown scheduler {name!r}; available: {SCHEDULER_NAMES}")
+    return AsynchronousScheduler(
+        n, byzantine, wait_count=wait_count, timeout_rounds=wait_timeout,
+        burstiness=burstiness, seed=seed, **common,
+    )
 
 
 __all__ = [

@@ -19,12 +19,13 @@ import numpy as np
 
 from repro.aggregation.base import AggregationRule
 from repro.aggregation.context import AggregationContext
-from repro.byzantine.base import AttackContext
 from repro.data.datasets import Dataset
 from repro.engine.base import RoundEngine
+from repro.engine.rounds import attack_adversary_plan, quorum_policy
 from repro.engine.synchronous import SynchronousScheduler
-from repro.learning.client import Client
+from repro.learning.client import Client, attack_name
 from repro.learning.history import RoundRecord, TrainingHistory
+from repro.network.delivery import collect_plans
 from repro.network.reliable_broadcast import BroadcastPlan
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
@@ -70,7 +71,6 @@ class CentralizedTrainer:
         *,
         optimizer: Optional[SGD] = None,
         learning_rate: float = 0.01,
-        flatten_inputs: bool = True,
         seed=0,
         engine: Optional[RoundEngine] = None,
     ) -> None:
@@ -81,8 +81,9 @@ class CentralizedTrainer:
         self.aggregation = aggregation
         self.test_data = test_data
         self.optimizer = optimizer if optimizer is not None else SGD(learning_rate)
-        self.flatten_inputs = bool(flatten_inputs)
         self._rng = as_generator(seed)
+        self._attacks = {c.client_id: c.attack for c in self.clients}
+        self._honest_ids = tuple(c.client_id for c in self.clients if not c.is_byzantine)
         byz_ids = tuple(c.client_id for c in self.clients if c.is_byzantine)
         self.server_node = max(c.client_id for c in self.clients) + 1
         if engine is None:
@@ -105,7 +106,7 @@ class CentralizedTrainer:
                 f"clients {sorted(byz_ids)}"
             )
         self.engine = engine
-        self._strict_delivery = isinstance(engine, SynchronousScheduler)
+        self._strict_delivery = quorum_policy(engine) == "raise"
         # Robust rules need at least n - t vectors (the subset-based
         # ones enumerate (n - t)-subsets); under non-strict delivery the
         # server skips rounds that arrive below that floor.
@@ -123,10 +124,6 @@ class CentralizedTrainer:
             self.engine.wait_for(count=self._min_received)
 
     # -- internals -----------------------------------------------------------
-    def _test_inputs(self) -> np.ndarray:
-        images = self.test_data.images
-        return images.reshape(images.shape[0], -1) if self.flatten_inputs else images
-
     def _collect_gradients(
         self, parameters: np.ndarray, round_index: int
     ) -> tuple[Optional[np.ndarray], int, float]:
@@ -136,67 +133,52 @@ class CentralizedTrainer:
         (the engine runs in star mode, so honest unicast is legal) and
         the server consumes its own inbox — which is where the timing
         model (drops, delays, crash windows) applies, and what the
-        delivery counters measure.  Selective omission is meaningless
-        here, but timing attacks may still shape delivery through
-        ``send_delays``.
+        delivery counters measure.  Byzantine plans come from
+        :func:`~repro.engine.rounds.attack_adversary_plan`, mapped onto
+        the star: selective omission is meaningless here, but timing
+        attacks may still shape delivery through ``send_delays``.
 
         Returns the received ``(m, d)`` gradient stack in client order
         (``None`` when nothing arrived), the received count, and the
         honest mean loss.  The stack is one vectorized gather from the
         batch plane, zero-copy for a fully delivered round.
         """
-        honest_vectors: Dict[int, np.ndarray] = {}
         own_vectors: Dict[int, np.ndarray] = {}
         losses: List[float] = []
         for client in self.clients:
             loss, grad = client.compute_gradient(parameters)
             own_vectors[client.client_id] = grad
             if not client.is_byzantine:
-                honest_vectors[client.client_id] = grad
                 losses.append(loss)
 
         server_only = frozenset({self.server_node})
-        plans: List[BroadcastPlan] = []
-        for client in self.clients:
-            if not client.is_byzantine:
-                plans.append(
-                    BroadcastPlan(
-                        sender=client.client_id,
-                        payload=own_vectors[client.client_id],
-                        recipients=server_only,
-                    )
-                )
-                continue
-            context = AttackContext(
-                node=client.client_id,
-                round_index=round_index,
-                own_vector=own_vectors[client.client_id],
-                honest_vectors=honest_vectors,
-                rng=self._rng,
-                horizon=self.engine.horizon,
-                delivery_trace=self.engine.trace_tail(),
-            )
-            corrupted = client.attack.corrupt(context)
+        attack_plan = attack_adversary_plan(
+            self._attacks.get, own_vectors, self._rng, self.engine
+        )
+
+        def star_plan(
+            node: int, round_index: int, honest_values: Dict[int, np.ndarray]
+        ) -> BroadcastPlan:
+            plan = attack_plan(node, round_index, honest_values)
             # Attacks state their lags per honest receiver, but the star
             # exchange has a single link (client -> server): the
             # strongest requested lag applies to the server delivery, so
             # timing attacks stay expressible here instead of being
             # silently voided by the topology mismatch.
-            requested = client.attack.send_delays(context)
-            delays = (
-                {self.server_node: max(requested.values())} if requested else None
-            )
-            # A silent (crashed) Byzantine client simply contributes nothing.
-            plans.append(
-                BroadcastPlan(
-                    sender=client.client_id,
-                    payload=None if corrupted is None
-                    else np.asarray(corrupted, dtype=np.float64).reshape(-1),
-                    recipients=server_only,
-                    delays=delays,
-                )
+            delays = {self.server_node: max(plan.delays.values())} if plan.delays else None
+            return BroadcastPlan(
+                sender=node, payload=plan.payload, recipients=server_only, delays=delays
             )
 
+        plans = collect_plans(
+            self._honest_ids,
+            self.engine.byzantine,
+            round_index,
+            lambda node, _r: BroadcastPlan(
+                sender=node, payload=own_vectors[node], recipients=server_only
+            ),
+            star_plan,
+        )
         result = self.engine.submit(plans, round_index)
         inbox = result.inboxes[self.server_node]
         mean_loss = float(np.mean(losses)) if losses else float("nan")
@@ -230,13 +212,12 @@ class CentralizedTrainer:
         history = TrainingHistory(
             setting="centralized",
             aggregation=getattr(self.aggregation, "name", type(self.aggregation).__name__),
-            attack=self._attack_name(),
+            attack=attack_name(self.clients),
             heterogeneity="unknown",
             num_clients=len(self.clients),
             num_byzantine=sum(1 for c in self.clients if c.is_byzantine),
         )
         parameters = self.global_model.get_flat_parameters()
-        test_inputs = self._test_inputs()
 
         for round_index in range(rounds):
             received, num_received, mean_loss = self._collect_gradients(
@@ -263,23 +244,14 @@ class CentralizedTrainer:
                 self.global_model.set_flat_parameters(parameters)
 
             if (round_index + 1) % record_every == 0 or round_index == rounds - 1:
-                acc = self.global_model.evaluate_accuracy(test_inputs, self.test_data.labels)
+                acc = self.global_model.evaluate_accuracy(
+                    self.test_data.images, self.test_data.labels
+                )
                 history.append(
                     RoundRecord(round_index=round_index, accuracy=acc, loss=mean_loss)
                 )
                 _logger.info(
                     "centralized round %d: accuracy=%.4f loss=%.4f", round_index, acc, mean_loss
                 )
-        if self.engine.records_stats:
-            history.network_stats = self.engine.stats_snapshot()
-            history.delivery_trace = self.engine.trace_snapshot()
-            if self.engine.node_trace:
-                history.node_stats = self.engine.node_stats_snapshot()
-                history.node_delivery_trace = self.engine.node_trace_snapshot()
+        history.record_delivery(self.engine)
         return history
-
-    def _attack_name(self) -> Optional[str]:
-        for client in self.clients:
-            if client.is_byzantine and client.attack is not None:
-                return client.attack.name
-        return None

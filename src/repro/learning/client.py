@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class Client:
         When set, the client is Byzantine and its *shared* gradient is
         produced by the attack (its honestly computed gradient is still
         available to the attack as ``own_vector``).
-    flatten_inputs:
-        Whether images must be flattened before the model consumes them
-        (true for the MLP, false for CifarNet).
     """
 
     def __init__(
@@ -47,7 +44,6 @@ class Client:
         *,
         batch_size: int = 32,
         attack: Optional[GradientAttack] = None,
-        flatten_inputs: bool = True,
         seed=0,
     ) -> None:
         if client_id < 0:
@@ -56,7 +52,6 @@ class Client:
         self.dataset = dataset
         self.model = model
         self.attack = attack
-        self.flatten_inputs = bool(flatten_inputs)
         self._sampler = BatchSampler(dataset, batch_size=batch_size, seed=seed)
         self._rng = as_generator(seed)
         self.last_loss: float = float("nan")
@@ -65,9 +60,6 @@ class Client:
     def is_byzantine(self) -> bool:
         """Whether this client is configured with an attack."""
         return self.attack is not None
-
-    def _prepare(self, images: np.ndarray) -> np.ndarray:
-        return images.reshape(images.shape[0], -1) if self.flatten_inputs else images
 
     def compute_gradient(self, parameters: np.ndarray) -> Tuple[float, np.ndarray]:
         """Honest stochastic gradient at the given (flat) parameters.
@@ -79,7 +71,7 @@ class Client:
         """
         self.model.set_flat_parameters(parameters)
         images, labels = self._sampler.sample()
-        loss, grad = self.model.gradient(self._prepare(images), labels)
+        loss, grad = self.model.gradient(images, labels)
         self.last_loss = loss
         return loss, grad
 
@@ -91,6 +83,7 @@ class Client:
         """Overwrite the client's model parameters."""
         self.model.set_flat_parameters(new_parameters)
 
-    def evaluate_accuracy(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """Accuracy of the client's current model on the given data."""
-        return self.model.evaluate_accuracy(self._prepare(images), labels)
+
+def attack_name(clients: Iterable[Client]) -> Optional[str]:
+    """Name of the first Byzantine client's attack, for the run's history."""
+    return next((c.attack.name for c in clients if c.is_byzantine), None)

@@ -23,15 +23,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.agreement.base import AgreementAlgorithm
-from repro.byzantine.base import GradientAttack
 from repro.data.datasets import Dataset
 from repro.engine.base import RoundEngine
-from repro.engine.rounds import attack_adversary_plan, run_exchange
-from repro.engine.synchronous import SynchronousScheduler
-from repro.learning.client import Client
+from repro.engine.rounds import prepare_exchange, run_exchange
+from repro.learning.client import Client, attack_name
 from repro.learning.history import RoundRecord, TrainingHistory
 from repro.linalg.distances import diameter
-from repro.network.topology import validate_topology
 from repro.nn.optimizers import SGD
 from repro.utils.logging import get_logger
 from repro.utils.rng import as_generator
@@ -68,11 +65,12 @@ class DecentralizedTrainer:
         agreement sub-rounds (defaults to the ``log t`` schedule).
     engine:
         Round engine supplying the timing model of the gradient
-        exchange.  Defaults to a lock-step scheduler without history
-        retention (thousands of sub-rounds would otherwise pin every
-        inbox in memory).  Under lossy / partially synchronous engines a
-        client starved below quorum keeps its current gradient estimate
-        for that sub-round.
+        exchange, set up by :func:`~repro.engine.rounds.prepare_exchange`
+        as the agreement protocol's is.  Defaults to a lock-step
+        scheduler without history retention (thousands of sub-rounds
+        would otherwise pin every inbox in memory).  Under lossy /
+        partially synchronous engines a client starved below quorum
+        keeps its current gradient estimate for that sub-round.
     exchange:
         ``"agreement"`` (default) runs the paper's approximate-agreement
         sub-rounds, which require every node to be able to receive the
@@ -99,7 +97,6 @@ class DecentralizedTrainer:
         optimizer: Optional[SGD] = None,
         learning_rate: float = 0.01,
         subround_schedule=default_subround_schedule,
-        flatten_inputs: bool = True,
         seed=0,
         engine: Optional[RoundEngine] = None,
         exchange: str = "agreement",
@@ -113,63 +110,27 @@ class DecentralizedTrainer:
             raise ValueError(
                 f"agreement algorithm configured for n={agreement.n} but {len(clients)} clients given"
             )
+        if exchange not in self.EXCHANGE_MODES:
+            raise ValueError(
+                f"unknown exchange mode {exchange!r}; supported: {self.EXCHANGE_MODES}"
+            )
         self.clients = sorted(clients, key=lambda c: c.client_id)
         self.agreement = agreement
         self.test_data = test_data
         self.optimizer = optimizer if optimizer is not None else SGD(learning_rate)
         self.subround_schedule = subround_schedule
-        self.flatten_inputs = bool(flatten_inputs)
         self._rng = as_generator(seed)
-
         self.byzantine_ids = tuple(c.client_id for c in self.clients if c.is_byzantine)
-        if len(self.byzantine_ids) > agreement.t:
-            raise ValueError(
-                f"{len(self.byzantine_ids)} Byzantine clients exceed the tolerance t={agreement.t}"
-            )
         self.honest_ids = tuple(c.client_id for c in self.clients if not c.is_byzantine)
-        if engine is None:
-            engine = SynchronousScheduler(len(self.clients), self.byzantine_ids)
-        if engine.n != len(self.clients):
-            raise ValueError(
-                f"engine is configured for n={engine.n} but there are {len(self.clients)} clients"
-            )
-        if tuple(sorted(engine.byzantine)) != self.byzantine_ids:
-            raise ValueError(
-                f"engine byzantine set {sorted(engine.byzantine)} does not match "
-                f"clients {self.byzantine_ids}"
-            )
-        self.engine = engine
-        if exchange not in self.EXCHANGE_MODES:
-            raise ValueError(
-                f"unknown exchange mode {exchange!r}; supported: {self.EXCHANGE_MODES}"
-            )
         self.exchange = exchange
-        policy = "raise" if isinstance(engine, SynchronousScheduler) else "starve"
-        if exchange == "gossip":
+        self.engine = prepare_exchange(
+            engine, len(self.clients), self.byzantine_ids, t=agreement.t,
             # Gossip only needs *something* to average; a node that
             # received nothing this sub-round keeps its vector.
-            self.engine.require_quorum(1, policy=policy)
-        else:
-            if engine.topology is not None:
-                # Full agreement needs every node able to receive the
-                # n - t quorum; fail fast with the actionable diagnostic
-                # instead of starving every round at runtime.
-                validate_topology(engine.topology, engine.n, t=agreement.t)
-            self.engine.require_quorum(agreement.minimum_messages(), policy=policy)
-        # Event-driven schedulers have no delivery horizon: each client
-        # waits for the n - t agreement quorum (or its wait window),
-        # then processes whatever arrived.  A count pinned on the engine
-        # by the experiment config wins over the quorum reading.
-        self.engine.wait_for(quorum=True)
+            quorum=1 if exchange == "gossip" else agreement.minimum_messages(),
+        )
 
     # -- internals -----------------------------------------------------------
-    def _test_inputs(self) -> np.ndarray:
-        images = self.test_data.images
-        return images.reshape(images.shape[0], -1) if self.flatten_inputs else images
-
-    def _attack_for(self, node: int) -> Optional[GradientAttack]:
-        return self.clients[node].attack
-
     def _run_agreement(
         self,
         honest_gradients: Dict[int, np.ndarray],
@@ -177,21 +138,6 @@ class DecentralizedTrainer:
         subrounds: int,
     ) -> Dict[int, np.ndarray]:
         """Execute the agreement sub-rounds; returns each honest node's output."""
-        current = {i: g.copy() for i, g in honest_gradients.items()}
-        adversary_plan = (
-            attack_adversary_plan(
-                self._attack_for,
-                byzantine_gradients,
-                self._rng,
-                horizon=self.engine.horizon,
-                engine=self.engine,
-            )
-            if self.byzantine_ids
-            else None
-        )
-        # Each learning iteration is a fresh exchange: any message still
-        # in flight from the previous iteration's sub-rounds is stale.
-        self.engine.reset()
         if self.exchange == "gossip":
             # Gossip step: the plain mean of the received stack.  The
             # delivered set is the node's closed neighbourhood under the
@@ -200,12 +146,15 @@ class DecentralizedTrainer:
             update = lambda _node, received: np.asarray(received).mean(axis=0)
         else:
             update = lambda _node, received: self.agreement.update(received)
+        # Each learning iteration is a fresh exchange.
         return run_exchange(
             self.engine,
-            current,
+            {i: g.copy() for i, g in honest_gradients.items()},
             subrounds,
             update,
-            adversary_plan,
+            attack_for=lambda node: self.clients[node].attack,
+            byzantine_vectors=byzantine_gradients,
+            rng=self._rng,
         )
 
     # -- public API -----------------------------------------------------------
@@ -221,13 +170,12 @@ class DecentralizedTrainer:
         history = TrainingHistory(
             setting="decentralized",
             aggregation=getattr(self.agreement, "name", type(self.agreement).__name__),
-            attack=self._attack_name(),
+            attack=attack_name(self.clients),
             heterogeneity="unknown",
             num_clients=len(self.clients),
             num_byzantine=len(self.byzantine_ids),
         )
-        test_inputs = self._test_inputs()
-        test_labels = self.test_data.labels
+        test_images, test_labels = self.test_data.images, self.test_data.labels
 
         for iteration in range(rounds):
             honest_gradients: Dict[int, np.ndarray] = {}
@@ -255,7 +203,7 @@ class DecentralizedTrainer:
 
             if (iteration + 1) % record_every == 0 or iteration == rounds - 1:
                 per_client = {
-                    node: self.clients[node].model.evaluate_accuracy(test_inputs, test_labels)
+                    node: self.clients[node].model.evaluate_accuracy(test_images, test_labels)
                     for node in self.honest_ids
                 }
                 disagreement = diameter(np.stack(list(agreed.values()), axis=0)) if len(agreed) > 1 else 0.0
@@ -273,16 +221,5 @@ class DecentralizedTrainer:
                     record.accuracy,
                     disagreement,
                 )
-        if self.engine.records_stats:
-            history.network_stats = self.engine.stats_snapshot()
-            history.delivery_trace = self.engine.trace_snapshot()
-            if self.engine.node_trace:
-                history.node_stats = self.engine.node_stats_snapshot()
-                history.node_delivery_trace = self.engine.node_trace_snapshot()
+        history.record_delivery(self.engine)
         return history
-
-    def _attack_name(self) -> Optional[str]:
-        for client in self.clients:
-            if client.is_byzantine and client.attack is not None:
-                return client.attack.name
-        return None

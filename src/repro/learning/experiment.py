@@ -116,9 +116,13 @@ class ExperimentConfig:
         require(self.dataset in ("mnist", "cifar10"), f"unknown dataset {self.dataset!r}")
         # Names resolve as make_rule / make_attack resolve them, so a typo
         # fails here, in every entry point, before any data is built.
-        require(str(self.aggregation).strip().lower() in available_rules(),
+        rule = str(self.aggregation).strip().lower()
+        require(rule in available_rules(),
                 f"unknown aggregation {self.aggregation!r}; "
                 f"available: {available_rules()}")
+        require(rule != "safe-area",
+                "aggregation 'safe-area' needs t < n/max(3, d+1), more clients than "
+                "the model has parameters; study the rule with `repro theory`")
         require(self.attack is None
                 or str(self.attack).strip().lower() in available_attacks(),
                 f"unknown attack {self.attack!r}; available: {available_attacks()}")
@@ -131,29 +135,6 @@ class ExperimentConfig:
                 "num_samples too small for the requested number of clients")
         require(self.scheduler in SCHEDULER_NAMES,
                 f"unknown scheduler {self.scheduler!r}; available: {SCHEDULER_NAMES}")
-        require(self.delay >= 0, "delay must be non-negative")
-        require(0.0 <= self.drop_rate < 1.0, "drop_rate must be in [0, 1)")
-        # Knob/scheduler consistency — a sweep axis that silently did
-        # nothing would corrupt conclusions, so fail at config time.
-        if self.scheduler == "partial":
-            require(self.delay >= 1, "scheduler='partial' needs delay >= 1")
-        else:
-            require(self.delay == 0,
-                    f"delay is only meaningful for scheduler='partial' (got {self.scheduler!r})")
-        if self.scheduler != "lossy":
-            require(self.drop_rate == 0.0 and not self.crash_schedule,
-                    "drop_rate/crash_schedule are only meaningful for scheduler='lossy'")
-        require(self.wait_count >= 0, "wait_count must be non-negative")
-        require(0.0 <= self.burstiness < 1.0, "burstiness must be in [0, 1)")
-        if self.scheduler == "asynchronous":
-            require(self.wait_timeout > 0.0,
-                    "scheduler='asynchronous' needs wait_timeout > 0 (no delivery "
-                    "horizon; the wait window must be explicit)")
-        else:
-            require(self.wait_count == 0 and self.wait_timeout == 0.0
-                    and self.burstiness == 0.0,
-                    "wait_count/wait_timeout/burstiness are only meaningful for "
-                    "scheduler='asynchronous'")
         if self.node_trace:
             require(self.scheduler != "synchronous",
                     "node_trace records per-node delivery rows; the synchronous "
@@ -182,13 +163,11 @@ class ExperimentConfig:
             "crash_schedule",
             tuple(tuple(int(v) for v in window) for window in self.crash_schedule),
         )
-        for window in self.crash_schedule:
-            require(len(window) == 3,
-                    f"crash window must be (node, start, stop), got {window!r}")
-        # Build the topology, the rule and the attack once, so bad kwargs
-        # (and a topology too sparse for the agreement quorum) fail here
-        # too, before any data is built.
-        topology = experiment_topology(self)
+        # Build the engine (and with it the topology), the rule and the
+        # attack once, so scheduler knobs that do not fit, bad kwargs and
+        # a topology too sparse for the agreement quorum fail here too,
+        # before any data is built.
+        topology = _make_engine(self, ()).topology
         if topology is not None and self.exchange == "agreement":
             validate_topology(topology, self.num_clients, t=self.tolerance)
         try:
@@ -223,7 +202,6 @@ class BuiltExperiment:
     client_shards: List[Dataset]
     clients: List[Client]
     global_model: Optional[Sequential]
-    flatten_inputs: bool
 
 
 # Cross-cell reuse: sweep cells sharing their data axes (dataset,
@@ -290,14 +268,12 @@ def _make_shards(config: ExperimentConfig, train_data: Dataset) -> List[Dataset]
     return _data_cache_get(key, build)
 
 
-def _make_model(config: ExperimentConfig, train_data: Dataset, *, seed_tag: str) -> Tuple[Sequential, bool]:
+def _make_model(config: ExperimentConfig, train_data: Dataset, *, seed_tag: str) -> Sequential:
     seed = stable_component_seed(config.seed, "model", seed_tag)
     if config.dataset == "cifar10":
-        model = build_cifarnet(train_data.image_shape, train_data.num_classes, seed=seed)
-        return model, False
-    model = build_mlp(train_data.feature_dim, hidden_sizes=config.mlp_hidden,
-                      num_classes=train_data.num_classes, seed=seed)
-    return model, True
+        return build_cifarnet(train_data.image_shape, train_data.num_classes, seed=seed)
+    return build_mlp(train_data.feature_dim, hidden_sizes=config.mlp_hidden,
+                     num_classes=train_data.num_classes, seed=seed)
 
 
 def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
@@ -313,7 +289,7 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
     byzantine_ids = set(range(config.num_clients - config.num_byzantine, config.num_clients))
     # In the centralized setting all clients share one architecture; the
     # global model is a separate instance holding the server state.
-    global_model, flatten = _make_model(config, train_data, seed_tag="global")
+    global_model = _make_model(config, train_data, seed_tag="global")
 
     clients: List[Client] = []
     for client_id in range(config.num_clients):
@@ -328,7 +304,7 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
                     num_classes=shard.num_classes,
                     name=shard.name + "-poisoned",
                 )
-        model, _ = _make_model(config, train_data, seed_tag="global")
+        model = _make_model(config, train_data, seed_tag="global")
         # Every client starts from the same initial weights as the global
         # model (the paper synchronises weights at round 0).
         model.set_flat_parameters(global_model.get_flat_parameters())
@@ -339,7 +315,6 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
                 model,
                 batch_size=config.batch_size,
                 attack=attack,
-                flatten_inputs=flatten,
                 seed=stable_component_seed(config.seed, "client", client_id),
             )
         )
@@ -350,7 +325,6 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
         client_shards=shards,
         clients=clients,
         global_model=global_model,
-        flatten_inputs=flatten,
     )
 
 
@@ -372,21 +346,19 @@ def experiment_topology(config: ExperimentConfig) -> Optional[Topology]:
     )
 
 
-def _make_engine(
-    config: ExperimentConfig, n: int, byzantine: Tuple[int, ...], *, star: bool = False
-) -> RoundEngine:
+def _make_engine(config: ExperimentConfig, byzantine: Tuple[int, ...]) -> RoundEngine:
     """Scheduler instance for one experiment run.
 
     The scheduler's own randomness (link delays, drops) is seeded from
     the experiment seed but on an independent component stream, so
     switching schedulers never perturbs the data/model/attack streams.
-    Trainers drive thousands of rounds, so history retention is off.
-    ``star`` builds the engine for the centralized client -> server
-    exchange, where honest senders unicast to the server link.
+    The centralized setting runs a star exchange: the engine has one
+    extra node, the server, and honest senders unicast to its link.
     """
+    star = config.setting == "centralized"
     return make_scheduler(
         config.scheduler,
-        n,
+        config.num_clients + 1 if star else config.num_clients,
         byzantine,
         delay=config.delay,
         drop_rate=config.drop_rate,
@@ -433,10 +405,8 @@ def run_centralized_experiment(config: ExperimentConfig) -> TrainingHistory:
         rule,
         built.test_data,
         optimizer=SGD(config.learning_rate, total_rounds=config.rounds),
-        flatten_inputs=built.flatten_inputs,
         seed=stable_component_seed(config.seed, "trainer"),
-        # One extra node: the server, consuming the star exchange.
-        engine=_make_engine(config, config.num_clients + 1, byzantine, star=True),
+        engine=_make_engine(config, byzantine),
     )
     history = trainer.train(config.rounds)
     history.heterogeneity = config.heterogeneity
@@ -459,9 +429,8 @@ def run_decentralized_experiment(config: ExperimentConfig) -> TrainingHistory:
         algorithm,
         built.test_data,
         optimizer=SGD(config.learning_rate, total_rounds=config.rounds),
-        flatten_inputs=built.flatten_inputs,
         seed=stable_component_seed(config.seed, "trainer"),
-        engine=_make_engine(config, config.num_clients, byzantine),
+        engine=_make_engine(config, byzantine),
         exchange=config.exchange,
     )
     history = trainer.train(config.rounds)

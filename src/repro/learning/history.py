@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.engine.base import RoundEngine
+
 
 @dataclass
 class RoundRecord:
@@ -75,6 +77,21 @@ class TrainingHistory:
         if self.records and record.round_index <= self.records[-1].round_index:
             raise ValueError("round records must be appended in increasing order")
         self.records.append(record)
+
+    def record_delivery(self, engine: RoundEngine) -> None:
+        """Copy the run's delivery counters and traces off its engine.
+
+        Nothing is copied from a scheduler that records no stats (the
+        synchronous one), and the per-node counters only when the engine
+        traced them.
+        """
+        if not engine.records_stats:
+            return
+        self.network_stats = engine.stats_snapshot()
+        self.delivery_trace = engine.trace_snapshot()
+        if engine.node_trace:
+            self.node_stats = engine.node_stats_snapshot()
+            self.node_delivery_trace = engine.node_trace_snapshot()
 
     @property
     def rounds(self) -> int:

@@ -2,6 +2,11 @@
 
 - :func:`build_mlp` — the 3-layer MultiLayer Perceptron the paper trains
   on MNIST.
+
+Each model starts from image-shaped input: the MLP's first layer is a
+:class:`~repro.nn.layers.Flatten`, and CifarNet flattens after its
+convolutions, so the learning loops hand every model the images as
+they are.
 - :func:`build_cifarnet` — a medium-sized convolutional network ("CifarNet")
   for the CIFAR-like task: two conv/pool blocks followed by two dense
   layers.  Kept deliberately small so the decentralized experiments with
@@ -27,16 +32,17 @@ def build_mlp(
 ) -> Sequential:
     """3-layer MLP (two hidden ReLU layers + softmax output).
 
-    The input is assumed to be a flattened image; the learning loop
-    flattens images before calling the model, mirroring how the paper's
-    MLP consumes MNIST.
+    The first layer flattens each input to its ``input_dim`` features,
+    as the paper's MLP consumes MNIST, so the model takes image-shaped
+    and already flat batches alike.  ``Flatten`` has no parameters: the
+    flat parameter and gradient vectors hold the dense layers only.
     """
     if input_dim < 1 or num_classes < 2:
         raise ValueError("input_dim must be positive and num_classes >= 2")
     if len(hidden_sizes) == 0:
         raise ValueError("MLP needs at least one hidden layer")
     rng = as_generator(seed)
-    layers = []
+    layers = [Flatten()]
     previous = input_dim
     for width in hidden_sizes:
         if width < 1:

@@ -427,10 +427,10 @@ class TestAsynchronousScheduler:
     def test_exchange_runs_end_to_end(self):
         engine = self._engine()
         engine.require_quorum(3, policy="starve")
+        engine.wait_for(quorum=True, timeout_rounds=2.0)
         initial = {i: np.full(2, float(i)) for i in range(5)}
         final = run_exchange(
-            engine, initial, 4, lambda _n, received: received.mean(axis=0),
-            wait=WaitCondition(quorum=True, timeout_rounds=2.0),
+            engine, initial, 4, lambda _n, received: received.mean(axis=0)
         )
         assert len(final) == 5
         spread = max(float(np.linalg.norm(final[i] - final[j]))
@@ -634,8 +634,6 @@ class TestTimingAttacks:
         )
         engine.require_quorum(3, policy="starve")
         engine.wait_for(quorum=True)
-        from repro.engine import attack_adversary_plan
-
         attack = AdaptiveDelayAttack(max_lag=2)
         seen = []
         original = attack.send_delays
@@ -646,11 +644,11 @@ class TestTimingAttacks:
 
         attack.send_delays = spying_send_delays
         initial = {i: np.full(2, float(i)) for i in range(4)}
-        plan = attack_adversary_plan(
-            lambda _n: attack, {4: np.zeros(2)},
-            np.random.default_rng(0), horizon=engine.horizon, engine=engine,
+        run_exchange(
+            engine, initial, 3, lambda _n, r: r.mean(axis=0),
+            attack_for=lambda _n: attack, byzantine_vectors={4: np.zeros(2)},
+            rng=np.random.default_rng(0),
         )
-        run_exchange(engine, initial, 3, lambda _n, r: r.mean(axis=0), plan)
         assert seen[0] == 0 and seen[-1] > 0
 
 

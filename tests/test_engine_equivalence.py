@@ -156,7 +156,7 @@ class TestAsynchronousEndToEnd:
         from repro.learning.experiment import _make_engine
 
         config = self._async_config(setting="decentralized", wait_count=3)
-        engine = _make_engine(config, config.num_clients, (5,))
+        engine = _make_engine(config, (5,))
         assert engine.wait.count == 3  # the config-pinned count arrived
         # A consumer's quorum default must not clobber the pinned count.
         algorithm = make_algorithm("box-mean", config.num_clients, 1)

@@ -111,6 +111,7 @@ class TestCli:
         (["compare", "--scheduler", "partial"], "needs delay >= 1"),
         (["run", "--setting", "decentralized", "--topology", "random-regular",
           "--topology-kwargs", '{"degree": 100}'], "needs 1 <= degree < n"),
+        (["run", "--aggregation", "safe-area"], "t < n/max(3, d+1)"),
     ])
     def test_invalid_config_exits_2_before_training(self, capsys, argv, fragment):
         code = main(argv + ["--rounds", "1", "--clients", "4", "--samples", "40",

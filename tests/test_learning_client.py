@@ -42,7 +42,7 @@ class TestClient:
         np.testing.assert_allclose(client.local_parameters(), new)
 
     def test_evaluate_accuracy_range(self, client, tiny_dataset):
-        acc = client.evaluate_accuracy(tiny_dataset.images[:50], tiny_dataset.labels[:50])
+        acc = client.model.evaluate_accuracy(tiny_dataset.images[:50], tiny_dataset.labels[:50])
         assert 0.0 <= acc <= 1.0
 
     def test_negative_id_rejected(self, tiny_dataset):
@@ -62,7 +62,7 @@ class TestClient:
 
         data = make_synthetic_cifar10(60, seed=0)
         model = build_cifarnet((32, 32, 3), 10, conv_channels=(2, 4), dense_width=8, seed=0)
-        client = Client(0, data, model, batch_size=4, flatten_inputs=False, seed=0)
+        client = Client(0, data, model, batch_size=4, seed=0)
         loss, grad = client.compute_gradient(client.local_parameters())
         assert np.isfinite(loss) and grad.shape == (model.num_parameters,)
 

@@ -104,7 +104,6 @@ class TestBuildExperiment:
     def test_cifar_config_builds_cnn(self):
         config = small_config(dataset="cifar10", num_samples=240)
         built = build_experiment(config)
-        assert built.flatten_inputs is False
         assert built.global_model.name == "cifarnet"
 
 
@@ -240,6 +239,45 @@ class TestDecentralizedTrainer:
         )
         last = history.records[-1]
         assert last.gradient_disagreement < 1.0
+
+
+class TestEngineSetUp:
+    """Each consumer of the round engine checks the engine it is given."""
+
+    @pytest.mark.parametrize("consumer", ["protocol", "decentralized", "centralized"])
+    @pytest.mark.parametrize("mismatch", ["n", "byzantine"])
+    def test_consumer_rejects_mismatched_engine(self, consumer, mismatch):
+        from repro.agreement.base import AgreementProtocol
+        from repro.engine import make_scheduler
+
+        setting = "centralized" if consumer == "centralized" else "decentralized"
+        built = build_experiment(small_config(setting=setting))
+        star = consumer == "centralized"
+        # Six clients, the last one Byzantine; the star adds the server.
+        n = 7 if star else 6
+        byzantine = (5,)
+        if mismatch == "n":
+            n += 1
+        else:
+            byzantine = (4,)
+        engine = make_scheduler(
+            "synchronous", n, byzantine, require_full_broadcast=not star
+        )
+        with pytest.raises(ValueError, match="engine"):
+            if consumer == "protocol":
+                AgreementProtocol(
+                    make_algorithm("mean", 6, 1), byzantine=(5,), engine=engine
+                )
+            elif consumer == "decentralized":
+                DecentralizedTrainer(
+                    built.clients, make_algorithm("mean", 6, 1), built.test_data,
+                    engine=engine,
+                )
+            else:
+                CentralizedTrainer(
+                    built.global_model, built.clients, make_rule("mean", n=6, t=1),
+                    built.test_data, engine=engine,
+                )
 
 
 class TestRunExperimentDispatch:

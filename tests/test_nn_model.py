@@ -171,6 +171,26 @@ class TestArchitectures:
         with pytest.raises(ValueError):
             build_mlp(10, hidden_sizes=())
 
+    def test_mlp_image_and_flat_input_bitwise_equal(self, rng):
+        # The MLP flattens its own input, so the learning loops hand it
+        # the images as they are; flat and image-shaped batches must give
+        # the same bits.
+        model = build_mlp(7 * 7, hidden_sizes=(16, 8), num_classes=10, seed=0)
+        images = rng.normal(size=(20, 7, 7, 1))
+        flat = images.reshape(20, -1)
+        labels = rng.integers(0, 10, size=20)
+        np.testing.assert_array_equal(
+            model.forward(images, training=False), model.forward(flat, training=False)
+        )
+        loss_images, grad_images = model.gradient(images, labels)
+        loss_flat, grad_flat = model.gradient(flat, labels)
+        assert loss_images == loss_flat
+        np.testing.assert_array_equal(grad_images, grad_flat)
+        assert grad_images.shape == (model.num_parameters,)
+        assert model.evaluate_accuracy(images, labels, batch_size=8) == (
+            model.evaluate_accuracy(flat, labels, batch_size=8)
+        )
+
     def test_cifarnet_forward(self):
         model = build_cifarnet((16, 16, 3), 10, conv_channels=(4, 8), dense_width=16, seed=0)
         out = model.forward(np.zeros((2, 16, 16, 3)), training=False)

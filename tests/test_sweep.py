@@ -231,10 +231,13 @@ class TestScenarioGrid:
          {"topology_kwargs": [{"degree": 100}]}),
         ({"setting": "decentralized", "num_clients": 6, "num_samples": 60},
          {"topology": ["complete", "ring"]}),
+        ({}, {"aggregation": ["mean", "safe-area"]}),
+        ({"scheduler": "lossy", "drop_rate": 0.1}, {"crash_schedule": [[[9, 0, 1]]]}),
     ])
     def test_unbuildable_cell_fails_at_expansion(self, tmp_path, capsys, base, axes):
-        # The config builds its topology, rule and attack, so bad kwargs
-        # or a ring too sparse for the agreement quorum exit 2 before any
+        # The config builds its engine (with its topology), rule and
+        # attack, so bad kwargs, a crash window off the star's 5 nodes or
+        # a ring too sparse for the agreement quorum exit 2 before any
         # cell runs or any row is written.
         from repro.cli import main
 

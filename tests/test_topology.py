@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.agreement import make_algorithm
+from repro.agreement import AgreementProtocol, make_algorithm
 from repro.engine import make_scheduler
 from repro.learning.decentralized import DecentralizedTrainer
 from repro.learning.experiment import ExperimentConfig, build_experiment, run_experiment
@@ -295,6 +295,18 @@ class TestLearningIntegration:
                 built.clients, make_algorithm("box-geom", 6, 1), built.test_data,
                 engine=engine,
             )
+
+    @pytest.mark.parametrize("scheduler", ["synchronous", "lossy"])
+    def test_protocol_refuses_infeasible_topology(self, scheduler):
+        # Same quorum check as the trainer's: on a ring every node can
+        # receive 3 of the n - t = 7 messages, so the protocol refuses
+        # the engine instead of starving (lossy) or raising mid-run
+        # (synchronous) in every sub-round.
+        engine = make_scheduler(
+            scheduler, 8, byzantine=(7,), topology=make_topology("ring", 8)
+        )
+        with pytest.raises(ValueError, match="cannot sustain the agreement quorum"):
+            AgreementProtocol(make_algorithm("box-mean", 8, 1), byzantine=(7,), engine=engine)
 
     def test_agreement_runs_on_dense_topology(self):
         history = run_experiment(
