@@ -23,6 +23,10 @@ from repro.linalg.subset_kernels import subset_geometric_medians
 from repro.linalg.subsets import subset_family
 from repro.utils.validation import ensure_matrix
 
+#: Covering-ball radius (and output distance) at or below which the
+#: candidate medians count as one point in :func:`approximation_ratio`.
+_DEGENERATE_TOL = 1e-12
+
 
 def true_geometric_median(
     honest_vectors: np.ndarray, *, tol: float = 1e-10, max_iter: int = 500
@@ -80,7 +84,6 @@ def approximation_ratio(
     *,
     max_subsets: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    degenerate_tol: float = 1e-12,
 ) -> float:
     """Approximation ratio of ``output`` per Definition 3.3.
 
@@ -97,8 +100,8 @@ def approximation_ratio(
     mu_star = true_geometric_median(honest_vectors)
     ball = covering_ball_of_sgeo(received_vectors, n, t, max_subsets=max_subsets, rng=rng)
     dist = float(np.linalg.norm(out - mu_star))
-    if ball.radius <= degenerate_tol:
-        return 0.0 if dist <= degenerate_tol else float("inf")
+    if ball.radius <= _DEGENERATE_TOL:
+        return 0.0 if dist <= _DEGENERATE_TOL else float("inf")
     return dist / ball.radius
 
 

@@ -2,16 +2,18 @@
 
 The paper's figures are read qualitatively: which algorithms *converge*,
 which *diverge* or oscillate, and how large the final accuracy gap is.
-This package turns those readings into reproducible numbers so the
-benchmark reports and EXPERIMENTS.md comparisons are computed rather
-than eyeballed.
+This package turns those readings into reproducible numbers, and gives
+each reading one implementation that every surface prints:
 
-Three layers:
-
-- :mod:`repro.analysis.traces` / :mod:`repro.analysis.reporting` —
-  per-history classification and plain-text tables;
+- :mod:`repro.analysis.traces` — per-history smoothing and the
+  converging / unstable / diverging / stagnant classification;
+- :mod:`repro.analysis.reporting` — :func:`run_summary`, the one
+  summary of a finished run that sweep rows store and ``repro run``
+  prints, plus ``repro compare``'s per-rule table;
 - :mod:`repro.analysis.streaming` — constant-memory group-by
-  aggregation over arbitrarily large sweep JSONL files;
+  aggregation over arbitrarily large sweep JSONL files, and
+  :func:`group_table`, the one group table that ``repro analyze``,
+  the closing lines of ``repro sweep run`` and the HTML report render;
 - :mod:`repro.analysis.figures` / :mod:`repro.analysis.report` —
   paper-figure reproductions, delivery heatmaps and the self-contained
   HTML report behind ``repro analyze``.
@@ -28,8 +30,7 @@ from repro.analysis.reporting import (
     delivery_rate,
     delivery_trace_summary,
     format_percent,
-    histories_to_records,
-    sweep_summary_table,
+    run_summary,
 )
 from repro.analysis.streaming import (
     GroupStats,
@@ -37,6 +38,7 @@ from repro.analysis.streaming import (
     SweepAnalysis,
     analysis_table,
     analyze_sweep_rows,
+    group_table,
 )
 from repro.analysis.figures import (
     FigureArtifact,
@@ -60,11 +62,11 @@ __all__ = [
     "delivery_rate",
     "delivery_trace_summary",
     "format_percent",
-    "histories_to_records",
+    "group_table",
     "moving_average",
     "render_figures",
     "render_html_report",
+    "run_summary",
     "summarize_history",
-    "sweep_summary_table",
     "write_figures",
 ]

@@ -15,11 +15,10 @@ check.
 from __future__ import annotations
 
 import html
-import math
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.figures import FigureArtifact
-from repro.analysis.streaming import GroupStats, SweepAnalysis
+from repro.analysis.streaming import SweepAnalysis, group_table
 
 _STYLE = """
 body { font-family: Helvetica, Arial, sans-serif; margin: 2rem auto;
@@ -46,68 +45,32 @@ def _esc(text: object) -> str:
     return html.escape(str(text), quote=True)
 
 
-def _fmt_metric(value: float) -> str:
-    return f"{value:.3f}" if math.isfinite(value) else "-"
+def _table(
+    columns: Sequence[Tuple[str, int]], rows: Iterable[Sequence[str]]
+) -> List[str]:
+    """An HTML table of escaped text cells.
 
+    ``columns`` are ``(header, width)`` pairs as
+    :func:`~repro.analysis.streaming.group_table` returns them: a width
+    of 0 marks a free-text column, set in the label style.  A non-zero
+    count in a ``fail`` column is flagged.
+    """
 
-def _fmt_percent(value: float) -> str:
-    return f"{100.0 * value:.1f}%" if math.isfinite(value) else "-"
+    def cell(tag: str, column: Tuple[str, int], text: str) -> str:
+        name, width = column
+        if width == 0:
+            attrs = ' class="label"'
+        elif tag == "td" and name == "fail" and text != "0":
+            attrs = ' class="bad"'
+        else:
+            attrs = ""
+        return f"<{tag}{attrs}>{_esc(text)}</{tag}>"
 
-
-def _group_row(analysis: SweepAnalysis, group: GroupStats) -> str:
-    final = group.metrics.get("final_accuracy")
-    best = group.metrics.get("best_accuracy")
-
-    def stat(moments, attribute: str) -> str:
-        if moments is None or moments.count == 0:
-            return "-"
-        return _fmt_metric(getattr(moments, attribute))
-
-    cells = [
-        f'<td class="label">{_esc(analysis.group_label(group.key))}</td>',
-        f"<td>{group.cells}</td>",
-        f'<td class="bad">{group.failed}</td>' if group.failed
-        else "<td>0</td>",
-        f"<td>{stat(final, 'mean')}</td>",
-        f"<td>{stat(final, 'std')}</td>",
-        f"<td>{stat(final, 'minimum')}</td>",
-        f"<td>{stat(final, 'maximum')}</td>",
-        f"<td>{stat(best, 'mean')}</td>",
-    ]
-    if analysis.has_delivery:
-        deliv = group.delivery.get("delivery_rate")
-        worst = group.delivery.get("worst_deliv")
-        late = group.delivery.get("late")
-        cells.append(
-            f"<td>{_fmt_percent(deliv.mean if deliv and deliv.count else float('nan'))}</td>"
-        )
-        cells.append(
-            f"<td>{_fmt_percent(worst.minimum if worst and worst.count else float('nan'))}</td>"
-        )
-        cells.append(
-            f"<td>{int(round(late.total)) if late and late.count else 0}</td>"
-        )
-    tally = " ".join(
-        f"{name}:{count}"
-        for name, count in sorted(group.classifications.items())
-    )
-    cells.append(f'<td class="label">{_esc(tally) if tally else "-"}</td>')
-    return "<tr>" + "".join(cells) + "</tr>"
-
-
-def _groups_table(analysis: SweepAnalysis) -> List[str]:
-    head = [
-        '<th class="label">group</th>', "<th>cells</th>", "<th>failed</th>",
-        "<th>final</th>", "<th>±std</th>", "<th>min</th>", "<th>max</th>",
-        "<th>best</th>",
-    ]
-    if analysis.has_delivery:
-        head += ["<th>deliv%</th>", "<th>wrst%</th>", "<th>late</th>"]
-    head.append('<th class="label">classes</th>')
-    lines = ["<table>", "<thead><tr>" + "".join(head) + "</tr></thead>",
-             "<tbody>"]
-    for group in analysis.groups.values():
-        lines.append(_group_row(analysis, group))
+    head = "".join(cell("th", column, column[0]) for column in columns)
+    lines = ["<table>", f"<thead><tr>{head}</tr></thead>", "<tbody>"]
+    for cells in rows:
+        tds = "".join(cell("td", column, text) for column, text in zip(columns, cells))
+        lines.append(f"<tr>{tds}</tr>")
     lines += ["</tbody>", "</table>"]
     return lines
 
@@ -122,26 +85,13 @@ def _failures_section(analysis: SweepAnalysis) -> List[str]:
             f'<p class="meta">{analysis.failed} cell(s) failed; the first '
             f"{shown} are listed.</p>"
         )
-    lines.append("<table>")
-    lines.append(
-        '<thead><tr><th class="label">cell</th>'
-        '<th class="label">exception</th></tr></thead>'
-    )
-    lines.append("<tbody>")
-    for cell_id, exception in analysis.failures:
-        lines.append(
-            f'<tr><td class="label">{_esc(cell_id)}</td>'
-            f'<td class="label">{_esc(exception)}</td></tr>'
-        )
-    lines += ["</tbody>", "</table>"]
-    return lines
+    return lines + _table([("cell", 0), ("exception", 0)], analysis.failures)
 
 
 def render_html_report(
     analysis: SweepAnalysis,
     figures: Sequence[FigureArtifact] = (),
     *,
-    title: str = "Sweep report",
     source: Optional[str] = None,
 ) -> str:
     """One self-contained HTML page for an analysed sweep.
@@ -170,18 +120,18 @@ def render_html_report(
         '<html lang="en">',
         "<head>",
         '<meta charset="utf-8"/>',
-        f"<title>{_esc(title)}</title>",
+        "<title>Sweep report</title>",
         f"<style>{_STYLE}</style>",
         "</head>",
         "<body>",
-        f"<h1>{_esc(title)}</h1>",
+        "<h1>Sweep report</h1>",
     ]
     if source:
         lines.append(f'<p class="meta">Source: <code>{_esc(source)}</code></p>')
     lines.append(f'<p class="meta">{" · ".join(meta_bits)}</p>')
     lines.append("<h2>Groups</h2>")
     if analysis.groups:
-        lines.extend(_groups_table(analysis))
+        lines.extend(_table(*group_table(analysis)))
     else:
         lines.append('<p class="meta">No current-schema rows found.</p>')
     lines.extend(_failures_section(analysis))

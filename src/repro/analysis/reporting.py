@@ -1,46 +1,54 @@
-"""Tabular reporting of experiment results.
+"""Per-run readings and plain-text reporting of experiment results.
 
-Turns a collection of :class:`~repro.learning.history.TrainingHistory`
-objects into plain-text tables and serialisable records — the format
-the benchmark harness prints and EXPERIMENTS.md quotes.
+:func:`run_summary` is the one summary of a finished run: sweep rows
+store it under ``"summary"`` and ``repro run`` prints its topology and
+delivery lines from it.  The delivery, per-node and topology readings
+it is built from live beside it, with the NaN-aware
+:func:`format_percent` and ``repro compare``'s :func:`comparison_table`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.analysis.traces import summarize_history
 from repro.learning.history import TrainingHistory
 
 
-def histories_to_records(
-    histories: Mapping[str, TrainingHistory], *, num_classes: int = 10
-) -> List[Dict[str, object]]:
-    """One serialisable record per labelled history (for JSON export)."""
-    records: List[Dict[str, object]] = []
-    for label, history in histories.items():
-        summary = summarize_history(history, num_classes=num_classes)
-        record = dict(history.summary())
-        record.update(
-            {
-                "label": label,
-                "smoothed_final_accuracy": summary.smoothed_final,
-                "classification": summary.classification,
-                "above_chance": summary.above_chance,
-            }
+def run_summary(history: TrainingHistory, topology) -> Dict[str, object]:
+    """The compact reading of one run: accuracies, loss and delivery.
+
+    ``topology`` is the run's sparse :class:`repro.network.topology.Topology`
+    (``experiment_topology(config)``), or None on the complete graph.
+    Keys beyond the four accuracy fields appear only when the run has
+    something to report, so a synchronous complete-graph row keeps the
+    pre-engine layout byte for byte:
+
+    - ``network``: the engine's cumulative delivery counters
+      (non-synchronous schedulers);
+    - ``trace``: :func:`delivery_trace_summary` of the per-round trace;
+    - ``node``: :func:`node_stats_summary` of the per-node counters
+      (``node_trace`` runs);
+    - ``topology``: :func:`topology_delivery_summary` (sparse graphs).
+    """
+    summary: Dict[str, object] = {
+        "final_accuracy": history.final_accuracy(),
+        "best_accuracy": history.best_accuracy(),
+        "final_loss": history.losses()[-1] if history.records else None,
+        "rounds": history.rounds,
+    }
+    if history.network_stats:
+        summary["network"] = dict(history.network_stats)
+    if history.delivery_trace:
+        summary["trace"] = delivery_trace_summary(history.delivery_trace)
+    if history.node_stats:
+        summary["node"] = node_stats_summary(history.node_stats)
+    if topology is not None:
+        summary["topology"] = topology_delivery_summary(
+            topology, history.node_stats
         )
-        if history.network_stats:
-            record["network_stats"] = dict(history.network_stats)
-            record["delivery_rate"] = delivery_rate(history.network_stats)
-        if history.delivery_trace:
-            record["delivery_trace_summary"] = delivery_trace_summary(
-                history.delivery_trace
-            )
-        if history.node_stats:
-            record["node_stats_summary"] = node_stats_summary(history.node_stats)
-        records.append(record)
-    return records
+    return summary
 
 
 def delivery_rate(stats: Mapping[str, object]) -> float:
@@ -61,8 +69,9 @@ def delivery_trace_summary(trace: Sequence[Mapping[str, int]]) -> Dict[str, obje
     Returns ``rounds`` (trace length), ``worst_deliv`` (the worst
     per-round delivered/sent ratio over rounds that sent anything — the
     depth of the worst burst or crash window) and ``late`` (total
-    messages that missed their send round).  This is what the sweep
-    summary table renders next to the cumulative ``deliv%``.
+    messages that missed their send round).  The group table of
+    :mod:`repro.analysis.streaming` aggregates the last two into its
+    ``wrst%`` and ``late`` columns, next to the cumulative ``deliv%``.
     """
     per_round = [
         delivery_rate(row) for row in trace if int(row.get("sent", 0) or 0) > 0
@@ -134,21 +143,21 @@ def topology_delivery_summary(
     return summary
 
 
-def format_percent(value: object, width: int = 7) -> str:
-    """Fixed-width rendering of a ``[0, 1]`` ratio as a percentage.
+def format_percent(value: object) -> str:
+    """Seven-character rendering of a ``[0, 1]`` ratio as a percentage.
 
-    The single NaN-aware formatter shared by the sweep summary table,
-    the ``repro analyze`` tables and the CLI delivery summaries: ``None``
-    (a non-finite value sanitised away by the strict-JSON writer) and
-    ``NaN`` (nothing was sent, so no rate exists) render as ``-`` padded
-    to the same width instead of the misaligned ``nan%``.
+    The single NaN-aware formatter behind the group table's delivery
+    columns and ``repro run``'s delivery lines: ``None`` (a non-finite
+    value sanitised away by the strict-JSON writer) and ``NaN`` (nothing
+    was sent, so no rate exists) render as ``-`` padded to the same
+    width instead of the misaligned ``nan%``.
     """
     from repro.io.results import metric_from_json
 
     number = metric_from_json(value) if not isinstance(value, float) else value
     if math.isnan(number):
-        return f"{'-':>{width}s}"
-    return f"{100.0 * number:>{width - 1}.1f}%"
+        return f"{'-':>7s}"
+    return f"{100.0 * number:>6.1f}%"
 
 
 def comparison_table(
@@ -164,127 +173,10 @@ def comparison_table(
         f"{'label':<14s} {'final':>7s} {'best':>7s} {'smoothed':>9s} {'verdict':>12s}"
     )
     lines = [header, "-" * len(header)]
-    for record in histories_to_records(histories, num_classes=num_classes):
+    for label, history in histories.items():
+        summary = summarize_history(history, num_classes=num_classes)
         lines.append(
-            f"{str(record['label']):<14s} {record['final_accuracy']:>7.3f} "
-            f"{record['best_accuracy']:>7.3f} {record['smoothed_final_accuracy']:>9.3f} "
-            f"{str(record['classification']):>12s}"
+            f"{label:<14s} {summary.final:>7.3f} {summary.best:>7.3f} "
+            f"{summary.smoothed_final:>9.3f} {summary.classification:>12s}"
         )
-    return "\n".join(lines)
-
-
-def _recover_axis_names(rows: Sequence[Mapping[str, object]]) -> List[str]:
-    """Axis column names (and order) for a batch of sweep rows.
-
-    The row's ``"axes"`` mapping is authoritative for the *names* —
-    splitting the cell id would mis-parse legacy ids whose values embed
-    raw ``/`` or ``=`` (values are escaped since the cell-id escaping
-    fix, but archived rows predate it).  The cell id is only consulted
-    to restore the grid's axis *order*, which a sorted-keys JSONL round
-    trip loses, and only when it parses to exactly the axes mapping's
-    names.
-    """
-    axes = next(
-        (row["axes"] for row in rows if isinstance(row.get("axes"), Mapping)), None
-    )
-    cell_id = rows[0].get("cell_id")
-    parsed: Optional[List[str]] = None
-    if isinstance(cell_id, str) and "=" in cell_id:
-        from repro.sweep.grid import parse_cell_id
-
-        parsed = list(parse_cell_id(cell_id))
-    if axes is None:
-        return parsed or []
-    if parsed is not None and set(parsed) == set(axes) and len(parsed) == len(axes):
-        return parsed
-    return list(axes)
-
-
-def sweep_summary_table(
-    rows: Sequence[Mapping[str, object]],
-    *,
-    axis_names: Optional[Sequence[str]] = None,
-) -> str:
-    """Plain-text summary of a sweep: one row per scenario cell.
-
-    ``rows`` are the JSONL rows produced by
-    :class:`repro.sweep.runner.SweepRunner` (or a subset of them); the
-    axis columns come from each row's ``"axes"`` mapping, followed by
-    the final/best accuracy of the cell.  ``axis_names`` pins the column
-    order (pass the grid's ``axis_names()`` when the spec is at hand);
-    otherwise the order is recovered from the first row's cell id where
-    unambiguous, falling back to the ``"axes"`` mapping's sorted order.
-    """
-    if not rows:
-        return "(no sweep rows)"
-    axis_names = (
-        list(axis_names) if axis_names is not None else _recover_axis_names(rows)
-    )
-    # Rows written before an axis existed render '-' (not an invisible
-    # blank) in that column — e.g. pre-``exchange`` archives.
-    widths = {
-        name: max(len(name), *(len(str(row["axes"].get(name, "-"))) for row in rows))
-        for name in axis_names
-    }
-    # Cells run on non-synchronous schedulers carry their delivery
-    # counters; surface the delivery rate when any cell has one, and the
-    # per-round trace columns (worst round, late messages) when any cell
-    # recorded a trace.
-    with_network = any(
-        isinstance(row.get("summary", {}).get("network"), dict) for row in rows
-    )
-    with_trace = any(
-        isinstance(row.get("summary", {}).get("trace"), dict) for row in rows
-    )
-    header = " ".join(f"{name:<{widths[name]}s}" for name in axis_names)
-    header += f" {'final':>7s} {'best':>7s} {'rounds':>7s}"
-    if with_network:
-        header += f" {'deliv%':>7s}"
-    if with_trace:
-        header += f" {'wrst%':>7s} {'late':>6s}"
-    lines = [header, "-" * len(header)]
-    from repro.io.results import metric_from_json
-
-    for row in sorted(rows, key=lambda r: r.get("index", 0)):
-        summary = row.get("summary", {})
-        cols = " ".join(
-            f"{str(row['axes'].get(name, '-')):<{widths[name]}s}" for name in axis_names
-        )
-        if "error" in row:
-            # A cell that kept raising streamed an error row in place of
-            # a result; keep it visible instead of faking metrics (and
-            # pad every optional column so the table stays aligned).
-            error = row["error"] if isinstance(row["error"], dict) else {}
-            line = f"{cols} {'-':>7s} {'-':>7s} {'-':>7s}"
-            if with_network:
-                line += f" {'-':>7s}"
-            if with_trace:
-                line += f" {'-':>7s} {'-':>6s}"
-            lines.append(
-                f"{line}  FAILED ({error.get('exception', 'unknown error')})"
-            )
-            continue
-        line = (
-            f"{cols} {metric_from_json(summary.get('final_accuracy')):>7.3f} "
-            f"{metric_from_json(summary.get('best_accuracy')):>7.3f} "
-            f"{int(summary.get('rounds', 0)):>7d}"
-        )
-        if with_network:
-            network = summary.get("network")
-            if isinstance(network, dict):
-                line += f" {format_percent(delivery_rate(network))}"
-            else:
-                line += f" {'-':>7s}"
-        if with_trace:
-            trace = summary.get("trace")
-            if isinstance(trace, dict):
-                # A zero-sent cell has no rate: worst_deliv is NaN
-                # (nulled by the strict-JSON writer), rendered '-'.
-                line += (
-                    f" {format_percent(trace.get('worst_deliv'))}"
-                    f" {int(trace.get('late', 0)):>6d}"
-                )
-            else:
-                line += f" {'-':>7s} {'-':>6s}"
-        lines.append(line)
     return "\n".join(lines)

@@ -21,6 +21,11 @@ and folds every row into bounded state:
   its group's ``failed`` count and to the capped failure listing, and
   to nothing else.
 
+:func:`group_table` turns the groups into the one group table — its
+columns and the text of each cell — that :func:`analysis_table` prints
+for ``repro analyze`` and ``repro sweep run`` and
+:mod:`repro.analysis.report` sets as HTML.
+
 Memory is O(groups × rounds + metrics), independent of the row count —
 the property the slow-marked RSS test in
 ``tests/test_analysis_streaming.py`` pins.
@@ -306,7 +311,6 @@ def analyze_sweep_rows(
     group_by: Optional[Sequence[str]] = None,
     axis_names: Optional[Sequence[str]] = None,
     classify: bool = True,
-    curves: bool = True,
 ) -> SweepAnalysis:
     """One streaming pass over sweep rows → a bounded :class:`SweepAnalysis`.
 
@@ -327,11 +331,9 @@ def analyze_sweep_rows(
         Label each cell's accuracy trace (converging / unstable /
         diverging / stagnant) from its embedded history.  Costs one
         O(rounds) pass per row; disable for metric-only scans.
-    curves:
-        Accumulate per-round accuracy curves and delivery heatmap cells
-        from the embedded history (bounded by
-        :data:`MAX_TRACKED_ROUNDS`); disable for summary-only scans.
 
+    Per-round accuracy curves and delivery heatmap cells accumulate from
+    each row's embedded history (bounded by :data:`MAX_TRACKED_ROUNDS`).
     Rows from another schema version are counted in ``stale_rows`` and
     skipped (their metrics cannot be trusted); error rows are tallied
     per group and listed (capped) but contribute to no metric.
@@ -355,7 +357,7 @@ def analyze_sweep_rows(
             analysis.stale_rows += 1
             continue
         if not analysis.axis_names:
-            analysis.axis_names = _first_row_axis_order(row, axes)
+            analysis.axis_names = _recover_axis_names(row, axes)
         if resolved_group_by is None:
             resolved_group_by = list(analysis.axis_names)
             analysis.group_by = list(resolved_group_by)
@@ -417,8 +419,7 @@ def analyze_sweep_rows(
                 group.classifications[label] = (
                     group.classifications.get(label, 0) + 1
                 )
-        if curves:
-            _accumulate_curves(group, history)
+        _accumulate_curves(group, history)
 
     if resolved_group_by is not None:
         analysis.group_by = list(resolved_group_by)
@@ -426,13 +427,27 @@ def analyze_sweep_rows(
     return analysis
 
 
-def _first_row_axis_order(
+def _recover_axis_names(
     row: Mapping[str, object], axes: Mapping[str, object]
 ) -> List[str]:
-    """Grid axis order recovered from the first row (see reporting)."""
-    from repro.analysis.reporting import _recover_axis_names
+    """Axis names (and grid order) recovered from the first row.
 
-    return _recover_axis_names([dict(row, axes=dict(axes))])
+    The row's ``"axes"`` mapping is authoritative for the *names* —
+    splitting the cell id would mis-parse legacy ids whose values embed
+    raw ``/`` or ``=`` (values are escaped since the cell-id escaping
+    fix, but archived rows predate it).  The cell id is only consulted
+    to restore the grid's axis *order*, which a sorted-keys JSONL round
+    trip loses, and only when it parses to exactly the axes mapping's
+    names.
+    """
+    cell_id = row.get("cell_id")
+    if isinstance(cell_id, str) and "=" in cell_id:
+        from repro.sweep.grid import parse_cell_id
+
+        parsed = list(parse_cell_id(cell_id))
+        if set(parsed) == set(axes) and len(parsed) == len(axes):
+            return parsed
+    return list(axes)
 
 
 def _accumulate_curves(group: GroupStats, history: Mapping[str, object]) -> None:
@@ -485,61 +500,82 @@ def _warn_on_truncation(analysis: SweepAnalysis) -> None:
         )
 
 
-def analysis_table(analysis: SweepAnalysis) -> str:
-    """Plain-text group summary of a :class:`SweepAnalysis`.
+def group_table(
+    analysis: SweepAnalysis,
+) -> Tuple[List[Tuple[str, int]], List[List[str]]]:
+    """The group table's columns and the text of each cell.
 
-    One row per group: cell/failure counts, final-accuracy moments,
-    best-accuracy mean, delivery columns when any cell carried them
-    (rendered through the shared NaN-aware
-    :func:`repro.analysis.reporting.format_percent`) and the
-    classification tally.
+    The one definition of the table that ``repro analyze`` prints, the
+    HTML report embeds and ``repro sweep run`` closes with.  Returns
+    ``(columns, rows)``: each column is a ``(header, width)`` pair,
+    where ``width`` is what the text table right-aligns the column to
+    and ``0`` marks the two free-text columns (the group label and the
+    classification tally); each row holds one group's cell texts,
+    unpadded, in column order.  Delivery columns appear when any cell
+    carried delivery counters; an empty statistic renders ``-``.
     """
     from repro.analysis.reporting import format_percent
 
-    if not analysis.groups:
-        return "(no sweep rows)"
-    labels = {key: analysis.group_label(key) for key in analysis.groups}
-    label_width = max(len("group"), *(len(label) for label in labels.values()))
-    header = (
-        f"{'group':<{label_width}s} {'cells':>5s} {'fail':>4s} "
-        f"{'final':>7s} {'±std':>7s} {'min':>7s} {'max':>7s} {'best':>7s}"
-    )
+    columns = [("group", 0), ("cells", 5), ("fail", 4), ("final", 7),
+               ("±std", 7), ("min", 7), ("max", 7), ("best", 7)]
     if analysis.has_delivery:
-        header += f" {'deliv%':>7s} {'wrst%':>7s} {'late':>6s}"
-    header += "  classes"
-    lines = [header, "-" * len(header)]
+        columns += [("deliv%", 7), ("wrst%", 7), ("late", 6)]
+    columns.append(("classes", 0))
 
-    def fmt(moments: Optional[StreamingMoments], attribute: str) -> str:
+    def stat(
+        moments: Optional[StreamingMoments], attribute: str, percent: bool = False
+    ) -> str:
         if moments is None or moments.count == 0:
-            return f"{'-':>7s}"
-        return f"{getattr(moments, attribute):>7.3f}"
+            return "-"
+        value = getattr(moments, attribute)
+        return format_percent(value).strip() if percent else f"{value:.3f}"
 
+    rows = []
     for key, group in analysis.groups.items():
         final = group.metrics.get("final_accuracy")
-        best = group.metrics.get("best_accuracy")
-        line = (
-            f"{labels[key]:<{label_width}s} {group.cells:>5d} {group.failed:>4d} "
-            f"{fmt(final, 'mean')} {fmt(final, 'std')} {fmt(final, 'minimum')} "
-            f"{fmt(final, 'maximum')} {fmt(best, 'mean')}"
-        )
+        cells = [
+            analysis.group_label(key), str(group.cells), str(group.failed),
+            stat(final, "mean"), stat(final, "std"), stat(final, "minimum"),
+            stat(final, "maximum"), stat(group.metrics.get("best_accuracy"), "mean"),
+        ]
         if analysis.has_delivery:
-            deliv = group.delivery.get("delivery_rate")
-            worst = group.delivery.get("worst_deliv")
             late = group.delivery.get("late")
-            line += " " + format_percent(
-                deliv.mean if deliv and deliv.count else float("nan")
-            )
-            line += " " + format_percent(
-                worst.minimum if worst and worst.count else float("nan")
-            )
-            late_total = int(round(late.total)) if late and late.count else 0
-            line += f" {late_total:>6d}"
+            cells += [
+                stat(group.delivery.get("delivery_rate"), "mean", percent=True),
+                stat(group.delivery.get("worst_deliv"), "minimum", percent=True),
+                str(int(round(late.total)) if late and late.count else 0),
+            ]
         tally = " ".join(
             f"{name}:{count}"
             for name, count in sorted(group.classifications.items())
         )
-        line += f"  {tally}" if tally else "  -"
-        lines.append(line)
+        cells.append(tally or "-")
+        rows.append(cells)
+    return columns, rows
+
+
+def analysis_table(analysis: SweepAnalysis) -> str:
+    """Plain-text rendering of :func:`group_table`, plus a summary line.
+
+    The group label is left-aligned to the longest label, every other
+    column right-aligned to its width, and the classification tally
+    closes each line after two spaces.
+    """
+    if not analysis.groups:
+        return "(no sweep rows)"
+    columns, rows = group_table(analysis)
+    header = [name for name, _ in columns]
+    label_width = max(len(cells[0]) for cells in [header] + rows)
+
+    def line(cells: List[str]) -> str:
+        label, *numbers, tally = cells
+        padded = [
+            f"{text:>{width}s}" for text, (_, width) in zip(numbers, columns[1:-1])
+        ]
+        return " ".join([f"{label:<{label_width}s}", *padded]) + "  " + tally
+
+    head = line(header)
+    lines = [head, "-" * len(head)] + [line(cells) for cells in rows]
     summary = (
         f"{analysis.cells} cell(s) in {len(analysis.groups)} group(s); "
         f"{analysis.failed} failed"
@@ -561,4 +597,5 @@ __all__ = [
     "SweepAnalysis",
     "analysis_table",
     "analyze_sweep_rows",
+    "group_table",
 ]

@@ -7,7 +7,8 @@ These functions formalise how we read a training curve:
 - :func:`classify_trace` labels a smoothed curve as ``"converging"``,
   ``"diverging"``, ``"stagnant"`` or ``"unstable"``, matching the
   vocabulary the paper uses when describing Figures 2a and 3, and
-- :func:`summarize_history` bundles the numbers EXPERIMENTS.md reports.
+- :func:`summarize_history` bundles the numbers ``repro compare`` prints
+  per rule.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.learning.history import TrainingHistory
+
+#: Relative drop below a curve's recent peak (twice that below its
+#: global peak) past which a curve that ends above chance is "unstable".
+_STABILITY_TOLERANCE = 0.15
 
 
 def moving_average(values: Sequence[float], window: int = 5) -> List[float]:
@@ -44,18 +49,12 @@ class TraceSummary:
     chance_level: float
     classification: str
 
-    @property
-    def above_chance(self) -> bool:
-        """Whether the smoothed final accuracy clearly beats random guessing."""
-        return self.smoothed_final > 1.5 * self.chance_level
-
 
 def classify_trace(
     accuracies: Sequence[float],
     *,
     chance_level: float = 0.1,
     window: int = 5,
-    stability_tolerance: float = 0.15,
 ) -> str:
     """Classify an accuracy trace.
 
@@ -87,7 +86,10 @@ def classify_trace(
     tail = smooth[max(0, len(smooth) - max(3, len(smooth) // 4)) :]
     drop_from_recent_peak = (max(tail) - final) / max(peak, 1e-12)
     drop_from_global_peak = (peak - final) / max(peak, 1e-12)
-    if drop_from_recent_peak > stability_tolerance or drop_from_global_peak > 2 * stability_tolerance:
+    if (
+        drop_from_recent_peak > _STABILITY_TOLERANCE
+        or drop_from_global_peak > 2 * _STABILITY_TOLERANCE
+    ):
         return "unstable"
     return "converging"
 

@@ -46,13 +46,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.aggregation.registry import available_rules
-from repro.analysis.reporting import (
-    comparison_table,
-    delivery_trace_summary,
-    format_percent,
-    node_stats_summary,
-    sweep_summary_table,
-)
+from repro.analysis.reporting import comparison_table, format_percent, run_summary
 from repro.byzantine.registry import available_attacks
 from repro.engine import SCHEDULER_NAMES
 from repro.io.results import metric_from_json, save_histories
@@ -163,9 +157,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid experiment config: {exc}", file=sys.stderr)
         return 2
     history = run_experiment(config)
-    topology = experiment_topology(config)
-    if topology is not None:
-        shape = topology.summary()
+    summary = run_summary(history, experiment_topology(config))
+    if "topology" in summary:
+        shape = summary["topology"]
         print(
             f"topology: {shape['name']} with {shape['edges']} edges, "
             f"degree {shape['min_degree']}..{shape['max_degree']}, "
@@ -173,12 +167,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     trace = "  ".join(f"{acc:.3f}" for acc in history.accuracies())
     print(f"accuracy per round: {trace}")
-    print(f"final accuracy: {history.final_accuracy():.3f}  best: {history.best_accuracy():.3f}")
-    if history.network_stats:
-        counters = "  ".join(f"{k}={v}" for k, v in sorted(history.network_stats.items()))
+    print(
+        f"final accuracy: {summary['final_accuracy']:.3f}  "
+        f"best: {summary['best_accuracy']:.3f}"
+    )
+    if "network" in summary:
+        counters = "  ".join(f"{k}={v}" for k, v in sorted(summary["network"].items()))
         print(f"network delivery: {counters}")
-    if history.delivery_trace:
-        trace = delivery_trace_summary(history.delivery_trace)
+    if "trace" in summary:
+        trace = summary["trace"]
         # A zero-sent trace has no worst-round rate (NaN): render '-'.
         worst = format_percent(trace["worst_deliv"]).strip()
         print(
@@ -186,8 +183,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"worst round deliv {worst}, "
             f"{trace['late']} late messages"
         )
-    if history.node_stats:
-        node = node_stats_summary(history.node_stats)
+    if "node" in summary:
+        node = summary["node"]
         worst = node.get("worst_node")
         if worst is not None:
             rate = format_percent(node["worst_node_deliv"]).strip()
@@ -284,6 +281,7 @@ def _format_eta(seconds: float) -> str:
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
+    from repro.analysis.streaming import analysis_table, analyze_sweep_rows
     from repro.sweep import SweepRunner, failed_rows
 
     loaded = _load_sweep_spec(args.spec)
@@ -360,9 +358,9 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
     print()
-    # The spec is at hand here, so pin the axis-column order to the grid
-    # instead of recovering it from the rows.
-    print(sweep_summary_table(rows, axis_names=grid.axis_names()))
+    # The table `repro analyze --spec` prints for these rows: one group
+    # per cell, axis order pinned to the grid.
+    print(analysis_table(analyze_sweep_rows(rows, axis_names=grid.axis_names())))
     if len(rows) < total:
         # Other shards' cells may not have run at all yet.
         print(f"\n{total - len(rows)} cell(s) assigned to other shards "
@@ -450,7 +448,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             group_by=args.group_by,
             axis_names=axis_names,
             classify=not args.no_classify,
-            curves=True,
         )
     except ValueError as exc:
         # Unknown group-by axis, or a malformed JSONL line.

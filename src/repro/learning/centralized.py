@@ -200,12 +200,10 @@ class CentralizedTrainer:
         return matrix, len(order), mean_loss
 
     # -- public API -----------------------------------------------------------
-    def train(self, rounds: int, *, record_every: int = 1) -> TrainingHistory:
+    def train(self, rounds: int) -> TrainingHistory:
         """Run ``rounds`` global communication rounds and return the history."""
         if rounds < 1:
             raise ValueError("rounds must be positive")
-        if record_every < 1:
-            raise ValueError("record_every must be positive")
         if self.optimizer.total_rounds is None:
             self.optimizer.total_rounds = rounds
 
@@ -243,15 +241,14 @@ class CentralizedTrainer:
                 parameters = self.optimizer.step(parameters, aggregate, round_index)
                 self.global_model.set_flat_parameters(parameters)
 
-            if (round_index + 1) % record_every == 0 or round_index == rounds - 1:
-                acc = self.global_model.evaluate_accuracy(
-                    self.test_data.images, self.test_data.labels
-                )
-                history.append(
-                    RoundRecord(round_index=round_index, accuracy=acc, loss=mean_loss)
-                )
-                _logger.info(
-                    "centralized round %d: accuracy=%.4f loss=%.4f", round_index, acc, mean_loss
-                )
+            acc = self.global_model.evaluate_accuracy(
+                self.test_data.images, self.test_data.labels
+            )
+            history.append(
+                RoundRecord(round_index=round_index, accuracy=acc, loss=mean_loss)
+            )
+            _logger.info(
+                "centralized round %d: accuracy=%.4f loss=%.4f", round_index, acc, mean_loss
+            )
         history.record_delivery(self.engine)
         return history

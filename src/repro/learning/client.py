@@ -10,7 +10,6 @@ from repro.byzantine.base import GradientAttack
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
 from repro.nn.model import Sequential
-from repro.utils.rng import as_generator
 
 
 class Client:
@@ -53,7 +52,6 @@ class Client:
         self.model = model
         self.attack = attack
         self._sampler = BatchSampler(dataset, batch_size=batch_size, seed=seed)
-        self._rng = as_generator(seed)
         self.last_loss: float = float("nan")
 
     @property

@@ -67,10 +67,9 @@ class DecentralizedTrainer:
         Round engine supplying the timing model of the gradient
         exchange, set up by :func:`~repro.engine.rounds.prepare_exchange`
         as the agreement protocol's is.  Defaults to a lock-step
-        scheduler without history retention (thousands of sub-rounds
-        would otherwise pin every inbox in memory).  Under lossy /
-        partially synchronous engines a client starved below quorum
-        keeps its current gradient estimate for that sub-round.
+        scheduler.  Under lossy / partially synchronous engines a
+        client starved below quorum keeps its current gradient estimate
+        for that sub-round.
     exchange:
         ``"agreement"`` (default) runs the paper's approximate-agreement
         sub-rounds, which require every node to be able to receive the
@@ -158,12 +157,10 @@ class DecentralizedTrainer:
         )
 
     # -- public API -----------------------------------------------------------
-    def train(self, rounds: int, *, record_every: int = 1) -> TrainingHistory:
+    def train(self, rounds: int) -> TrainingHistory:
         """Run ``rounds`` learning iterations and return the history."""
         if rounds < 1:
             raise ValueError("rounds must be positive")
-        if record_every < 1:
-            raise ValueError("record_every must be positive")
         if self.optimizer.total_rounds is None:
             self.optimizer.total_rounds = rounds
 
@@ -201,25 +198,24 @@ class DecentralizedTrainer:
                 )
                 client.apply_update(updated)
 
-            if (iteration + 1) % record_every == 0 or iteration == rounds - 1:
-                per_client = {
-                    node: self.clients[node].model.evaluate_accuracy(test_images, test_labels)
-                    for node in self.honest_ids
-                }
-                disagreement = diameter(np.stack(list(agreed.values()), axis=0)) if len(agreed) > 1 else 0.0
-                record = RoundRecord(
-                    round_index=iteration,
-                    accuracy=float(np.mean(list(per_client.values()))),
-                    loss=float(np.mean(losses)) if losses else float("nan"),
-                    per_client_accuracy=per_client,
-                    gradient_disagreement=float(disagreement),
-                )
-                history.append(record)
-                _logger.info(
-                    "decentralized iteration %d: mean accuracy=%.4f disagreement=%.3e",
-                    iteration,
-                    record.accuracy,
-                    disagreement,
-                )
+            per_client = {
+                node: self.clients[node].model.evaluate_accuracy(test_images, test_labels)
+                for node in self.honest_ids
+            }
+            disagreement = diameter(np.stack(list(agreed.values()), axis=0)) if len(agreed) > 1 else 0.0
+            record = RoundRecord(
+                round_index=iteration,
+                accuracy=float(np.mean(list(per_client.values()))),
+                loss=float(np.mean(losses)) if losses else float("nan"),
+                per_client_accuracy=per_client,
+                gradient_disagreement=float(disagreement),
+            )
+            history.append(record)
+            _logger.info(
+                "decentralized iteration %d: mean accuracy=%.4f disagreement=%.3e",
+                iteration,
+                record.accuracy,
+                disagreement,
+            )
         history.record_delivery(self.engine)
         return history

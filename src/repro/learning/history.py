@@ -113,17 +113,3 @@ class TrainingHistory:
     def best_accuracy(self) -> float:
         """Best accuracy reached in any round (nan when nothing recorded)."""
         return max(self.accuracies()) if self.records else float("nan")
-
-    def summary(self) -> Dict[str, float | int | str | None]:
-        """Compact dictionary for benchmark report tables."""
-        return {
-            "setting": self.setting,
-            "aggregation": self.aggregation,
-            "attack": self.attack,
-            "heterogeneity": self.heterogeneity,
-            "clients": self.num_clients,
-            "byzantine": self.num_byzantine,
-            "rounds": self.rounds,
-            "final_accuracy": self.final_accuracy(),
-            "best_accuracy": self.best_accuracy(),
-        }

@@ -60,14 +60,12 @@ def sample_subsets(
     count: int,
     *,
     rng: Optional[np.random.Generator] = None,
-    unique: bool = True,
     max_attempts: Optional[int] = None,
 ) -> list[Tuple[int, ...]]:
-    """Draw ``count`` k-subsets of ``range(m)`` uniformly at random.
+    """Draw ``count`` distinct k-subsets of ``range(m)`` uniformly at random.
 
-    When ``unique`` is true and the requested count reaches the total
-    number of subsets, falls back to exhaustive enumeration (so callers
-    always get distinct subsets when that is possible).
+    When the requested count reaches the total number of subsets, falls
+    back to exhaustive enumeration.
 
     The rejection loop runs for at most ``max_attempts`` draws (default
     ``max(64, 16 * count)``).  If it exhausts the budget — which happens
@@ -82,7 +80,7 @@ def sample_subsets(
     if total == 0:
         return []
     generator = as_generator(rng)
-    if unique and count >= total:
+    if count >= total:
         return list(enumerate_subsets(m, k))
     picks: list[Tuple[int, ...]] = []
     seen: set[Tuple[int, ...]] = set()
@@ -91,10 +89,9 @@ def sample_subsets(
     while len(picks) < count and attempts < limit:
         attempts += 1
         idx = tuple(sorted(generator.choice(m, size=k, replace=False).tolist()))
-        if unique:
-            if idx in seen:
-                continue
-            seen.add(idx)
+        if idx in seen:
+            continue
+        seen.add(idx)
         picks.append(idx)
     if len(picks) < count:
         # Deterministic top-up: the rejection loop ran out of attempts
@@ -117,16 +114,14 @@ def subset_family(
     *,
     max_subsets: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    include_full_range_extremes: bool = True,
 ) -> np.ndarray:
     """The ``(S, subset_size)`` index matrix of a subset family.
 
     Exhaustive (lexicographic) when ``max_subsets`` is ``None`` or at
     least ``C(m, subset_size)``; otherwise ``max_subsets`` uniformly
-    sampled subsets, optionally anchored by the two norm-ordered
-    prefix/suffix subsets: ``max_subsets`` rows plus up to two anchors,
-    appended only when not already sampled.  Pass
-    ``include_full_range_extremes=False`` for a hard cap.
+    sampled subsets anchored by the two norm-ordered prefix/suffix
+    subsets: ``max_subsets`` rows plus up to two anchors, appended only
+    when not already sampled.
 
     This is the canonical representation consumed by the batched kernels
     in :mod:`repro.linalg.subset_kernels`.
@@ -144,17 +139,15 @@ def subset_family(
     if not use_sampling:
         return subset_index_matrix(m, subset_size)
     subsets = sample_subsets(m, subset_size, int(max_subsets), rng=rng)
-    if include_full_range_extremes:
-        # The proof of Theorem 4.4 relies on the medians of the
-        # `subset_size` smallest and largest vectors (per coordinate
-        # order); including the norm-ordered prefix/suffix keeps the
-        # sampled aggregate cloud anchored.
-        order = np.argsort(np.linalg.norm(mat, axis=1))
-        prefix = tuple(sorted(order[:subset_size].tolist()))
-        suffix = tuple(sorted(order[-subset_size:].tolist()))
-        extra = [s for s in (prefix, suffix) if s not in set(subsets)]
-        subsets = list(subsets) + extra
-    return subsets_as_matrix(subsets, subset_size)
+    # The proof of Theorem 4.4 relies on the medians of the
+    # `subset_size` smallest and largest vectors (per coordinate order);
+    # including the norm-ordered prefix/suffix keeps the sampled
+    # aggregate cloud anchored.
+    order = np.argsort(np.linalg.norm(mat, axis=1))
+    prefix = tuple(sorted(order[:subset_size].tolist()))
+    suffix = tuple(sorted(order[-subset_size:].tolist()))
+    extra = [s for s in (prefix, suffix) if s not in set(subsets)]
+    return subsets_as_matrix(subsets + extra, subset_size)
 
 
 def _candidate_indices(

@@ -25,6 +25,7 @@ import traceback
 from functools import partial
 from typing import Dict, Iterator, Optional, Sequence
 
+from repro.analysis.reporting import run_summary
 from repro.io.results import history_to_dict
 from repro.learning.experiment import experiment_topology, run_experiment
 from repro.sweep.grid import config_from_dict
@@ -59,47 +60,13 @@ def run_cell(payload: dict) -> dict:
     """
     config = config_from_dict(payload["config"])
     history = run_experiment(config)
-    summary = {
-        "final_accuracy": history.final_accuracy(),
-        "best_accuracy": history.best_accuracy(),
-        "final_loss": history.losses()[-1] if history.records else None,
-        "rounds": history.rounds,
-    }
-    if history.network_stats:
-        # Non-synchronous cells report their delivery counters next to
-        # the accuracies (synchronous cells stay byte-identical to the
-        # pre-engine row layout).
-        summary["network"] = dict(history.network_stats)
-    if history.delivery_trace:
-        # Compact per-round reading for the summary table; the full
-        # trace rides along in the row's "history".
-        from repro.analysis.reporting import delivery_trace_summary
-
-        summary["trace"] = delivery_trace_summary(history.delivery_trace)
-    if history.node_stats:
-        # Per-node resolution (node_trace cells only): compact worst-node
-        # reading in the summary, full per-node counters in "history".
-        from repro.analysis.reporting import node_stats_summary
-
-        summary["node"] = node_stats_summary(history.node_stats)
-    topology = experiment_topology(config)
-    if topology is not None:
-        # Sparse-topology cells carry the graph's shape next to the
-        # delivery stats (and, with node_trace on, the per-node delivery
-        # counters normalised by each node's closed degree).  Complete
-        # cells elide the key entirely — row byte-identity again.
-        from repro.analysis.reporting import topology_delivery_summary
-
-        summary["topology"] = topology_delivery_summary(
-            topology, history.node_stats
-        )
     return {
         "schema": ROW_SCHEMA_VERSION,
         "index": payload["index"],
         "cell_id": payload["cell_id"],
         "axes": payload["axes"],
         "config": payload["config"],
-        "summary": summary,
+        "summary": run_summary(history, experiment_topology(config)),
         "history": history_to_dict(history),
     }
 

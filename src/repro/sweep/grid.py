@@ -107,8 +107,9 @@ def parse_cell_id(cell_id: str) -> Dict[str, str]:
     Values come back *unescaped*, i.e. as :func:`_format_axis_value`
     rendered them before escaping.  Legacy ids whose values embed raw
     ``/`` or ``=`` cannot be parsed unambiguously — consumers should
-    prefer a row's ``"axes"`` mapping and treat this as a fallback (see
-    :func:`repro.analysis.reporting.sweep_summary_table`).
+    prefer a row's ``"axes"`` mapping and treat this as a fallback, as
+    :func:`repro.analysis.streaming.analyze_sweep_rows` does when it
+    recovers the axis order from the first row.
     """
     pairs: Dict[str, str] = {}
     for part in cell_id.split("/"):
@@ -214,7 +215,12 @@ class ScenarioGrid:
         return count
 
     def axis_names(self) -> List[str]:
-        """Axis names in expansion order."""
+        """Axis names in expansion order.
+
+        ``repro sweep run`` and ``repro analyze --spec`` pass them to
+        :func:`repro.analysis.streaming.analyze_sweep_rows` to pin the
+        group table's axis order.
+        """
         return list(self.axes)
 
     def cell_id(self, overrides: Mapping[str, object]) -> str:

@@ -53,7 +53,7 @@ def ensure_matrix(
     return arr
 
 
-def validate_byzantine_bound(n: int, t: int, *, resilience_divisor: int = 3) -> None:
+def validate_byzantine_bound(n: int, t: int) -> None:
     """Validate the standard ``t < n / 3`` Byzantine resilience condition.
 
     Parameters
@@ -62,16 +62,10 @@ def validate_byzantine_bound(n: int, t: int, *, resilience_divisor: int = 3) -> 
         Total number of nodes in the system.
     t:
         Maximum number of Byzantine nodes tolerated.
-    resilience_divisor:
-        The denominator of the resilience bound (3 for hyperbox/MDA-style
-        algorithms; safe-area algorithms use ``max(3, d + 1)``).
     """
     require(n >= 1, f"n must be positive, got {n}")
     require(t >= 0, f"t must be non-negative, got {t}")
-    if resilience_divisor <= 0:
-        raise ValueError(f"resilience_divisor must be positive, got {resilience_divisor}")
-    if t * resilience_divisor >= n:
+    if 3 * t >= n:
         raise ValueError(
-            f"Byzantine resilience violated: need t < n/{resilience_divisor} "
-            f"but got n={n}, t={t}"
+            f"Byzantine resilience violated: need t < n/3 but got n={n}, t={t}"
         )

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.analysis.reporting import comparison_table, histories_to_records
+from repro.analysis.reporting import comparison_table
+from repro.analysis.streaming import analysis_table, analyze_sweep_rows
 from repro.analysis.traces import (
     classify_trace,
     moving_average,
     summarize_history,
 )
 from repro.learning.history import RoundRecord, TrainingHistory
+from repro.sweep.executors import ROW_SCHEMA_VERSION
 
 
 def make_history(accuracies, aggregation="box-geom"):
@@ -75,7 +77,11 @@ class TestSummaries:
         assert summary.final == pytest.approx(0.8)
         assert summary.best == pytest.approx(0.8)
         assert summary.classification == "converging"
-        assert summary.above_chance
+        assert summary.chance_level == pytest.approx(0.1)
+        # Smoothed over the last 5 rounds, well above chance.
+        assert summary.smoothed_final == pytest.approx(
+            np.linspace(0.1, 0.8, 20)[-5:].mean()
+        )
 
     def test_summarize_empty_rejected(self):
         history = TrainingHistory(
@@ -85,16 +91,17 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize_history(history)
 
-    def test_histories_to_records(self):
+    def test_comparison_table_classifies_each_rule(self):
         histories = {
             "box-geom": make_history(list(np.linspace(0.1, 0.8, 20))),
             "mean": make_history([0.1] * 20, aggregation="mean"),
         }
-        records = histories_to_records(histories)
-        assert len(records) == 2
-        by_label = {r["label"]: r for r in records}
-        assert by_label["box-geom"]["classification"] == "converging"
-        assert by_label["mean"]["classification"] == "stagnant"
+        lines = comparison_table(histories).splitlines()
+        assert len(lines) == 4
+        by_label = {line.split()[0]: line.split() for line in lines[2:]}
+        assert by_label["box-geom"][1:3] == ["0.800", "0.800"]
+        assert by_label["box-geom"][-1] == "converging"
+        assert by_label["mean"][-1] == "stagnant"
 
     def test_comparison_table_contains_all_labels(self):
         histories = {
@@ -124,12 +131,6 @@ class TestFormatPercent:
         assert format_percent(None) == "      -"
         assert "nan" not in format_percent(float("nan"))
 
-    def test_width(self):
-        from repro.analysis.reporting import format_percent
-
-        assert format_percent(0.5, width=9) == "    50.0%"
-        assert format_percent(None, width=9) == "        -"
-
 
 class TestSweepTableNaN:
     """Zero-sent cells render '-' instead of 'nan%' (PR 6 bugfix)."""
@@ -137,7 +138,9 @@ class TestSweepTableNaN:
     @staticmethod
     def _row(index, worst, sent=0, delivered=0, late=0):
         return {
+            "schema": ROW_SCHEMA_VERSION,
             "index": index,
+            "cell_id": f"aggregation=rule{index}",
             "axes": {"aggregation": f"rule{index}"},
             "summary": {
                 "final_accuracy": 0.5,
@@ -149,73 +152,60 @@ class TestSweepTableNaN:
         }
 
     def test_zero_sent_trace_renders_dash(self):
-        from repro.analysis.reporting import sweep_summary_table
-
         rows = [
             self._row(0, worst=None),  # zero sent: NaN nulled by writer
             self._row(1, worst=0.75, sent=8, delivered=6),
         ]
-        table = sweep_summary_table(rows)
+        table = analysis_table(analyze_sweep_rows(rows))
         assert "nan" not in table
         lines = table.splitlines()
-        assert lines[2].rstrip().endswith("-       -      0")
+        # deliv% and wrst% render '-', late 0, no classification.
+        assert lines[2].endswith("      -       -      0  -")
         assert "75.0%" in lines[3]
 
     def test_zero_sent_float_nan_renders_dash(self):
         # In-process rows (no JSON round trip) carry the real NaN.
-        from repro.analysis.reporting import sweep_summary_table
-
-        table = sweep_summary_table([self._row(0, worst=float("nan"))])
+        table = analysis_table(
+            analyze_sweep_rows([self._row(0, worst=float("nan"))])
+        )
         assert "nan" not in table
+        assert table.splitlines()[2].endswith("      -       -      0  -")
 
 
 class TestAxisNameRecovery:
     """Axes-mapping-first column recovery (PR 6 bugfix)."""
 
-    def test_order_recovered_from_escaped_cell_id(self):
-        from repro.analysis.reporting import sweep_summary_table
+    @staticmethod
+    def _row(axes, cell_id):
+        return {
+            "schema": ROW_SCHEMA_VERSION,
+            "index": 0,
+            "cell_id": cell_id,
+            "axes": axes,
+            "summary": {"final_accuracy": 0.1, "best_accuracy": 0.1,
+                        "rounds": 1},
+        }
 
-        rows = [
-            {
-                "index": 0,
-                "cell_id": "beta=x/alpha=a%2Fb",
-                "axes": {"alpha": "a/b", "beta": "x"},
-                "summary": {"final_accuracy": 0.1, "best_accuracy": 0.1,
-                            "rounds": 1},
-            }
-        ]
-        header = sweep_summary_table(rows).splitlines()[0]
+    def test_order_recovered_from_escaped_cell_id(self):
+        rows = [self._row({"alpha": "a/b", "beta": "x"}, "beta=x/alpha=a%2Fb")]
+        analysis = analyze_sweep_rows(rows)
         # Grid order (beta first) restored from the cell id, not the
         # mapping's sorted order.
-        assert header.index("beta") < header.index("alpha")
+        assert analysis.axis_names == ["beta", "alpha"]
+        assert analysis_table(analysis).splitlines()[2].startswith(
+            "beta=x/alpha=a/b "
+        )
 
     def test_axes_mapping_wins_over_ambiguous_legacy_id(self):
-        from repro.analysis.reporting import sweep_summary_table
-
         # A legacy id whose value embeds a raw '/' mis-parses into bogus
         # names; the axes mapping is authoritative.
-        rows = [
-            {
-                "index": 0,
-                "cell_id": "alpha=a/b=c",  # pre-escaping id
-                "axes": {"alpha": "a/b=c"},
-                "summary": {"final_accuracy": 0.1, "best_accuracy": 0.1,
-                            "rounds": 1},
-            }
-        ]
-        header = sweep_summary_table(rows).splitlines()[0]
-        assert "alpha" in header and " b " not in header
+        rows = [self._row({"alpha": "a/b=c"}, "alpha=a/b=c")]  # pre-escaping id
+        analysis = analyze_sweep_rows(rows)
+        assert analysis.axis_names == ["alpha"]
+        assert analysis_table(analysis).splitlines()[2].startswith("alpha=a/b=c ")
 
     def test_explicit_axis_names_pin_order(self):
-        from repro.analysis.reporting import sweep_summary_table
-
-        rows = [
-            {
-                "index": 0,
-                "axes": {"a": "1", "b": "2"},
-                "summary": {"final_accuracy": 0.1, "best_accuracy": 0.1,
-                            "rounds": 1},
-            }
-        ]
-        header = sweep_summary_table(rows, axis_names=["b", "a"]).splitlines()[0]
-        assert header.index("b") < header.index("a")
+        rows = [self._row({"a": "1", "b": "2"}, "a=1/b=2")]
+        analysis = analyze_sweep_rows(rows, axis_names=["b", "a"])
+        assert analysis.group_by == ["b", "a"]
+        assert analysis_table(analysis).splitlines()[2].startswith("b=2/a=1 ")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -34,6 +35,7 @@ from repro.analysis.streaming import (
     StreamingMoments,
     analysis_table,
     analyze_sweep_rows,
+    group_table,
 )
 from repro.cli import main
 from repro.io.jsonl import dump_row, iter_jsonl, write_jsonl
@@ -208,16 +210,15 @@ class TestAnalyzeSweepRows:
         assert "exchange=-" in table and "exchange=gossip" in table
 
     def test_summary_table_renders_dash_for_missing_axis(self):
-        from repro.analysis.reporting import sweep_summary_table
-
         rows = [
             make_row(0, {"topology": "ring"}),
             make_row(1, {"topology": "ring", "exchange": "gossip"}),
         ]
-        table = sweep_summary_table(rows, axis_names=["topology", "exchange"])
-        lines = table.splitlines()
-        assert any("ring" in line and " - " in f" {line} " for line in lines), table
-        assert any("gossip" in line for line in lines)
+        table = analysis_table(
+            analyze_sweep_rows(rows, axis_names=["topology", "exchange"])
+        )
+        labels = [line.split()[0] for line in table.splitlines()[2:4]]
+        assert labels == ["topology=ring/exchange=-", "topology=ring/exchange=gossip"]
 
     def test_error_rows_tallied_never_trusted(self):
         rows = [
@@ -484,6 +485,29 @@ class TestHtmlReport:
     def test_empty_analysis(self):
         html = render_html_report(analyze_sweep_rows([]))
         assert "No current-schema rows" in html
+
+    def test_group_table_cells_match_the_text_table(self):
+        rows = [
+            make_row(0, {"a": "x"}, network={"sent": 8, "delivered": 6},
+                     trace={"rounds": 2, "worst_deliv": 0.5, "late": 3},
+                     accuracies=[0.1, 0.3]),
+            make_error_row(1, {"a": "y"}),
+        ]
+        analysis = analyze_sweep_rows(rows)
+        columns, cells = group_table(analysis)
+        report = render_html_report(analysis)
+        groups = report[report.index("<h2>Groups</h2>"):report.index("</table>")]
+        assert re.findall(r"<th(?: [^>]*)?>(.*?)</th>", groups) == [
+            name for name, _ in columns
+        ]
+        assert re.findall(r"<td(?: [^>]*)?>(.*?)</td>", groups) == [
+            text for row in cells for text in row
+        ]
+        assert '<td class="bad">1</td>' in groups
+        # The text table holds the same cells, padded.
+        text = analysis_table(analysis).splitlines()
+        assert [line.split() for line in text[2:4]] == cells
+        assert cells[0][8:11] == ["75.0%", "50.0%", "3"]
 
 
 class TestAnalyzeCli:

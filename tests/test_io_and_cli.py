@@ -100,6 +100,44 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean" in out and "box-geom" in out and "verdict" in out
 
+    def test_run_prints_delivery_lines_from_run_summary(self, capsys):
+        from repro.analysis.reporting import format_percent, run_summary
+        from repro.cli import _build_config
+        from repro.learning.experiment import experiment_topology, run_experiment
+
+        argv = [
+            "run", "--rounds", "2", "--clients", "8", "--samples", "240",
+            "--batch-size", "8", "--setting", "decentralized",
+            "--scheduler", "lossy", "--drop-rate", "0.1", "--topology", "ring",
+            "--exchange", "gossip", "--node-trace",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        args = build_parser().parse_args(argv)
+        config = _build_config(args, args.aggregation)
+        summary = run_summary(run_experiment(config), experiment_topology(config))
+        shape, trace, node = summary["topology"], summary["trace"], summary["node"]
+        assert shape["name"] == "ring" and node["nodes"] == 8
+        assert summary["network"]["dropped"] > 0
+        counters = "  ".join(
+            f"{name}={value}" for name, value in sorted(summary["network"].items())
+        )
+        assert lines[0] == (
+            f"topology: ring with {shape['edges']} edges, "
+            f"degree {shape['min_degree']}..{shape['max_degree']}, exchange=gossip"
+        )
+        assert lines[1].startswith("accuracy per round: ")
+        assert lines[2:] == [
+            f"final accuracy: {summary['final_accuracy']:.3f}  "
+            f"best: {summary['best_accuracy']:.3f}",
+            f"network delivery: {counters}",
+            f"delivery trace: {trace['rounds']} rounds, worst round deliv "
+            f"{format_percent(trace['worst_deliv']).strip()}, "
+            f"{trace['late']} late messages",
+            f"per-node delivery: 8 nodes, worst node {node['worst_node']} at "
+            f"{format_percent(node['worst_node_deliv']).strip()}",
+        ]
+
     @pytest.mark.parametrize("argv, fragment", [
         (["run", "--node-trace"], "synchronous scheduler"),
         (["run", "--scheduler", "partial"], "needs delay >= 1"),

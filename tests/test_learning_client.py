@@ -101,7 +101,12 @@ class TestTrainingHistory:
         assert np.isnan(history.best_accuracy())
 
     def test_summary_fields(self):
-        summary = self.make_history().summary()
-        assert summary["aggregation"] == "box-geom"
-        assert summary["rounds"] == 3
-        assert summary["final_accuracy"] == pytest.approx(0.4)
+        from repro.analysis.reporting import run_summary
+
+        summary = run_summary(self.make_history(), None)
+        assert summary == {
+            "final_accuracy": pytest.approx(0.4),
+            "best_accuracy": pytest.approx(0.5),
+            "final_loss": pytest.approx(0.6),
+            "rounds": 3,
+        }

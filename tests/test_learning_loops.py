@@ -125,15 +125,6 @@ class TestCentralizedTrainer:
         history = run_centralized_experiment(small_config(attack="crash", rounds=2))
         assert history.rounds == 2
 
-    def test_record_every(self):
-        built = build_experiment(small_config(rounds=4))
-        trainer = CentralizedTrainer(
-            built.global_model, built.clients, make_rule("box-geom", n=6, t=1),
-            built.test_data, optimizer=SGD(0.1, total_rounds=4),
-        )
-        history = trainer.train(4, record_every=2)
-        assert [r.round_index for r in history.records] == [1, 3]
-
     def test_invalid_rounds(self):
         built = build_experiment(small_config())
         trainer = CentralizedTrainer(

@@ -409,7 +409,3 @@ class TestRuleLevelEquivalence:
         received = self._received(rng)
         family = subset_family(received, 8, max_subsets=5, rng=rng)
         assert 5 <= family.shape[0] <= 7
-        family_capped = subset_family(
-            received, 8, max_subsets=5, rng=rng, include_full_range_extremes=False
-        )
-        assert family_capped.shape[0] == 5

@@ -107,16 +107,8 @@ class TestSubsetAggregates:
     def test_sampling_caps_count(self, gaussian_cloud, rng):
         family = subset_family(gaussian_cloud, 8, max_subsets=5, rng=rng)
         # Documented row-count contract: max_subsets sampled rows plus up
-        # to 2 anchored extremes when include_full_range_extremes=True.
+        # to 2 anchored extremes.
         assert 5 <= family.shape[0] <= 5 + 2
-
-    def test_sampling_hard_cap_without_extremes(self, gaussian_cloud, rng):
-        family = subset_family(
-            gaussian_cloud, 8, max_subsets=5, rng=rng, include_full_range_extremes=False
-        )
-        # Contract: disabling the anchored extremes makes max_subsets a
-        # hard cap on the number of returned rows.
-        assert family.shape[0] == 5
 
     def test_invalid_subset_size(self, gaussian_cloud):
         with pytest.raises(ValueError):

@@ -504,7 +504,9 @@ class TestSweepReporting:
     def test_summary_table_lists_every_cell(self):
         rows = [
             {
+                "schema": ROW_SCHEMA_VERSION,
                 "index": i,
+                "cell_id": f"heterogeneity={het}/aggregation={rule}",
                 "axes": {"heterogeneity": het, "aggregation": rule},
                 "summary": {"final_accuracy": 0.5, "best_accuracy": 0.6, "rounds": 2},
             }
@@ -512,13 +514,46 @@ class TestSweepReporting:
                 [("uniform", "mean"), ("extreme", "krum")]
             )
         ]
-        from repro.analysis.reporting import sweep_summary_table
+        from repro.analysis.streaming import analysis_table, analyze_sweep_rows
 
-        table = sweep_summary_table(rows)
-        assert "heterogeneity" in table and "aggregation" in table
-        assert "uniform" in table and "krum" in table
-        assert "0.500" in table and "0.600" in table
-        assert sweep_summary_table([]) == "(no sweep rows)"
+        lines = analysis_table(analyze_sweep_rows(rows)).splitlines()
+        assert [line.split()[0] for line in lines[2:4]] == [
+            "heterogeneity=uniform/aggregation=mean",
+            "heterogeneity=extreme/aggregation=krum",
+        ]
+        # cells, fail, final mean/std/min/max, best mean, classes
+        assert lines[2].split()[1:] == [
+            "1", "0", "0.500", "0.000", "0.500", "0.500", "0.600", "-",
+        ]
+        assert analysis_table(analyze_sweep_rows([])) == "(no sweep rows)"
+
+    def test_sweep_run_closes_with_the_analyze_table(self, capsys, tmp_path):
+        from repro.analysis.streaming import analysis_table, analyze_sweep_rows
+        from repro.cli import main
+
+        spec = {
+            "base": {
+                "num_clients": 4, "num_byzantine": 1, "rounds": 2,
+                "num_samples": 40, "batch_size": 8, "mlp_hidden": [8, 4],
+                "seed": 5, "scheduler": "lossy", "drop_rate": 0.3,
+            },
+            # Grid order differs from the sorted order a JSONL row's
+            # axes mapping comes back in.
+            "axes": {"heterogeneity": ["uniform"], "aggregation": ["mean", "krum"]},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        path = tmp_path / "rows.jsonl"
+        assert main(["sweep", "run", str(spec_path), "--output", str(path),
+                     "--quiet"]) == 0
+        out = capsys.readouterr().out
+        table = analysis_table(analyze_sweep_rows(
+            path, axis_names=["heterogeneity", "aggregation"]
+        ))
+        assert "deliv%" in table
+        assert f"\n\n{table}\n\nrows streamed to {path}\n" in out
+        assert main(["analyze", str(path), "--spec", str(spec_path)]) == 0
+        assert capsys.readouterr().out == table + "\n"
 
 
 class TestCellIdEscaping:
@@ -586,9 +621,9 @@ class TestCellIdEscaping:
 
     def test_escaped_ids_survive_run_merge_table(self, tmp_path):
         # Round trip: run a grid whose axis values embed the cell-id
-        # separators, merge the stream, and render the summary table
+        # separators, merge the stream, and render the group table
         # with the grid's axis order.
-        from repro.analysis.reporting import sweep_summary_table
+        from repro.analysis.streaming import analysis_table, analyze_sweep_rows
         from repro.sweep import merge_shards
 
         grid = ScenarioGrid(
@@ -603,10 +638,10 @@ class TestCellIdEscaping:
         merged = tmp_path / "merged.jsonl"
         merge_shards([path], merged, grid=grid)
         assert merged.read_bytes() == path.read_bytes()
-        table = sweep_summary_table(
-            read_jsonl(merged), axis_names=grid.axis_names()
+        table = analysis_table(
+            analyze_sweep_rows(merged, axis_names=grid.axis_names())
         )
-        assert "{'note': 'a/b=c'}" in table
+        assert "attack_kwargs={'note': 'a/b=c'} " in table
         # Recovered order (no axis_names) matches, thanks to the
         # escaped-id fallback parse.
-        assert sweep_summary_table(read_jsonl(merged)) == table
+        assert analysis_table(analyze_sweep_rows(merged)) == table

@@ -75,12 +75,3 @@ class TestValidateByzantineBound:
     def test_non_positive_n_rejected(self):
         with pytest.raises(ValueError):
             validate_byzantine_bound(0, 0)
-
-    def test_custom_divisor(self):
-        validate_byzantine_bound(10, 1, resilience_divisor=5)
-        with pytest.raises(ValueError):
-            validate_byzantine_bound(10, 2, resilience_divisor=5)
-
-    def test_invalid_divisor(self):
-        with pytest.raises(ValueError):
-            validate_byzantine_bound(10, 1, resilience_divisor=0)
