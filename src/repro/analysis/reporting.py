@@ -21,9 +21,9 @@ def run_summary(history: TrainingHistory, topology) -> Dict[str, object]:
 
     ``topology`` is the run's sparse :class:`repro.network.topology.Topology`
     (``experiment_topology(config)``), or None on the complete graph.
-    Keys beyond the four accuracy fields appear only when the run has
-    something to report, so a synchronous complete-graph row keeps the
-    pre-engine layout byte for byte:
+    Keys beyond the accuracies, final loss and round count appear only
+    when the run has something to report, so a synchronous
+    complete-graph row keeps the pre-engine layout byte for byte:
 
     - ``network``: the engine's cumulative delivery counters
       (non-synchronous schedulers);
